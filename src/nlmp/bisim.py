@@ -10,8 +10,11 @@ Three notions are implemented, each with an independent code path:
 * event: a sub-sigma-algebra on which the model is still a model, i.e.
   all hit preimages of its measure sets stay inside it.
 
-The fixpoint computers start from the total relation (resp. the trivial
-sigma-algebra) and iterate a monotone operator; the inclusion order on
+The three fixpoint computers share one partition-refinement kernel
+(`refinement`) and differ only in the signature that splits a block:
+the profile sets of the rows, the hit profile classes, and membership
+in the hit preimages.  Each starts from the total relation (the trivial
+sigma-algebra) and iterates a monotone operator; the inclusion order on
 relations transfers inversely to the induced sigma-algebras, which makes
 each step shrink (resp. grow) toward the greatest bisimilarity
 (smallest stable sigma-algebra).  Determinism everywhere comes from
@@ -21,7 +24,7 @@ canonical state, label, and atom ordering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Hashable, Iterable, Iterator
 
 from .errors import InternalCheckError, PreconditionError
 from .measurable import (
@@ -29,7 +32,6 @@ from .measurable import (
     SigmaAlgebra,
     StateSet,
     relation_of_sigma,
-    sigma_generate,
     sigma_is_sub,
     sigma_of_relation,
 )
@@ -37,6 +39,10 @@ from .measures import Measure, Profile, profile, trace_classes
 from .model import Nlmp, diamond, hit_preimage, is_non_probabilistic, nlmp_validate
 
 Partition = tuple[StateSet, ...]
+# A signature maps one round's sigma-algebra to a key on states; the
+# kernel splits a block into the states of equal key.
+Key = Callable[[str], Hashable]
+Signature = Callable[[Nlmp, SigmaAlgebra], Key]
 
 
 @dataclass(frozen=True)
@@ -146,15 +152,13 @@ def is_traditional_bisim(m: Nlmp, r: Relation) -> CheckResult:
     return CheckResult(True)
 
 
-def is_state_bisim(m: Nlmp, r: Relation, method: str = "profile") -> CheckResult:
+def is_state_bisim(m: Nlmp, r: Relation) -> CheckResult:
     """Hit-set comparison of related states.
 
-    method="profile" compares, per label, the sets of pool profile
-    classes (over the r-closed sub-sigma-algebra) that each state's
-    transition set intersects.  method="direct" literally quantifies
-    over every union of those classes and compares hit-preimage
-    membership; it is exponential in the number of classes and exists to
-    cross-check the profile route.
+    Compares, per label, the sets of pool profile classes (over the
+    r-closed sub-sigma-algebra) that each state's transition set
+    intersects; the unions of those classes are exactly the measure
+    sets to quantify over.
     """
     _require_symmetric(r)
     sig_r = sigma_of_relation(m.sigma, r)
@@ -165,147 +169,133 @@ def is_state_bisim(m: Nlmp, r: Relation, method: str = "profile") -> CheckResult
         row = set(m.row(s, a))
         return frozenset(i for i, c in enumerate(class_sets) if row & c)
 
-    if method == "profile":
-        for s, t in _ordered_pairs(r):
-            for a in m.labels:
-                hs, ht = hit_indices(s, a), hit_indices(t, a)
-                if hs != ht:
-                    i = min(hs ^ ht)
-                    return CheckResult(False, StateWitness(s, t, a, classes[i]))
-        return CheckResult(True)
-    if method == "direct":
-        n = len(classes)
-        for mask in range(2 ** n):
-            xi = tuple(mu for i in range(n) if mask >> i & 1 for mu in classes[i])
-            for a in m.labels:
-                pre = hit_preimage(m, a, xi)
-                for s, t in _ordered_pairs(r):
-                    if (s in pre) != (t in pre):
-                        return CheckResult(False, StateWitness(s, t, a, xi))
-        return CheckResult(True)
-    raise ValueError(f"unknown method {method!r}")
+    for s, t in _ordered_pairs(r):
+        for a in m.labels:
+            hs, ht = hit_indices(s, a), hit_indices(t, a)
+            if hs != ht:
+                i = min(hs ^ ht)
+                return CheckResult(False, StateWitness(s, t, a, classes[i]))
+    return CheckResult(True)
 
 
-def is_event_bisim(m: Nlmp, lam: SigmaAlgebra, method: str = "classes") -> CheckResult:
+def is_event_bisim(m: Nlmp, lam: SigmaAlgebra) -> CheckResult:
     """Stability of a sub-sigma-algebra under hit preimages.
 
     Quantification over all unions of the pool's lam-profile classes
     reduces to the single classes: the preimage of a union is the union
-    of the preimages, and lam is closed under union.  method="direct"
-    keeps the literal union enumeration for cross-checks.
+    of the preimages, and lam is closed under union.
     """
     if not sigma_is_sub(lam, m.sigma):
         raise PreconditionError("candidate must be a sub-sigma-algebra of the model's")
     classes = trace_classes(m.pool, lam)
-    if method == "classes":
-        for a in m.labels:
-            for cls in classes:
-                pre = hit_preimage(m, a, cls)
-                if not lam.is_measurable(pre):
-                    return CheckResult(False, EventWitness(a, cls, pre))
-        return CheckResult(True)
-    if method == "direct":
-        n = len(classes)
-        for a in m.labels:
-            for mask in range(2 ** n):
-                xi = tuple(mu for i in range(n) if mask >> i & 1 for mu in classes[i])
-                pre = hit_preimage(m, a, xi)
-                if not lam.is_measurable(pre):
-                    return CheckResult(False, EventWitness(a, xi, pre))
-        return CheckResult(True)
-    raise ValueError(f"unknown method {method!r}")
+    for a in m.labels:
+        for cls in classes:
+            pre = hit_preimage(m, a, cls)
+            if not lam.is_measurable(pre):
+                return CheckResult(False, EventWitness(a, cls, pre))
+    return CheckResult(True)
 
 
-def _partition_of(blocks: Iterable[Iterable[str]], m: Nlmp) -> Partition:
-    idx = m.universe.index
-    return tuple(sorted((frozenset(b) for b in blocks), key=lambda b: min(idx(s) for s in b)))
+@dataclass(frozen=True)
+class RowProfiles:
+    """The traditional signature over one sigma-algebra; the profiles of
+    the whole pool are kept for formula synthesis."""
+
+    m: Nlmp
+    profiles: dict[Measure, Profile]
+
+    def __call__(self, s: str) -> tuple[frozenset[Profile], ...]:
+        return tuple(frozenset(self.profiles[mu] for mu in self.m.row(s, a)) for a in self.m.labels)
+
+
+def traditional_signature(m: Nlmp, lam: SigmaAlgebra) -> RowProfiles:
+    """Per label, the set of lam-profiles of a state's row: two states
+    keep the same key iff their rows match measure against measure."""
+    return RowProfiles(m, _profiles(m.pool, lam))
+
+
+def state_signature(m: Nlmp, lam: SigmaAlgebra) -> Key:
+    """Per label, the indices of the pool's lam-profile classes that a
+    state's transition set intersects."""
+    class_sets = [frozenset(c) for c in trace_classes(m.pool, lam)]
+
+    def key(s: str) -> tuple[frozenset[int], ...]:
+        return tuple(
+            frozenset(i for i, c in enumerate(class_sets) if set(m.row(s, a)) & c)
+            for a in m.labels
+        )
+
+    return key
+
+
+def event_signature(m: Nlmp, lam: SigmaAlgebra) -> Key:
+    """Membership in the hit preimage, under every label, of every
+    lam-profile class of the pool."""
+    classes = trace_classes(m.pool, lam)
+    preimages = [hit_preimage(m, a, cls) for a in m.labels for cls in classes]
+    return lambda s: tuple(s in pre for pre in preimages)
+
+
+def refinement(
+    m: Nlmp, signature: Signature
+) -> Iterator[tuple[SigmaAlgebra, Key, list[list[list[str]]]]]:
+    """Partition refinement from the total partition, one round at a time.
+
+    Each round takes lam to be the sigma-algebra whose atoms are the
+    current blocks, splits every block by ``key = signature(m, lam)``
+    (states in universe order, sub-blocks in first-seen order) and
+    yields ``(lam, key, sub-blocks per block)``.  The last round yielded
+    is the first in which no block splits; its lam is the fixpoint.
+
+    On a valid model the rows are constant within the model's atoms, so
+    every block stays a union of atoms and lam is exactly the r-closed
+    sub-sigma-algebra of the blocks' equivalence.
+    """
+    lam = SigmaAlgebra.trivial(m.universe)
+    while True:
+        key = signature(m, lam)
+        splits = []
+        for block in lam.atoms:
+            groups: dict[Hashable, list[str]] = {}
+            for s in m.universe.sort(block):
+                groups.setdefault(key(s), []).append(s)
+            splits.append(list(groups.values()))
+        yield lam, key, splits
+        if all(len(subs) == 1 for subs in splits):
+            return
+        lam = SigmaAlgebra(m.universe, tuple(frozenset(b) for subs in splits for b in subs))
+
+
+def _fixpoint(kind: str, m: Nlmp, signature: Signature) -> BisimReport:
+    _require_valid(m)
+    rounds = [lam for lam, _, _ in refinement(m, signature)]
+    lam = rounds[-1]
+    return BisimReport(
+        kind,
+        relation_of_sigma(lam),
+        lam.atoms,
+        tuple(r.atoms for r in rounds),
+        sigma=lam if kind == "event" else None,
+    )
 
 
 def largest_traditional(m: Nlmp) -> BisimReport:
     """Greatest fixpoint of the one-against-one matching operator.
 
-    Starts from the total relation; each round recomputes the r-closed
-    sub-sigma-algebra and keeps a pair only if both rows still match
-    measure against measure.  Monotonicity of the lifting (a smaller
-    relation closes more sets, hence relates fewer measures) makes the
-    limit the largest relation accepted by is_traditional_bisim.
+    A pair stays related while both rows still match measure against
+    measure over the current partition.  Monotonicity of the lifting (a
+    smaller relation closes more sets, hence relates fewer measures)
+    makes the limit the largest relation accepted by
+    is_traditional_bisim.
     """
-    _require_valid(m)
-    partition: Partition = (frozenset(m.states),)
-    trace = [partition]
-    while True:
-        sig_r = sigma_of_relation(m.sigma, Relation.from_partition(m.universe, partition))
-        prof = _profiles(m.pool, sig_r)
-
-        def covers(row_a: tuple[Measure, ...], row_b: tuple[Measure, ...]) -> bool:
-            return all(any(prof[mu] == prof[nu] for nu in row_b) for mu in row_a)
-
-        def rows_match(s: str, t: str) -> bool:
-            for a in m.labels:
-                rs, rt = m.row(s, a), m.row(t, a)
-                if not (covers(rs, rt) and covers(rt, rs)):
-                    return False
-            return True
-
-        new_blocks: list[list[str]] = []
-        for block in partition:
-            subs: list[list[str]] = []
-            for s in m.universe.sort(block):
-                for sub in subs:
-                    if rows_match(s, sub[0]):
-                        sub.append(s)
-                        break
-                else:
-                    subs.append([s])
-            new_blocks += subs
-        new_partition = _partition_of(new_blocks, m)
-        if new_partition == partition:
-            break
-        partition = new_partition
-        trace.append(partition)
-    return BisimReport(
-        "traditional",
-        Relation.from_partition(m.universe, partition),
-        partition,
-        tuple(trace),
-    )
+    return _fixpoint("traditional", m, traditional_signature)
 
 
 def largest_state(m: Nlmp) -> BisimReport:
     """Greatest fixpoint of the hit-class operator: states stay together
     while, for every label, their transition sets intersect exactly the
-    same profile classes over the current r-closed sub-sigma-algebra."""
-    _require_valid(m)
-    partition: Partition = (frozenset(m.states),)
-    trace = [partition]
-    while True:
-        sig_r = sigma_of_relation(m.sigma, Relation.from_partition(m.universe, partition))
-        classes = trace_classes(m.pool, sig_r)
-        class_sets = [frozenset(c) for c in classes]
-
-        def signature(s: str) -> tuple:
-            return tuple(
-                frozenset(i for i, c in enumerate(class_sets) if set(m.row(s, a)) & c)
-                for a in m.labels
-            )
-
-        new_blocks: list[list[str]] = []
-        for block in partition:
-            groups: dict[tuple, list[str]] = {}
-            for s in m.universe.sort(block):
-                groups.setdefault(signature(s), []).append(s)
-            new_blocks += list(groups.values())
-        new_partition = _partition_of(new_blocks, m)
-        if new_partition == partition:
-            break
-        partition = new_partition
-        trace.append(partition)
-    return BisimReport(
-        "state",
-        Relation.from_partition(m.universe, partition),
-        partition,
-        tuple(trace),
-    )
+    same profile classes over the current partition."""
+    return _fixpoint("state", m, state_signature)
 
 
 def smallest_stable_sigma(m: Nlmp) -> BisimReport:
@@ -315,28 +305,10 @@ def smallest_stable_sigma(m: Nlmp) -> BisimReport:
     The limit is the smallest sub-sigma-algebra on which the model is
     still a model; its inseparability relation is event bisimilarity.
     """
-    _require_valid(m)
-    lam = SigmaAlgebra.trivial(m.universe)
-    trace = [lam.atoms]
-    while True:
-        gens: list[StateSet] = list(lam.atoms)
-        for a in m.labels:
-            for cls in trace_classes(m.pool, lam):
-                gens.append(hit_preimage(m, a, cls))
-        new_lam = sigma_generate(m.universe, gens)
-        if new_lam == lam:
-            break
-        lam = new_lam
-        trace.append(lam.atoms)
-    if not sigma_is_sub(lam, m.sigma):
+    report = _fixpoint("event", m, event_signature)
+    if not sigma_is_sub(report.sigma, m.sigma):
         raise InternalCheckError("stable sigma-algebra escaped the model's sigma-algebra")
-    return BisimReport(
-        "event",
-        relation_of_sigma(lam),
-        lam.atoms,
-        tuple(trace),
-        sigma=lam,
-    )
+    return report
 
 
 def compare_bisims(m: Nlmp) -> ComparisonReport:

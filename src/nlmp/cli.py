@@ -98,7 +98,10 @@ def _emit(report: dict) -> None:
 
 
 def _load(path: str) -> ModelDocument:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ModelSyntaxError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     return parse_model(text, source=path)
 
 

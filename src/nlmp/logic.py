@@ -23,8 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, InternalCheckError, PreconditionError, UnsupportedModelError
-from .measurable import Relation, StateSet, sigma_of_relation
-from .measures import Measure, ZERO, profile
+from .bisim import refinement, smallest_stable_sigma, traditional_signature
+from .measurable import Relation, StateSet
+from .measures import Measure, ZERO
 from .model import Nlmp, hit_preimage, nlmp_validate
 
 Partition = tuple[StateSet, ...]
@@ -352,8 +353,6 @@ def logical_equivalence(m: Nlmp, fragment: str = "Lf") -> EquivalenceReport:
     distinguishing formula for every pair of states it separates.
     """
     if fragment == "L":
-        from .bisim import smallest_stable_sigma
-
         rep = smallest_stable_sigma(m)
         return EquivalenceReport("L", rep.relation, rep.partition, {})
     if fragment != "Lf":
@@ -406,7 +405,6 @@ def _lf_refinement(m: Nlmp) -> tuple[Partition, dict[tuple[str, str], StateFormu
     universe = m.universe
     family: dict[StateSet, StateFormula] = {frozenset(m.states): Top()}
     formulas: dict[tuple[str, str], StateFormula] = {}
-    partition: Partition = (frozenset(m.states),)
 
     def family_add(ext: StateSet, phi: StateFormula) -> None:
         queue = [(ext, phi)]
@@ -439,47 +437,25 @@ def _lf_refinement(m: Nlmp) -> tuple[Partition, dict[tuple[str, str], StateFormu
                     constraints.append(c)
         return DiamondMulti(label, tuple(constraints))
 
-    while True:
-        sig_r = sigma_of_relation(m.sigma, Relation.from_partition(universe, partition))
-        prof = {mu: profile(mu, sig_r) for mu in m.pool}
-
-        def hit(s: str, a: str) -> frozenset:
-            return frozenset(prof[mu] for mu in m.row(s, a))
-
-        new_blocks: list[list[str]] = []
-        split_pairs: list[tuple[str, str]] = []
-        for block in partition:
-            groups: dict[tuple, list[str]] = {}
-            for s in universe.sort(block):
-                groups.setdefault(tuple(hit(s, a) for a in m.labels), []).append(s)
-            subs = list(groups.values())
-            new_blocks += subs
-            for i, left in enumerate(subs):
-                for right in subs[i + 1 :]:
-                    split_pairs += [(s, t) for s in left for t in right]
-        if not split_pairs:
-            break
+    for lam, key, splits in refinement(m, traditional_signature):
+        split_pairs = [
+            (s, t)
+            for subs in splits
+            for i, left in enumerate(subs)
+            for right in subs[i + 1 :]
+            for s in left
+            for t in right
+        ]
         for s, t in split_pairs:
-            for a in m.labels:
-                only_s = hit(s, a) - hit(t, a)
-                if only_s:
-                    mu = next(x for x in m.row(s, a) if prof[x] in only_s)
-                    psi = synthesize(s, t, a, mu)
-                    break
-                only_t = hit(t, a) - hit(s, a)
-                if only_t:
-                    nu = next(x for x in m.row(t, a) if prof[x] in only_t)
-                    psi = synthesize(t, s, a, nu)
+            for a, hs, ht in zip(m.labels, key(s), key(t)):
+                if hs != ht:
+                    x, y, only = (s, t, hs - ht) if hs - ht else (t, s, ht - hs)
+                    mu = next(mu for mu in m.row(x, a) if key.profiles[mu] in only)
+                    psi = synthesize(x, y, a, mu)
                     break
             else:
                 raise InternalCheckError("split without a hit-class mismatch")
             formulas[(s, t)] = psi
             formulas[(t, s)] = psi
             family_add(eval_state(m, psi), psi)
-        partition = tuple(
-            sorted(
-                (frozenset(b) for b in new_blocks),
-                key=lambda b: min(universe.index(x) for x in b),
-            )
-        )
-    return partition, formulas
+    return lam.atoms, formulas

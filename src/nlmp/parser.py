@@ -300,10 +300,20 @@ def _tokenize_formula(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# Deepest nesting of modalities, negations and parentheses accepted in
+# a formula; the parser and the evaluator recurse once per level.
+MAX_FORMULA_DEPTH = 100
+
+
+class _TooDeep(ModelSyntaxError):
+    """Nesting limit exceeded; the parser's backtracking never retries it."""
+
+
 class _FormulaParser:
     def __init__(self, text: str):
         self.tokens = _tokenize_formula(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self, ahead: int = 0) -> tuple[str, str, int] | None:
         i = self.pos + ahead
@@ -324,13 +334,26 @@ class _FormulaParser:
     def done(self) -> bool:
         return self.pos >= len(self.tokens)
 
+    def nested(self, parse):
+        """Run one recursive production, one level deeper."""
+        if self.depth > MAX_FORMULA_DEPTH:
+            tok = self.peek()
+            raise _TooDeep(
+                f"formula nests deeper than {MAX_FORMULA_DEPTH} levels", None, tok and tok[2]
+            )
+        self.depth += 1
+        try:
+            return parse()
+        finally:
+            self.depth -= 1
+
     # state level ----------------------------------------------------------
 
     def state_formula(self) -> StateFormula:
-        phi = self.state_atom()
+        phi = self.nested(self.state_atom)
         while not self.done() and self.peek()[1] == "&":
             self.take()
-            phi = And(phi, self.state_atom())
+            phi = And(phi, self.nested(self.state_atom))
         return phi
 
     def state_atom(self) -> StateFormula:
@@ -355,6 +378,8 @@ class _FormulaParser:
                     saved = self.pos
                     try:
                         return self.diamond_multi(label_tok[1])
+                    except _TooDeep:
+                        raise
                     except ModelSyntaxError:
                         self.pos = saved
             return Diamond(label_tok[1], self.measure_formula())
@@ -392,10 +417,10 @@ class _FormulaParser:
             raise ModelSyntaxError("unexpected end of formula")
         if tok[1] == "!":
             self.take()
-            return MNot(self.measure_term())
+            return MNot(self.nested(self.measure_term))
         if tok[1] == "(":
             self.take()
-            psi = self.measure_formula()
+            psi = self.nested(self.measure_formula)
             self.expect(")")
             return psi
         if tok[1] == "[":

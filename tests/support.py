@@ -28,7 +28,10 @@ from nlmp import (
     Top,
     Universe,
     dirac,
+    hit_preimage,
     is_r_closed,
+    sigma_of_relation,
+    trace_classes,
 )
 
 F = Fraction
@@ -351,6 +354,38 @@ def lmp_bisimilarity(l: Lmp) -> Relation:
         if new == pairs:
             return Relation(l.universe, frozenset(pairs))
         pairs = new
+
+
+def _class_unions(classes):
+    """Every union of the given measure classes (2^len(classes) sets)."""
+    n = len(classes)
+    for mask in range(2 ** n):
+        yield tuple(mu for i in range(n) if mask >> i & 1 for mu in classes[i])
+
+
+def state_bisim_direct(m: Nlmp, r: Relation) -> bool:
+    """State bisimulation by literal quantification over every union of
+    the pool's profile classes over the r-closed sub-sigma-algebra:
+    related states must lie on the same side of every hit preimage."""
+    classes = trace_classes(m.pool, sigma_of_relation(m.sigma, r))
+    for xi in _class_unions(classes):
+        for a in m.labels:
+            pre = hit_preimage(m, a, xi)
+            if any((s in pre) != (t in pre) for s, t in r.pairs):
+                return False
+    return True
+
+
+def event_bisim_direct(m: Nlmp, lam: SigmaAlgebra) -> bool:
+    """Event bisimulation by literal quantification over every union of
+    the pool's lam-profile classes: every hit preimage must be
+    lam-measurable."""
+    classes = trace_classes(m.pool, lam)
+    return all(
+        lam.is_measurable(hit_preimage(m, a, xi))
+        for a in m.labels
+        for xi in _class_unions(classes)
+    )
 
 
 def delta_trace_family(pool, lam: SigmaAlgebra) -> frozenset[frozenset[Measure]]:

@@ -24,11 +24,13 @@ from nlmp import (
 )
 from support import (
     all_equivalences,
+    event_bisim_direct,
     lmp_bisimilarity,
     np_reach_model,
     rand_lmp,
     rand_symmetric_relation,
     rand_valid_nlmp,
+    state_bisim_direct,
     subalgebras,
     two_bounds_model,
     two_bounds_measures,
@@ -100,7 +102,7 @@ class TestStateCheck:
         for _ in range(60):
             m = rand_valid_nlmp(rng, max_states=4, max_row=2, coarse=rng.random() < 0.5)
             r = rand_symmetric_relation(rng, m.universe)
-            assert bool(is_state_bisim(m, r, "profile")) == bool(is_state_bisim(m, r, "direct"))
+            assert bool(is_state_bisim(m, r)) == state_bisim_direct(m, r)
 
 
 class TestEventCheck:
@@ -135,9 +137,7 @@ class TestEventCheck:
         for _ in range(60):
             m = rand_valid_nlmp(rng, max_states=4, max_row=2, coarse=rng.random() < 0.5)
             for lam in subalgebras(m.sigma):
-                assert bool(is_event_bisim(m, lam, "classes")) == bool(
-                    is_event_bisim(m, lam, "direct")
-                )
+                assert bool(is_event_bisim(m, lam)) == event_bisim_direct(m, lam)
 
 
 class TestLargestTraditional:

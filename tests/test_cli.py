@@ -61,6 +61,30 @@ class TestValidateCommand:
         assert err
 
 
+class TestInputBoundary:
+    @pytest.mark.parametrize(
+        "tail", [["validate"], ["bisim"], ["check", "T"], ["distinguish", "s", "t"]]
+    )
+    def test_non_utf8_model_is_a_usage_error(self, tmp_path, capsys, tail):
+        bad = tmp_path / "bad.nlmp"
+        bad.write_bytes(b"nlmp\nstates s\xff t\n")
+        code, report, err = run(capsys, tail[0], str(bad), *tail[1:])
+        assert code == 1
+        assert report is None
+        assert err.startswith("error: ") and "not UTF-8" in err
+        assert len(err.splitlines()) == 1
+
+    def test_400_deep_formula_is_a_usage_error(self, capsys):
+        formula = "T"
+        for _ in range(400):
+            formula = f"<a>[{formula}]>0"
+        code, report, err = run(capsys, "check", corpus("uniform_rows.nlmp"), formula)
+        assert code == 1
+        assert report is None
+        assert err.startswith("error: ") and "nests deeper than" in err
+        assert len(err.splitlines()) == 1
+
+
 class TestBisimCommand:
     def test_flagship_all_kinds_coincide(self, capsys):
         code, report, _ = run(capsys, "bisim", corpus("two_bounds_needed.nlmp"), "--kind", "all")

@@ -1,0 +1,80 @@
+"""CLI reports pinned on the bundled corpus.
+
+Covers `bisim --kind all` on every corpus model and `distinguish` on
+every ordered pair of distinct states of the powerset corpus models:
+partitions, iteration counts, sigma atoms and the synthesized formula
+text, i.e. everything a report holds except `timing_ms`.  The report
+is rendered with `json.dumps(..., sort_keys=True)`, so the parsed
+dictionary pins its bytes.
+
+The golden file was recorded before the fixpoints shared one
+refinement kernel.  Regenerate it only for an intended output change:
+
+    PYTHONPATH=src python3 tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+from nlmp import corpus_dir, parse_model
+from nlmp.cli import main
+
+GOLDEN = Path(__file__).with_name("golden_cli.json")
+
+
+def cases() -> list[list[str]]:
+    out = []
+    for path in sorted(corpus_dir().glob("*.nlmp")):
+        out.append(["bisim", path.name, "--kind", "all"])
+    for path in sorted(corpus_dir().glob("*.nlmp")):
+        m = parse_model(path.read_text(encoding="utf-8")).nlmp
+        if m.sigma.is_powerset:
+            out += [["distinguish", path.name, s, t] for s in m.states for t in m.states if s != t]
+    return out
+
+
+def run_case(argv: list[str]) -> dict:
+    """Exit code and report of one command run in the corpus directory."""
+    out = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(corpus_dir())
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    report = json.loads(out.getvalue())
+    del report["timing_ms"]
+    return {"exit": code, "report": report}
+
+
+def _key(argv: list[str]) -> str:
+    return " ".join(argv)
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_golden_file_covers_exactly_the_cases(golden):
+    assert sorted(golden) == sorted(_key(argv) for argv in cases())
+
+
+@pytest.mark.parametrize("argv", cases(), ids=_key)
+def test_report_matches_golden(golden, argv):
+    assert run_case(argv) == golden[_key(argv)]
+
+
+if __name__ == "__main__":
+    recorded = {_key(argv): run_case(argv) for argv in cases()}
+    GOLDEN.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {len(recorded)} reports to {GOLDEN}", file=sys.stderr)

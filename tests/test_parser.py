@@ -27,6 +27,7 @@ from nlmp import (
     parse_state_formula,
     serialize_model,
 )
+from nlmp.parser import MAX_FORMULA_DEPTH
 from support import (
     rand_measure_formula,
     rand_state_formula,
@@ -190,6 +191,20 @@ class TestFormulaParsing:
         for bad in ("", "T &", "<a>", "[T]>=", "T T", "<a>[ ]", "(T", "[T]>=1/0"):
             with pytest.raises(ModelSyntaxError):
                 parse_state_formula(bad)
+
+    @pytest.mark.parametrize("wrap", ["<a>[{}]>0", "<a>[ >1/2 {} ]", "({})", "<a>[ <1 {} , >0 T ]"])
+    def test_nesting_limit(self, wrap):
+        deep = "T"
+        for _ in range(MAX_FORMULA_DEPTH):
+            deep = wrap.format(deep)
+        parse_state_formula(deep)
+        with pytest.raises(ModelSyntaxError, match="nests deeper than"):
+            parse_state_formula(wrap.format(deep))
+
+    def test_negation_chain_nesting_limit(self):
+        parse_measure_formula("!" * MAX_FORMULA_DEPTH + "[T]>0")
+        with pytest.raises(ModelSyntaxError, match="nests deeper than"):
+            parse_measure_formula("!" * (MAX_FORMULA_DEPTH + 1) + "[T]>0")
 
     def test_threshold_range_enforced(self):
         with pytest.raises(DomainError):
