@@ -166,8 +166,8 @@ def is_state_bisim(m: Nlmp, r: Relation) -> CheckResult:
     class_sets = [frozenset(c) for c in classes]
 
     def hit_indices(s: str, a: str) -> frozenset[int]:
-        row = set(m.row(s, a))
-        return frozenset(i for i, c in enumerate(class_sets) if row & c)
+        row = m.row(s, a)
+        return frozenset(i for i, c in enumerate(class_sets) if not c.isdisjoint(row))
 
     for s, t in _ordered_pairs(r):
         for a in m.labels:
@@ -221,7 +221,7 @@ def state_signature(m: Nlmp, lam: SigmaAlgebra) -> Key:
 
     def key(s: str) -> tuple[frozenset[int], ...]:
         return tuple(
-            frozenset(i for i, c in enumerate(class_sets) if set(m.row(s, a)) & c)
+            frozenset(i for i, c in enumerate(class_sets) if not c.isdisjoint(m.row(s, a)))
             for a in m.labels
         )
 

@@ -211,12 +211,11 @@ def cmd_distinguish(args) -> int:
         _emit(_report(doc, "distinguish", cmd_args, result, started))
         return EXIT_EQUIVALENT
     # distinguish re-verifies the formula before returning it.
+    extension = eval_state(doc.nlmp, phi)
     result = {
         "equivalent": False,
         "formula": formula_to_text(phi),
-        "satisfied_by": sorted(
-            x for x in (args.s, args.t) if x in eval_state(doc.nlmp, phi)
-        ),
+        "satisfied_by": sorted(x for x in (args.s, args.t) if x in extension),
     }
     _emit(_report(doc, "distinguish", cmd_args, result, started))
     return EXIT_OK

@@ -283,7 +283,7 @@ def eval_measure(m: Nlmp, psi: MeasureFormula) -> frozenset[Measure]:
             out |= eval_measure(m, item)
         return out
     if isinstance(psi, MNot):
-        return frozenset(m.pool) - eval_measure(m, psi.item)
+        return m.pool_set - eval_measure(m, psi.item)
     if isinstance(psi, (AtLeast, GreaterThan, LessThan, AtMost)):
         ext = eval_state(m, psi.phi)
         if isinstance(psi, AtLeast):
@@ -361,7 +361,13 @@ def logical_equivalence(m: Nlmp, fragment: str = "Lf") -> EquivalenceReport:
         raise PreconditionError("model fails measurability validation")
     partition, formulas = _lf_refinement(m)
     relation = Relation.from_partition(m.universe, partition)
+    # (s, t) and (t, s) share one formula, and separation is symmetric:
+    # verify each unordered pair once, at its first ordered occurrence.
+    verified: set[tuple[str, str]] = set()
     for (s, t), psi in formulas.items():
+        if (t, s) in verified:
+            continue
+        verified.add((s, t))
         if satisfies(m, s, psi) == satisfies(m, t, psi):
             raise InternalCheckError(f"synthesized formula fails to separate {s!r} and {t!r}")
     return EquivalenceReport("Lf", relation, partition, formulas)

@@ -29,9 +29,10 @@ class Universe:
             raise DomainError("universe must be non-empty")
         if len(set(self.states)) != len(self.states):
             raise DomainError("universe contains duplicate state identifiers")
+        object.__setattr__(self, "_index", {s: i for i, s in enumerate(self.states)})
 
     def __contains__(self, s: str) -> bool:
-        return s in self.states
+        return s in self._index
 
     def __iter__(self):
         return iter(self.states)
@@ -41,14 +42,14 @@ class Universe:
 
     def index(self, s: str) -> int:
         try:
-            return self.states.index(s)
-        except ValueError:
+            return self._index[s]
+        except KeyError:
             raise DomainError(f"unknown state {s!r}") from None
 
     def check_subset(self, q: Iterable[str]) -> StateSet:
         q = frozenset(q)
         for s in q:
-            if s not in self.states:
+            if s not in self._index:
                 raise DomainError(f"state {s!r} is not in the universe")
         return q
 
@@ -78,6 +79,7 @@ class SigmaAlgebra:
         if seen != set(self.universe.states):
             raise DomainError("sigma-algebra atoms must cover the universe")
         object.__setattr__(self, "atoms", _canonical_atoms(self.universe, self.atoms))
+        object.__setattr__(self, "_atom_index", {s: i for i, a in enumerate(self.atoms) for s in a})
 
     @classmethod
     def powerset(cls, universe: Universe) -> "SigmaAlgebra":
@@ -92,16 +94,13 @@ class SigmaAlgebra:
         return all(len(a) == 1 for a in self.atoms)
 
     def atom_of(self, s: str) -> StateSet:
-        for a in self.atoms:
-            if s in a:
-                return a
-        raise DomainError(f"unknown state {s!r}")
+        return self.atoms[self.atom_index(s)]
 
     def atom_index(self, s: str) -> int:
-        for i, a in enumerate(self.atoms):
-            if s in a:
-                return i
-        raise DomainError(f"unknown state {s!r}")
+        try:
+            return self._atom_index[s]
+        except KeyError:
+            raise DomainError(f"unknown state {s!r}") from None
 
     def is_measurable(self, q: Iterable[str]) -> bool:
         """True iff q is a union of atoms."""
@@ -171,9 +170,6 @@ class Relation:
         blocks = self._greedy_blocks()
         square = frozenset((s, t) for b in blocks for s in b for t in b)
         return square == self.pairs
-
-    def symmetric_closure(self) -> "Relation":
-        return Relation(self.universe, self.pairs | frozenset((t, s) for s, t in self.pairs))
 
     def image(self, q: Iterable[str]) -> StateSet:
         q = self.universe.check_subset(q)
@@ -278,4 +274,6 @@ def sigma_is_sub(lam: SigmaAlgebra, sigma: SigmaAlgebra) -> bool:
     atoms refine lam's."""
     if lam.universe != sigma.universe:
         raise DomainError("sigma-algebras live on different universes")
-    return all(any(a <= b for b in lam.atoms) for a in sigma.atoms)
+    # The lam atoms partition the universe, so an atom of sigma lies in
+    # some lam atom iff it lies in the one holding any of its states.
+    return all(a <= lam.atoms[lam.atom_index(next(iter(a)))] for a in sigma.atoms)

@@ -26,7 +26,12 @@ Profile = tuple[Fraction, ...]
 
 @dataclass(frozen=True)
 class Measure:
-    """A probability measure, stored as one weight per atom of sigma."""
+    """A probability measure, stored as one weight per atom of sigma.
+
+    Measures are immutable, so the hash (the dataclass hash of
+    ``(sigma, weights)``) is computed once: pools, rows and hit
+    preimages put the same measures into sets over and over.
+    """
 
     sigma: SigmaAlgebra
     weights: tuple[Fraction, ...]
@@ -40,6 +45,15 @@ class Measure:
                 raise DomainError(f"atom weight {w} outside [0, 1]")
         if sum(self.weights) != ONE:
             raise DomainError(f"atom weights sum to {sum(self.weights)}, expected 1")
+        object.__setattr__(self, "_hash", hash((self.sigma, self.weights)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # String hashes differ between processes: unpickling re-runs the
+        # constructor instead of restoring another process's hash.
+        return (Measure, (self.sigma, self.weights))
 
     @classmethod
     def from_atom_weights(cls, sigma: SigmaAlgebra, by_atom: Mapping[StateSet, Fraction]) -> "Measure":
@@ -156,10 +170,12 @@ def profile(mu: Measure, lam: SigmaAlgebra) -> Profile:
     """
     if not sigma_is_sub(lam, mu.sigma):
         raise PreconditionError("profile requires a sub-sigma-algebra of the measure's")
-    return tuple(
-        sum((w for a, w in zip(mu.sigma.atoms, mu.weights) if a <= lam_atom), ZERO)
-        for lam_atom in lam.atoms
-    )
+    # Each atom of mu's sigma-algebra lies inside exactly one atom of lam.
+    totals = [ZERO] * len(lam.atoms)
+    for a, w in zip(mu.sigma.atoms, mu.weights):
+        if w:
+            totals[lam.atom_index(next(iter(a)))] += w
+    return tuple(totals)
 
 
 def measures_related(mu: Measure, nu: Measure, sigma_r: SigmaAlgebra) -> bool:

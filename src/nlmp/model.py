@@ -55,7 +55,11 @@ class Nlmp:
             if row:
                 rows[(s, a)] = row
         self._rows = rows
+        # Derived once per model and never invalidated: the rows are
+        # fixed at construction, so no cache outlives what it describes.
         self._pool: tuple[Measure, ...] | None = None
+        self._pool_set: frozenset[Measure] | None = None
+        self._validation: ValidationReport | None = None
 
     @property
     def universe(self) -> Universe:
@@ -81,6 +85,13 @@ class Nlmp:
                 mu for s in self.states for a in self.labels for mu in self.row(s, a)
             )
         return self._pool
+
+    @property
+    def pool_set(self) -> frozenset[Measure]:
+        """The pool as a set, for membership tests."""
+        if self._pool_set is None:
+            self._pool_set = frozenset(self.pool)
+        return self._pool_set
 
     def transition_items(self) -> list[tuple[tuple[str, str], Row]]:
         return [
@@ -183,8 +194,15 @@ def nlmp_validate(m: Nlmp) -> ValidationReport:
     (the traces of the measurable sets of measures); since the hit
     preimage of a union is the union of the hit preimages and measurable
     sets are closed under union, checking the single classes decides all
-    unions.  The first failing class is reported as the witness.
+    unions.  The first failing class is reported as the witness.  The
+    report is computed once per model object and kept on it.
     """
+    if m._validation is None:
+        m._validation = _nlmp_findings(m)
+    return m._validation
+
+
+def _nlmp_findings(m: Nlmp) -> ValidationReport:
     findings: list[Finding] = []
     for (s, a), row in m.transition_items():
         for mu in row:
@@ -258,11 +276,9 @@ def hit_preimage(m: Nlmp, a: str, xi: Iterable[Measure]) -> StateSet:
     if a not in m.labels:
         raise DomainError(f"unknown label {a!r}")
     xi = frozenset(xi)
-    pool = frozenset(m.pool)
-    for mu in xi:
-        if mu not in pool:
-            raise DomainError("xi contains a measure outside the model's pool")
-    return frozenset(s for s in m.states if set(m.row(s, a)) & xi)
+    if not xi <= m.pool_set:
+        raise DomainError("xi contains a measure outside the model's pool")
+    return frozenset(s for s in m.states if not xi.isdisjoint(m.row(s, a)))
 
 
 def diamond(m: Nlmp, a: str, q: Iterable[str]) -> StateSet:

@@ -27,7 +27,6 @@ with rational thresholds written p/q, 0 or 1.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,6 +51,16 @@ from .measurable import SigmaAlgebra, Universe, sigma_generate
 from .measures import Measure, dirac
 from .model import Lmp, Nlmp, lmp_embed
 
+# hashlib loads OpenSSL (several MiB of resident memory) just for the
+# report digest; the builtin SHA-256 gives the same bytes.
+try:
+    from _sha2 import sha256  # Python >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
+
 
 @dataclass
 class ModelDocument:
@@ -62,7 +71,7 @@ class ModelDocument:
 
     @property
     def digest(self) -> str:
-        return hashlib.sha256(serialize_model(self).encode("utf-8")).hexdigest()
+        return sha256(serialize_model(self).encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------

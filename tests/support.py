@@ -16,6 +16,7 @@ from nlmp import (
     Constraint,
     Diamond,
     DiamondMulti,
+    DomainError,
     GreaterThan,
     LessThan,
     Lmp,
@@ -23,6 +24,7 @@ from nlmp import (
     MOr,
     Measure,
     Nlmp,
+    PreconditionError,
     Relation,
     SigmaAlgebra,
     Top,
@@ -497,3 +499,48 @@ def row_constant_on_atoms(m: Nlmp) -> bool:
 
 def relation_pairs_subset(r1: Relation, r2: Relation) -> bool:
     return r1.pairs <= r2.pairs
+
+
+# ---------------------------------------------------------------------------
+# Straightforward versions of the indexed lookups (reference for the
+# dict indices and one-pass sums in the library)
+
+
+def tuple_index(universe: Universe, s: str) -> int:
+    """Universe.index as a search of the state tuple."""
+    try:
+        return universe.states.index(s)
+    except ValueError:
+        raise DomainError(f"unknown state {s!r}") from None
+
+
+def scan_atom_index(sigma: SigmaAlgebra, s: str) -> int:
+    """SigmaAlgebra.atom_index as a scan of the atoms."""
+    for i, a in enumerate(sigma.atoms):
+        if s in a:
+            return i
+    raise DomainError(f"unknown state {s!r}")
+
+
+def quadratic_sigma_is_sub(lam: SigmaAlgebra, sigma: SigmaAlgebra) -> bool:
+    """sigma_is_sub by testing every atom of sigma against every atom of lam."""
+    if lam.universe != sigma.universe:
+        raise DomainError("sigma-algebras live on different universes")
+    return all(any(a <= b for b in lam.atoms) for a in sigma.atoms)
+
+
+def dense_profile(mu: Measure, lam: SigmaAlgebra) -> tuple[Fraction, ...]:
+    """profile as one sum per lam atom over every atom of mu's sigma-algebra."""
+    if not quadratic_sigma_is_sub(lam, mu.sigma):
+        raise PreconditionError("profile requires a sub-sigma-algebra of the measure's")
+    return tuple(
+        sum((w for a, w in zip(mu.sigma.atoms, mu.weights) if a <= b), F(0))
+        for b in lam.atoms
+    )
+
+
+def rand_coarsening(rng: random.Random, sigma: SigmaAlgebra) -> SigmaAlgebra:
+    """A random sub-sigma-algebra: a random partition of sigma's atoms,
+    each block merged into one atom."""
+    blocks = rand_partition(rng, list(sigma.atoms))
+    return SigmaAlgebra(sigma.universe, tuple(frozenset().union(*b) for b in blocks))

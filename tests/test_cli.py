@@ -3,7 +3,7 @@ import shutil
 
 import pytest
 
-from nlmp import corpus_dir, parse_state_formula, satisfies
+from nlmp import corpus_dir, parse_model, parse_state_formula, satisfies, trace_classes
 from nlmp.cli import main
 from support import two_bounds_model
 
@@ -99,6 +99,21 @@ class TestBisimCommand:
         code, report, _ = run(capsys, "bisim", corpus("uniform_rows.nlmp"), "--kind", "state")
         assert code == 0
         assert report["result"]["partition"] == [["p", "q", "r"]]
+
+    @pytest.mark.parametrize(
+        "name", ["two_bounds_needed.nlmp", "coarse_valid.nlmp", "np_reach_unequal.nlmp"]
+    )
+    def test_all_kinds_validate_the_model_once(self, capsys, monkeypatch, name):
+        import nlmp.model
+
+        calls = []
+        real = nlmp.model.hit_preimage
+        monkeypatch.setattr(nlmp.model, "hit_preimage", lambda m, a, xi: calls.append(a) or real(m, a, xi))
+        code, _, _ = run(capsys, "bisim", corpus(name), "--kind", "all")
+        assert code == 0
+        m = parse_model((corpus_dir() / name).read_text(encoding="utf-8")).nlmp
+        # one validation: one hit preimage per label and pool profile class
+        assert len(calls) == len(m.labels) * len(trace_classes(m.pool, m.sigma))
 
     def test_lmp_file_partitions_are_total(self, capsys):
         # every state carries a full kernel for every label, so the

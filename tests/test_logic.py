@@ -200,6 +200,28 @@ class TestLogicalEquivalence:
             report = logical_equivalence(m, "Lf")
             assert report.relation.pairs == largest_traditional(m).relation.pairs
 
+    def test_each_unordered_pair_is_verified_once(self, monkeypatch):
+        import nlmp.logic
+
+        calls = []
+        real = nlmp.logic.satisfies
+        monkeypatch.setattr(nlmp.logic, "satisfies", lambda m, s, phi: calls.append(s) or real(m, s, phi))
+        report = logical_equivalence(two_bounds_model(), "Lf")
+        # both ordered pairs share one formula; each side is evaluated once
+        assert len(report.formulas) == 20
+        assert len(calls) == len(report.formulas)
+
+    def test_formula_that_fails_to_separate_is_an_internal_error(self, monkeypatch):
+        import nlmp.logic
+
+        m = two_bounds_model()
+        partition = tuple(frozenset([s]) for s in m.states)
+        monkeypatch.setattr(
+            nlmp.logic, "_lf_refinement", lambda m: (partition, {("s", "t"): Top(), ("t", "s"): Top()})
+        )
+        with pytest.raises(InternalCheckError):
+            logical_equivalence(m, "Lf")
+
     def test_every_separated_pair_carries_a_verified_formula(self):
         rng = random.Random(509)
         for _ in range(40):

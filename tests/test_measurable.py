@@ -19,11 +19,16 @@ from support import (
     closure_family,
     family_atoms,
     measurable_family,
+    quadratic_sigma_is_sub,
+    rand_coarsening,
     rand_partition,
     rand_symmetric_relation,
     rand_universe,
+    rand_valid_nlmp,
     rclosed_family,
+    scan_atom_index,
     subalgebras,
+    tuple_index,
 )
 
 
@@ -208,6 +213,36 @@ class TestSigmaIsSub:
     def test_universe_mismatch_rejected(self):
         with pytest.raises(DomainError):
             sigma_is_sub(SigmaAlgebra.powerset(u("1")), SigmaAlgebra.powerset(u("1", "2")))
+
+    def test_agrees_with_quadratic_oracle_on_random_models(self):
+        rng = random.Random(601)
+        for _ in range(200):
+            sig = rand_valid_nlmp(rng, max_states=6, coarse=rng.random() < 0.5).sigma
+            coarser = rand_coarsening(rng, sig)
+            other = SigmaAlgebra(
+                sig.universe, tuple(frozenset(b) for b in rand_partition(rng, list(sig.universe)))
+            )
+            assert sigma_is_sub(coarser, sig)
+            for lam, big in ((coarser, sig), (sig, coarser), (other, sig), (sig, other)):
+                assert sigma_is_sub(lam, big) == quadratic_sigma_is_sub(lam, big)
+
+
+class TestIndices:
+    def test_agree_with_tuple_search_and_atom_scan(self):
+        rng = random.Random(602)
+        for _ in range(100):
+            sig = rand_valid_nlmp(rng, max_states=6, coarse=True).sigma
+            for s in sig.universe:
+                assert sig.universe.index(s) == tuple_index(sig.universe, s)
+                assert sig.atom_index(s) == scan_atom_index(sig, s)
+                assert s in sig.atom_of(s)
+
+    def test_unknown_state_rejected(self):
+        sig = SigmaAlgebra(u("1", "2", "3"), (frozenset("12"), frozenset("3")))
+        for lookup in (sig.universe.index, sig.atom_index, sig.atom_of):
+            with pytest.raises(DomainError):
+                lookup("4")
+        assert "4" not in sig.universe
 
 
 class TestRelationSigmaInterplay:

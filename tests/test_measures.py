@@ -1,4 +1,8 @@
+import os
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -20,10 +24,13 @@ from nlmp import (
     trace_classes,
 )
 from support import (
+    dense_profile,
+    rand_coarsening,
     rand_measure,
     rand_partition,
     rand_symmetric_relation,
     rand_universe,
+    rand_valid_nlmp,
     subalgebras,
 )
 
@@ -160,6 +167,26 @@ class TestProfile:
             assert sum(vec) == 1
             assert all(0 <= v <= 1 for v in vec)
 
+    def test_agrees_with_dense_sum_on_random_models(self):
+        rng = random.Random(603)
+        for _ in range(150):
+            m = rand_valid_nlmp(rng, max_states=6, coarse=rng.random() < 0.5)
+            lams = [
+                rand_coarsening(rng, m.sigma),
+                SigmaAlgebra(
+                    m.universe, tuple(frozenset(b) for b in rand_partition(rng, list(m.universe)))
+                ),
+            ]
+            for mu in m.pool:
+                for lam in lams:
+                    try:
+                        expected = dense_profile(mu, lam)
+                    except PreconditionError:
+                        with pytest.raises(PreconditionError):
+                            profile(mu, lam)
+                    else:
+                        assert profile(mu, lam) == expected
+
     def test_equal_profiles_iff_equal_on_every_measurable_set(self):
         # brute force over every measurable set of the sub-sigma-algebra
         rng = random.Random(203)
@@ -172,6 +199,55 @@ class TestProfile:
                 measure_eval(mu, q) == measure_eval(nu, q) for q in lam.measurable_sets()
             )
             assert measures_related(mu, nu, lam) == same_everywhere
+
+
+class TestMeasureHash:
+    def test_hash_is_the_dataclass_hash(self):
+        rng = random.Random(604)
+        for _ in range(100):
+            m = rand_valid_nlmp(rng, max_states=6, coarse=rng.random() < 0.5)
+            for mu in m.pool:
+                assert hash(mu) == hash((mu.sigma, mu.weights))
+
+    def test_equal_measures_from_every_constructor_hash_equal(self):
+        rng = random.Random(605)
+        for _ in range(100):
+            universe = rand_universe(rng)
+            sig = SigmaAlgebra(
+                universe, tuple(frozenset(b) for b in rand_partition(rng, list(universe)))
+            )
+            mu = rand_measure(rng, sig)
+            # the same weights spread over the states of each atom
+            by_state = {}
+            for a, w in zip(sig.atoms, mu.weights):
+                states = sorted(a)
+                for s in states:
+                    by_state[s] = w / len(states)
+            same = [
+                Measure(sig, tuple(str(w) for w in mu.weights)),
+                Measure.from_atom_weights(sig, dict(zip(sig.atoms, mu.weights))),
+                Measure.from_state_weights(sig, by_state),
+            ]
+            for nu in same:
+                assert nu == mu and hash(nu) == hash(mu)
+            s = rng.choice(universe.states)
+            point = Measure(sig, tuple(int(s in a) for a in sig.atoms))
+            assert point == dirac(sig, s) and hash(point) == hash(dirac(sig, s))
+
+    def test_measure_pickled_in_another_process_hashes_here(self, xyz):
+        # the sigma-algebra's hash depends on per-process string hashing
+        code = (
+            "import pickle, sys\n"
+            "from nlmp import SigmaAlgebra, Universe, dirac\n"
+            "sig = SigmaAlgebra.powerset(Universe(('x', 'y', 'z')))\n"
+            "sys.stdout.buffer.write(pickle.dumps(dirac(sig, 'y')))\n"
+        )
+        env = dict(os.environ, PYTHONHASHSEED="1", PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, check=True, timeout=60
+        ).stdout
+        mu = pickle.loads(out)
+        assert mu == dirac(xyz, "y") and mu in {dirac(xyz, "y")}
 
 
 class TestMeasuresRelated:

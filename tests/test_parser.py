@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -140,6 +141,11 @@ class TestRoundTrip:
         doc3 = parse_model(read_corpus("uniform_rows.nlmp"))
         assert doc1.digest == doc2.digest
         assert doc1.digest != doc3.digest
+
+    @pytest.mark.parametrize("name", CORPUS_FILES)
+    def test_digest_is_the_sha256_of_the_serialized_model(self, name):
+        doc = parse_model(read_corpus(name), source=name)
+        assert doc.digest == hashlib.sha256(serialize_model(doc).encode()).hexdigest()
 
 
 class TestFormulaParsing:
