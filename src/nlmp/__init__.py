@@ -24,13 +24,9 @@ from .measurable import (
     sigma_of_relation,
 )
 from .measures import (
-    BoundSpec,
     Measure,
     build_pool,
     dirac,
-    in_delta_set,
-    measure_eval,
-    measures_related,
     profile,
     trace_classes,
 )

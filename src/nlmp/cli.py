@@ -21,7 +21,13 @@ from .bisim import (
     largest_traditional,
     smallest_stable_sigma,
 )
-from .errors import DomainError, InternalCheckError, ModelSyntaxError, UnsupportedModelError
+from .errors import (
+    DomainError,
+    InternalCheckError,
+    ModelSyntaxError,
+    PreconditionError,
+    UnsupportedModelError,
+)
 from .logic import distinguish, eval_state, formula_labels, formula_to_text
 from .measures import Measure
 from .model import Finding, ValidationReport, lmp_validate, nlmp_validate
@@ -267,7 +273,9 @@ def main(argv=None) -> int:
     except (ModelSyntaxError, DomainError, FileNotFoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except InternalCheckError as exc:
+    except (InternalCheckError, PreconditionError) as exc:
+        # Every command validates the model before it runs a fixpoint,
+        # so a violated precondition here is a bug, like a failed check.
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

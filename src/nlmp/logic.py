@@ -232,30 +232,58 @@ def eval_state(m: Nlmp, phi: StateFormula) -> StateSet:
     is asserted after every modality, and can only fail when the model
     itself fails validation.
     """
+    return _eval_state(m, phi, {})
+
+
+def eval_measure(m: Nlmp, psi: MeasureFormula) -> frozenset[Measure]:
+    """The set of pool measures satisfying psi.
+
+    Negation complements within the pool: only the trace of the
+    denoted measure set on the model's finitely many transition
+    measures is ever needed.
+    """
+    return _eval_measure(m, psi, {})
+
+
+# A formula is a DAG: synthesized formulas share their subformulas.  The
+# memo maps id(node) to (node, denotation) for one evaluation, so each
+# distinct node is evaluated once; holding the node keeps its id from
+# being reused while the memo lives.
+_Memo = dict[int, tuple[object, frozenset]]
+
+
+def _eval_state(m: Nlmp, phi: StateFormula, memo: _Memo) -> StateSet:
+    hit = memo.get(id(phi))
+    if hit is not None:
+        return hit[1]
     if isinstance(phi, Top):
-        return frozenset(m.states)
-    if isinstance(phi, And):
-        return eval_state(m, phi.left) & eval_state(m, phi.right)
-    if isinstance(phi, Diamond):
-        xi = eval_measure(m, phi.body)
+        result = frozenset(m.states)
+    elif isinstance(phi, And):
+        result = _eval_state(m, phi.left, memo) & _eval_state(m, phi.right, memo)
+    elif isinstance(phi, Diamond):
+        xi = _eval_measure(m, phi.body, memo)
         result = hit_preimage(m, phi.label, xi)
         _assert_measurable(m, result)
-        return result
-    if isinstance(phi, DiamondMulti):
+    elif isinstance(phi, DiamondMulti):
         if phi.label not in m.labels:
             raise DomainError(f"unknown label {phi.label!r}")
-        bounds = [(c, eval_state(m, c.phi)) for c in phi.constraints]
+        bounds = [(c, _eval_state(m, c.phi, memo)) for c in phi.constraints]
+        # Rows share measures: test each distinct one against the bounds once.
+        meets: dict[Measure, bool] = {}
+
+        def holds(mu: Measure) -> bool:
+            if mu not in meets:
+                meets[mu] = all(_bound_holds(mu.value(ext), c) for c, ext in bounds)
+            return meets[mu]
+
         result = frozenset(
-            s
-            for s in m.states
-            if any(
-                all(_bound_holds(mu.value(ext), c) for c, ext in bounds)
-                for mu in m.row(s, phi.label)
-            )
+            s for s in m.states if any(holds(mu) for mu in m.row(s, phi.label))
         )
         _assert_measurable(m, result)
-        return result
-    raise TypeError(f"not a state formula: {phi!r}")
+    else:
+        raise TypeError(f"not a state formula: {phi!r}")
+    memo[id(phi)] = (phi, result)
+    return result
 
 
 def _bound_holds(v: Fraction, c: Constraint) -> bool:
@@ -270,22 +298,18 @@ def _assert_measurable(m: Nlmp, q: StateSet) -> None:
         )
 
 
-def eval_measure(m: Nlmp, psi: MeasureFormula) -> frozenset[Measure]:
-    """The set of pool measures satisfying psi.
-
-    Negation complements within the pool: only the trace of the
-    denoted measure set on the model's finitely many transition
-    measures is ever needed.
-    """
+def _eval_measure(m: Nlmp, psi: MeasureFormula, memo: _Memo) -> frozenset[Measure]:
+    hit = memo.get(id(psi))
+    if hit is not None:
+        return hit[1]
     if isinstance(psi, MOr):
-        out: frozenset[Measure] = frozenset()
+        result: frozenset[Measure] = frozenset()
         for item in psi.items:
-            out |= eval_measure(m, item)
-        return out
-    if isinstance(psi, MNot):
-        return m.pool_set - eval_measure(m, psi.item)
-    if isinstance(psi, (AtLeast, GreaterThan, LessThan, AtMost)):
-        ext = eval_state(m, psi.phi)
+            result |= _eval_measure(m, item, memo)
+    elif isinstance(psi, MNot):
+        result = m.pool_set - _eval_measure(m, psi.item, memo)
+    elif isinstance(psi, (AtLeast, GreaterThan, LessThan, AtMost)):
+        ext = _eval_state(m, psi.phi, memo)
         if isinstance(psi, AtLeast):
             keep = lambda v: v >= psi.q
         elif isinstance(psi, GreaterThan):
@@ -294,8 +318,11 @@ def eval_measure(m: Nlmp, psi: MeasureFormula) -> frozenset[Measure]:
             keep = lambda v: v < psi.q
         else:
             keep = lambda v: v <= psi.q
-        return frozenset(mu for mu in m.pool if keep(mu.value(ext)))
-    raise TypeError(f"not a measure formula: {psi!r}")
+        result = frozenset(mu for mu in m.pool if keep(mu.value(ext)))
+    else:
+        raise TypeError(f"not a measure formula: {psi!r}")
+    memo[id(psi)] = (psi, result)
+    return result
 
 
 def satisfies(m: Nlmp, s: str, phi: StateFormula) -> bool:
@@ -411,6 +438,11 @@ def _lf_refinement(m: Nlmp) -> tuple[Partition, dict[tuple[str, str], StateFormu
     universe = m.universe
     family: dict[StateSet, StateFormula] = {frozenset(m.states): Top()}
     formulas: dict[tuple[str, str], StateFormula] = {}
+    # One evaluation memo for all synthesized formulas: each reuses
+    # family formulas, whose extensions are the family's keys.
+    memo: _Memo = {}
+    # The family in separator order; emptied whenever the family grows.
+    ordered: list[StateSet] = []
 
     def family_add(ext: StateSet, phi: StateFormula) -> None:
         queue = [(ext, phi)]
@@ -419,10 +451,14 @@ def _lf_refinement(m: Nlmp) -> tuple[Partition, dict[tuple[str, str], StateFormu
             if e in family:
                 continue
             family[e] = f
+            memo[id(f)] = (f, e)
+            ordered.clear()
             queue.extend((e & e2, And(f, f2)) for e2, f2 in list(family.items()))
 
     def separator(mu: Measure, nu: Measure) -> tuple[StateSet, StateFormula]:
-        for ext in sorted(family, key=lambda e: (len(e), sorted(universe.index(x) for x in e))):
+        if not ordered:
+            ordered.extend(sorted(family, key=lambda e: (len(e), sorted(universe.index(x) for x in e))))
+        for ext in ordered:
             if mu.value(ext) != nu.value(ext):
                 return ext, family[ext]
         raise InternalCheckError("no recorded formula separates two distinct measures")
@@ -463,5 +499,5 @@ def _lf_refinement(m: Nlmp) -> tuple[Partition, dict[tuple[str, str], StateFormu
                 raise InternalCheckError("split without a hit-class mismatch")
             formulas[(s, t)] = psi
             formulas[(t, s)] = psi
-            family_add(eval_state(m, psi), psi)
+            family_add(_eval_state(m, psi, memo), psi)
     return lam.atoms, formulas

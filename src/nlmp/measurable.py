@@ -105,7 +105,8 @@ class SigmaAlgebra:
     def is_measurable(self, q: Iterable[str]) -> bool:
         """True iff q is a union of atoms."""
         q = self.universe.check_subset(q)
-        return all(a <= q or not (a & q) for a in self.atoms)
+        # Only the atoms q meets can straddle it.
+        return all(self.atoms[i] <= q for i in {self._atom_index[s] for s in q})
 
     def measurable_sets(self) -> list[StateSet]:
         """All measurable sets, i.e. all unions of atoms (2^len(atoms) sets)."""

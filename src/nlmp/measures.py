@@ -30,7 +30,9 @@ class Measure:
 
     Measures are immutable, so the hash (the dataclass hash of
     ``(sigma, weights)``) is computed once: pools, rows and hit
-    preimages put the same measures into sets over and over.
+    preimages put the same measures into sets over and over.  So is the
+    support, the atoms of non-zero weight with their weights, over which
+    ``value`` sums.
     """
 
     sigma: SigmaAlgebra
@@ -46,6 +48,9 @@ class Measure:
         if sum(self.weights) != ONE:
             raise DomainError(f"atom weights sum to {sum(self.weights)}, expected 1")
         object.__setattr__(self, "_hash", hash((self.sigma, self.weights)))
+        object.__setattr__(
+            self, "_support", tuple((a, w) for a, w in zip(self.sigma.atoms, self.weights) if w)
+        )
 
     def __hash__(self) -> int:
         return self._hash
@@ -73,7 +78,7 @@ class Measure:
         q = self.sigma.universe.check_subset(q)
         if not self.sigma.is_measurable(q):
             raise DomainError(f"set {sorted(q)} is not measurable")
-        return sum((w for a, w in zip(self.sigma.atoms, self.weights) if a <= q), ZERO)
+        return sum((w for a, w in self._support if a <= q), ZERO)
 
     @property
     def dirac_atom(self) -> StateSet | None:
@@ -88,78 +93,12 @@ class Measure:
         return self.dirac_atom is not None
 
 
-def measure_eval(mu: Measure, q: Iterable[str]) -> Fraction:
-    return mu.value(q)
-
-
 def dirac(sigma: SigmaAlgebra, s: str) -> Measure:
     """Point mass at s: value 1 on exactly the measurable sets containing s."""
     if s not in sigma.universe:
         raise DomainError(f"unknown state {s!r}")
     i = sigma.atom_index(s)
     return Measure(sigma, tuple(ONE if j == i else ZERO for j in range(len(sigma.atoms))))
-
-
-@dataclass(frozen=True)
-class BoundSpec:
-    """A probability bound: one of >=, >, <, <= a threshold, or an open
-    interval (lo, hi).  Thresholds are rationals in [0, 1]."""
-
-    kind: str  # "ge" | "gt" | "lt" | "le" | "interval"
-    lo: Fraction
-    hi: Fraction | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("ge", "gt", "lt", "le", "interval"):
-            raise DomainError(f"unknown bound kind {self.kind!r}")
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        if self.kind == "interval":
-            if self.hi is None:
-                raise DomainError("interval bound needs an upper threshold")
-            object.__setattr__(self, "hi", Fraction(self.hi))
-            if self.lo > self.hi:
-                raise DomainError("interval bounds out of order")
-        elif self.hi is not None:
-            raise DomainError("only interval bounds take two thresholds")
-        for q in (self.lo,) if self.hi is None else (self.lo, self.hi):
-            if q < ZERO or q > ONE:
-                raise DomainError(f"threshold {q} outside [0, 1]")
-
-    @classmethod
-    def at_least(cls, q) -> "BoundSpec":
-        return cls("ge", Fraction(q))
-
-    @classmethod
-    def greater(cls, q) -> "BoundSpec":
-        return cls("gt", Fraction(q))
-
-    @classmethod
-    def less(cls, q) -> "BoundSpec":
-        return cls("lt", Fraction(q))
-
-    @classmethod
-    def at_most(cls, q) -> "BoundSpec":
-        return cls("le", Fraction(q))
-
-    @classmethod
-    def open_interval(cls, lo, hi) -> "BoundSpec":
-        return cls("interval", Fraction(lo), Fraction(hi))
-
-    def contains(self, v: Fraction) -> bool:
-        if self.kind == "ge":
-            return v >= self.lo
-        if self.kind == "gt":
-            return v > self.lo
-        if self.kind == "lt":
-            return v < self.lo
-        if self.kind == "le":
-            return v <= self.lo
-        return self.lo < v < self.hi
-
-
-def in_delta_set(mu: Measure, q: Iterable[str], b: BoundSpec) -> bool:
-    """Membership of mu in the set of measures whose value on q meets b."""
-    return b.contains(mu.value(q))
 
 
 def profile(mu: Measure, lam: SigmaAlgebra) -> Profile:
@@ -172,15 +111,9 @@ def profile(mu: Measure, lam: SigmaAlgebra) -> Profile:
         raise PreconditionError("profile requires a sub-sigma-algebra of the measure's")
     # Each atom of mu's sigma-algebra lies inside exactly one atom of lam.
     totals = [ZERO] * len(lam.atoms)
-    for a, w in zip(mu.sigma.atoms, mu.weights):
-        if w:
-            totals[lam.atom_index(next(iter(a)))] += w
+    for a, w in mu._support:
+        totals[lam.atom_index(next(iter(a)))] += w
     return tuple(totals)
-
-
-def measures_related(mu: Measure, nu: Measure, sigma_r: SigmaAlgebra) -> bool:
-    """The lifted relation: mu and nu agree on every sigma_r-measurable set."""
-    return profile(mu, sigma_r) == profile(nu, sigma_r)
 
 
 def build_pool(measures: Iterable[Measure]) -> tuple[Measure, ...]:

@@ -7,6 +7,7 @@ their generator traces."""
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 from nlmp import (
@@ -18,6 +19,7 @@ from nlmp import (
     DiamondMulti,
     DomainError,
     GreaterThan,
+    InternalCheckError,
     LessThan,
     Lmp,
     MNot,
@@ -32,6 +34,7 @@ from nlmp import (
     dirac,
     hit_preimage,
     is_r_closed,
+    profile,
     sigma_of_relation,
     trace_classes,
 )
@@ -544,3 +547,153 @@ def rand_coarsening(rng: random.Random, sigma: SigmaAlgebra) -> SigmaAlgebra:
     each block merged into one atom."""
     blocks = rand_partition(rng, list(sigma.atoms))
     return SigmaAlgebra(sigma.universe, tuple(frozenset().union(*b) for b in blocks))
+
+
+# ---------------------------------------------------------------------------
+# The evaluator as a tree walk over dense measures (reference for the
+# memoised DAG evaluation, the sparse Measure.value and the O(|q|)
+# measurability test in the library)
+
+
+def all_atoms_is_measurable(sigma: SigmaAlgebra, q) -> bool:
+    """SigmaAlgebra.is_measurable by testing every atom against q."""
+    q = sigma.universe.check_subset(q)
+    return all(a <= q or not (a & q) for a in sigma.atoms)
+
+
+def dense_value(mu: Measure, q) -> Fraction:
+    """Measure.value as a sum over every atom, zero weights included."""
+    q = mu.sigma.universe.check_subset(q)
+    if not all_atoms_is_measurable(mu.sigma, q):
+        raise DomainError(f"set {sorted(q)} is not measurable")
+    return sum((w for a, w in zip(mu.sigma.atoms, mu.weights) if a <= q), F(0))
+
+
+def _tree_assert_measurable(m: Nlmp, q) -> None:
+    if not all_atoms_is_measurable(m.sigma, q):
+        raise InternalCheckError("formula denotes a non-measurable state set")
+
+
+def tree_eval_state(m: Nlmp, phi) -> frozenset[str]:
+    """eval_state walking the formula as a tree: a shared subformula is
+    evaluated once per occurrence, every bound once per row entry."""
+    if isinstance(phi, Top):
+        return frozenset(m.states)
+    if isinstance(phi, And):
+        return tree_eval_state(m, phi.left) & tree_eval_state(m, phi.right)
+    if isinstance(phi, Diamond):
+        result = hit_preimage(m, phi.label, tree_eval_measure(m, phi.body))
+        _tree_assert_measurable(m, result)
+        return result
+    if isinstance(phi, DiamondMulti):
+        if phi.label not in m.labels:
+            raise DomainError(f"unknown label {phi.label!r}")
+        bounds = [(c, tree_eval_state(m, c.phi)) for c in phi.constraints]
+        result = frozenset(
+            s
+            for s in m.states
+            if any(
+                all(
+                    dense_value(mu, ext) > c.threshold if c.op == ">" else dense_value(mu, ext) < c.threshold
+                    for c, ext in bounds
+                )
+                for mu in m.row(s, phi.label)
+            )
+        )
+        _tree_assert_measurable(m, result)
+        return result
+    raise TypeError(f"not a state formula: {phi!r}")
+
+
+def tree_eval_measure(m: Nlmp, psi) -> frozenset[Measure]:
+    if isinstance(psi, MOr):
+        out: frozenset[Measure] = frozenset()
+        for item in psi.items:
+            out |= tree_eval_measure(m, item)
+        return out
+    if isinstance(psi, MNot):
+        return frozenset(m.pool) - tree_eval_measure(m, psi.item)
+    ext = tree_eval_state(m, psi.phi)
+    keep = {
+        AtLeast: lambda v: v >= psi.q,
+        GreaterThan: lambda v: v > psi.q,
+        LessThan: lambda v: v < psi.q,
+        AtMost: lambda v: v <= psi.q,
+    }[type(psi)]
+    return frozenset(mu for mu in m.pool if keep(dense_value(mu, ext)))
+
+
+# ---------------------------------------------------------------------------
+# Measure values and bounds as free functions (the tests' vocabulary for
+# measure sets; the library itself only needs Measure.value and profile)
+
+
+def measure_eval(mu: Measure, q) -> Fraction:
+    return mu.value(q)
+
+
+@dataclass(frozen=True)
+class BoundSpec:
+    """A probability bound: one of >=, >, <, <= a threshold, or an open
+    interval (lo, hi).  Thresholds are rationals in [0, 1]."""
+
+    kind: str  # "ge" | "gt" | "lt" | "le" | "interval"
+    lo: Fraction
+    hi: Fraction | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("ge", "gt", "lt", "le", "interval"):
+            raise DomainError(f"unknown bound kind {self.kind!r}")
+        object.__setattr__(self, "lo", Fraction(self.lo))
+        if self.kind == "interval":
+            if self.hi is None:
+                raise DomainError("interval bound needs an upper threshold")
+            object.__setattr__(self, "hi", Fraction(self.hi))
+            if self.lo > self.hi:
+                raise DomainError("interval bounds out of order")
+        elif self.hi is not None:
+            raise DomainError("only interval bounds take two thresholds")
+        for q in (self.lo,) if self.hi is None else (self.lo, self.hi):
+            if q < 0 or q > 1:
+                raise DomainError(f"threshold {q} outside [0, 1]")
+
+    @classmethod
+    def at_least(cls, q) -> "BoundSpec":
+        return cls("ge", Fraction(q))
+
+    @classmethod
+    def greater(cls, q) -> "BoundSpec":
+        return cls("gt", Fraction(q))
+
+    @classmethod
+    def less(cls, q) -> "BoundSpec":
+        return cls("lt", Fraction(q))
+
+    @classmethod
+    def at_most(cls, q) -> "BoundSpec":
+        return cls("le", Fraction(q))
+
+    @classmethod
+    def open_interval(cls, lo, hi) -> "BoundSpec":
+        return cls("interval", Fraction(lo), Fraction(hi))
+
+    def contains(self, v: Fraction) -> bool:
+        if self.kind == "ge":
+            return v >= self.lo
+        if self.kind == "gt":
+            return v > self.lo
+        if self.kind == "lt":
+            return v < self.lo
+        if self.kind == "le":
+            return v <= self.lo
+        return self.lo < v < self.hi
+
+
+def in_delta_set(mu: Measure, q, b: BoundSpec) -> bool:
+    """Membership of mu in the set of measures whose value on q meets b."""
+    return b.contains(mu.value(q))
+
+
+def measures_related(mu: Measure, nu: Measure, sigma_r: SigmaAlgebra) -> bool:
+    """The lifted relation: mu and nu agree on every sigma_r-measurable set."""
+    return profile(mu, sigma_r) == profile(nu, sigma_r)

@@ -219,6 +219,20 @@ class TestExitCodeMap:
         assert code == 3
         assert "invariant" in err
 
+    def test_precondition_violation_maps_to_3(self, capsys, monkeypatch):
+        from nlmp.errors import PreconditionError
+        import nlmp.cli as cli_mod
+
+        def boom(*_):
+            raise PreconditionError("forced for the exit-code test")
+
+        monkeypatch.setattr(cli_mod, "distinguish", boom)
+        code = main(["distinguish", corpus("two_bounds_needed.nlmp"), "s", "t"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "internal invariant violation: forced for the exit-code test\n"
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

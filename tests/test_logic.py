@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -15,6 +16,7 @@ from nlmp import (
     GreaterThan,
     InternalCheckError,
     LessThan,
+    Measure,
     MNot,
     MOr,
     Nlmp,
@@ -37,11 +39,15 @@ from nlmp import (
 from support import (
     lmp_bisimilarity,
     np_reach_model,
+    rand_any_nlmp,
     rand_lmp,
     rand_measure_formula,
     rand_state_formula,
+    rand_threshold,
     rand_valid_nlmp,
     single_bound_separates,
+    tree_eval_measure,
+    tree_eval_state,
     two_bounds_model,
     two_bounds_measures,
     uniform_rows_model,
@@ -111,6 +117,79 @@ class TestEvalMeasure:
             m = rand_valid_nlmp(rng, coarse=rng.random() < 0.5)
             phi = rand_state_formula(rng, m.labels, 3)
             assert m.sigma.is_measurable(eval_state(m, phi))
+
+
+def _outcome(evaluate, m, formula):
+    try:
+        return evaluate(m, formula)
+    except (DomainError, InternalCheckError) as exc:
+        return type(exc)
+
+
+class TestMemoisedEvaluation:
+    def test_agrees_with_the_tree_walk(self):
+        rng = random.Random(704)
+        for i in range(200):
+            m = rand_valid_nlmp(rng, coarse=i % 2 == 1)
+            phi = rand_state_formula(rng, m.labels, 3)
+            assert eval_state(m, phi) == tree_eval_state(m, phi)
+            psi = rand_measure_formula(rng, m.labels, 3)
+            assert eval_measure(m, psi) == tree_eval_measure(m, psi)
+
+    def test_shared_subformulas_agree_with_the_tree_walk(self):
+        # one node under several parents is answered from the memo
+        rng = random.Random(705)
+        for i in range(150):
+            m = rand_valid_nlmp(rng, coarse=i % 2 == 1)
+            phi = rand_state_formula(rng, m.labels, 2)
+            a, q = rng.choice(m.labels), rand_threshold(rng)
+            shared = And(phi, DiamondMulti(a, (Constraint(">", q, phi), Constraint("<", q, phi))))
+            bound = AtLeast(shared, q)
+            shared = And(shared, Diamond(a, MOr((bound, MNot(bound), bound))))
+            assert eval_state(m, shared) == tree_eval_state(m, shared)
+
+    def test_failures_agree_with_the_tree_walk(self):
+        # unknown labels, and non-measurable extensions on invalid models
+        rng = random.Random(706)
+        for _ in range(200):
+            m = rand_any_nlmp(rng)
+            phi = rand_state_formula(rng, m.labels + ("zz",), 3)
+            assert _outcome(eval_state, m, phi) == _outcome(tree_eval_state, m, phi)
+
+    def test_unknown_state_is_a_domain_error(self):
+        m = two_bounds_model()
+        with pytest.raises(DomainError):
+            satisfies(m, "nope", PHI_X)
+
+    def test_deep_sharing_evaluates_each_node_once(self, monkeypatch):
+        import nlmp.logic
+
+        calls = []
+        real = nlmp.logic.hit_preimage
+
+        def counted(m, a, xi):
+            calls.append(a)
+            assert len(calls) == 1, "the shared diamond was evaluated twice"
+            return real(m, a, xi)
+
+        monkeypatch.setattr(nlmp.logic, "hit_preimage", counted)
+        phi = PHI_X
+        for _ in range(40):
+            phi = And(phi, phi)  # 2^40 leaves as a tree, 41 nodes as a DAG
+        m = two_bounds_model()
+        started = time.perf_counter()
+        assert eval_state(m, phi) == frozenset({"x"})
+        assert time.perf_counter() - started < 5
+        assert calls == ["b"]
+
+    def test_multi_bounds_tested_once_per_distinct_measure(self, monkeypatch):
+        m = uniform_rows_model()  # three states share one row measure
+        calls = []
+        real = Measure.value
+        monkeypatch.setattr(Measure, "value", lambda mu, q: calls.append(mu) or real(mu, q))
+        phi = DiamondMulti("a", (Constraint(">", F(1, 4), Top()), Constraint(">", F(1, 2), Top())))
+        assert eval_state(m, phi) == frozenset(m.states)
+        assert len(calls) == 2  # one value per bound, for the one distinct measure
 
 
 class TestSatisfies:

@@ -16,6 +16,7 @@ from nlmp import (
     sigma_of_relation,
 )
 from support import (
+    all_atoms_is_measurable,
     closure_family,
     family_atoms,
     measurable_family,
@@ -107,6 +108,18 @@ class TestIsMeasurable:
         sig = SigmaAlgebra.powerset(u("1", "2"))
         with pytest.raises(DomainError):
             is_measurable(sig, {"9"})
+
+    def test_agrees_with_testing_every_atom(self):
+        rng = random.Random(701)
+        for i in range(150):
+            sig = rand_valid_nlmp(rng, max_states=6, coarse=i % 2 == 1).sigma
+            states = list(sig.universe)
+            for _ in range(10):
+                q = frozenset(s for s in states if rng.random() < 0.5)
+                assert sig.is_measurable(q) == all_atoms_is_measurable(sig, q)
+            for tester in (sig.is_measurable, lambda q: all_atoms_is_measurable(sig, q)):
+                with pytest.raises(DomainError):
+                    tester({states[0], "nope"})
 
 
 class TestIsRClosed:

@@ -8,7 +8,6 @@ from fractions import Fraction as F
 import pytest
 
 from nlmp import (
-    BoundSpec,
     DomainError,
     Measure,
     PreconditionError,
@@ -16,15 +15,18 @@ from nlmp import (
     Universe,
     build_pool,
     dirac,
-    in_delta_set,
-    measure_eval,
-    measures_related,
     profile,
     sigma_of_relation,
     trace_classes,
 )
 from support import (
+    BoundSpec,
+    all_atoms_is_measurable,
     dense_profile,
+    dense_value,
+    in_delta_set,
+    measure_eval,
+    measures_related,
     rand_coarsening,
     rand_measure,
     rand_partition,
@@ -81,6 +83,25 @@ class TestMeasureEval:
     def test_bad_weight_sum_rejected(self, xyz):
         with pytest.raises(DomainError):
             Measure.from_state_weights(xyz, {"x": F(1, 2), "y": F(1, 3)})
+
+
+class TestSparseValue:
+    def test_agrees_with_the_dense_sum(self):
+        rng = random.Random(703)
+        for i in range(150):
+            m = rand_valid_nlmp(rng, max_states=6, coarse=i % 2 == 1)
+            states = list(m.states)
+            for mu in m.pool:
+                for q in m.sigma.measurable_sets():
+                    v = mu.value(q)
+                    assert v == dense_value(mu, q) and type(v) is F
+                # a non-measurable set, and a state outside the universe
+                bad = [frozenset(s for s in states if rng.random() < 0.5) for _ in range(5)]
+                bad = [q for q in bad if not all_atoms_is_measurable(m.sigma, q)]
+                for q in bad + [{states[0], "nope"}]:
+                    for value in (mu.value, lambda q: dense_value(mu, q)):
+                        with pytest.raises(DomainError):
+                            value(q)
 
 
 class TestDirac:
