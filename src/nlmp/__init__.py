@@ -16,8 +16,6 @@ from .measurable import (
     Relation,
     SigmaAlgebra,
     Universe,
-    is_measurable,
-    is_r_closed,
     relation_of_sigma,
     sigma_generate,
     sigma_is_sub,
@@ -59,6 +57,7 @@ from .logic import (
     And,
     AtLeast,
     AtMost,
+    Bound,
     Constraint,
     Diamond,
     DiamondMulti,
@@ -73,8 +72,6 @@ from .logic import (
     distinguish,
     eval_measure,
     eval_state,
-    expand_greater,
-    expand_multi,
     formula_to_text,
     logical_equivalence,
     satisfies,

@@ -367,13 +367,21 @@ def np_traditional_check(m: Nlmp, r: Relation) -> CheckResult:
 
 def np_state_check(m: Nlmp, r: Relation) -> CheckResult:
     """Reachability specialization of the state check: related states
-    must reach exactly the same r-closed measurable sets."""
+    must reach exactly the same r-closed measurable sets.
+
+    Only the atoms of the r-closed sub-sigma-algebra are tried, smallest
+    first.  A point mass reaches a union of atoms iff it reaches one of
+    them, so a set reached from s but not from t contains an atom
+    reached from s but not from t.  That atom comes no later in the
+    (size, sorted states) order, so the first failing set over all
+    r-closed measurable sets is an atom and the witness is the same.
+    """
     if not is_non_probabilistic(m):
         raise PreconditionError("np_state_check needs a non-probabilistic model")
     _require_symmetric(r)
     sig_r = sigma_of_relation(m.sigma, r)
     pairs = _ordered_pairs(r)
-    for q in sorted(sig_r.measurable_sets(), key=lambda q: (len(q), sorted(q))):
+    for q in sorted(sig_r.atoms, key=lambda q: (len(q), sorted(q))):
         for a in m.labels:
             reach = diamond(m, a, q)
             for s, t in pairs:

@@ -29,7 +29,6 @@ from .errors import (
     UnsupportedModelError,
 )
 from .logic import distinguish, eval_state, formula_labels, formula_to_text
-from .measures import Measure
 from .model import Finding, ValidationReport, lmp_validate, nlmp_validate
 from .parser import ModelDocument, _measure_text, parse_model, parse_state_formula
 
@@ -55,10 +54,6 @@ def _sorted_sets(doc: ModelDocument, sets) -> list[list[str]]:
     )
 
 
-def _measure_json(mu: Measure) -> str:
-    return _measure_text(mu)
-
-
 def _finding_json(f: Finding) -> dict:
     out: dict = {"severity": f.severity, "message": f.message}
     if f.label is not None:
@@ -66,7 +61,7 @@ def _finding_json(f: Finding) -> dict:
     if f.state is not None:
         out["state"] = f.state
     if f.xi is not None:
-        out["xi"] = [_measure_json(mu) for mu in f.xi]
+        out["xi"] = [_measure_text(mu) for mu in f.xi]
     if f.witness_set is not None:
         out["witness_set"] = sorted(f.witness_set)
     return out

@@ -19,8 +19,10 @@ the evaluator before it is handed out.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import ClassVar
 
 from .errors import DomainError, InternalCheckError, PreconditionError, UnsupportedModelError
 from .bisim import refinement, smallest_stable_sigma, traditional_signature
@@ -62,6 +64,11 @@ class And(StateFormula):
 class Diamond(StateFormula):
     label: str
     body: MeasureFormula
+
+
+# The comparison of every probability bound (a Bound's or a
+# Constraint's op), keyed by its concrete syntax.
+COMPARE = {">=": operator.ge, ">": operator.gt, "<": operator.lt, "<=": operator.le}
 
 
 @dataclass(frozen=True)
@@ -110,46 +117,44 @@ def _check_threshold(q: Fraction) -> Fraction:
 
 
 @dataclass(frozen=True)
-class AtLeast(MeasureFormula):
+class Bound(MeasureFormula):
+    """The measures whose value on phi's extension compares to q by op.
+
+    Construct one of the four subclasses, which set op; bounds of
+    different subclasses are never equal."""
+
     phi: StateFormula
     q: Fraction
+    op: ClassVar[str]
 
     def __post_init__(self):
         object.__setattr__(self, "q", _check_threshold(self.q))
 
 
-@dataclass(frozen=True)
-class GreaterThan(MeasureFormula):
+class AtLeast(Bound):
+    op = ">="
+
+
+class GreaterThan(Bound):
     """Sugar for the countable disjunction of AtLeast above the
     threshold; on a finite pool it is the exact strict test."""
 
-    phi: StateFormula
-    q: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "q", _check_threshold(self.q))
+    op = ">"
 
 
-@dataclass(frozen=True)
-class LessThan(MeasureFormula):
+class LessThan(Bound):
     """Sugar for the complement of AtLeast."""
 
-    phi: StateFormula
-    q: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "q", _check_threshold(self.q))
+    op = "<"
 
 
-@dataclass(frozen=True)
-class AtMost(MeasureFormula):
+class AtMost(Bound):
     """Sugar for the complement of GreaterThan."""
 
-    phi: StateFormula
-    q: Fraction
+    op = "<="
 
-    def __post_init__(self):
-        object.__setattr__(self, "q", _check_threshold(self.q))
+
+BOUNDS = {cls.op: cls for cls in (AtLeast, GreaterThan, LessThan, AtMost)}
 
 
 # ---------------------------------------------------------------------------
@@ -186,14 +191,8 @@ def formula_to_text(f: StateFormula | MeasureFormula) -> str:
         if isinstance(f.item, MOr):
             inner = f"({inner})"
         return f"!{inner}"
-    if isinstance(f, AtLeast):
-        return f"[{formula_to_text(f.phi)}]>={f.q}"
-    if isinstance(f, GreaterThan):
-        return f"[{formula_to_text(f.phi)}]>{f.q}"
-    if isinstance(f, LessThan):
-        return f"[{formula_to_text(f.phi)}]<{f.q}"
-    if isinstance(f, AtMost):
-        return f"[{formula_to_text(f.phi)}]<={f.q}"
+    if isinstance(f, Bound):
+        return f"[{formula_to_text(f.phi)}]{f.op}{f.q}"
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -216,7 +215,7 @@ def formula_labels(f: StateFormula | MeasureFormula) -> frozenset[str]:
         return out
     if isinstance(f, MNot):
         return formula_labels(f.item)
-    if isinstance(f, (AtLeast, GreaterThan, LessThan, AtMost)):
+    if isinstance(f, Bound):
         return formula_labels(f.phi)
     raise TypeError(f"not a formula: {f!r}")
 
@@ -287,7 +286,7 @@ def _eval_state(m: Nlmp, phi: StateFormula, memo: _Memo) -> StateSet:
 
 
 def _bound_holds(v: Fraction, c: Constraint) -> bool:
-    return v > c.threshold if c.op == ">" else v < c.threshold
+    return COMPARE[c.op](v, c.threshold)
 
 
 def _assert_measurable(m: Nlmp, q: StateSet) -> None:
@@ -308,17 +307,10 @@ def _eval_measure(m: Nlmp, psi: MeasureFormula, memo: _Memo) -> frozenset[Measur
             result |= _eval_measure(m, item, memo)
     elif isinstance(psi, MNot):
         result = m.pool_set - _eval_measure(m, psi.item, memo)
-    elif isinstance(psi, (AtLeast, GreaterThan, LessThan, AtMost)):
+    elif isinstance(psi, Bound):
         ext = _eval_state(m, psi.phi, memo)
-        if isinstance(psi, AtLeast):
-            keep = lambda v: v >= psi.q
-        elif isinstance(psi, GreaterThan):
-            keep = lambda v: v > psi.q
-        elif isinstance(psi, LessThan):
-            keep = lambda v: v < psi.q
-        else:
-            keep = lambda v: v <= psi.q
-        result = frozenset(mu for mu in m.pool if keep(mu.value(ext)))
+        compare = COMPARE[psi.op]
+        result = frozenset(mu for mu in m.pool if compare(mu.value(ext), psi.q))
     else:
         raise TypeError(f"not a measure formula: {psi!r}")
     memo[id(psi)] = (psi, result)
@@ -329,30 +321,6 @@ def satisfies(m: Nlmp, s: str, phi: StateFormula) -> bool:
     if s not in m.universe:
         raise DomainError(f"unknown state {s!r}")
     return s in eval_state(m, phi)
-
-
-# ---------------------------------------------------------------------------
-# Definitional expansions (used by coherence tests and documentation)
-
-
-def expand_multi(phi: DiamondMulti) -> Diamond:
-    """The multi-constraint diamond as a plain diamond over a measure
-    level conjunction (made of negation and disjunction)."""
-    bounds: list[MeasureFormula] = [
-        GreaterThan(c.phi, c.threshold) if c.op == ">" else LessThan(c.phi, c.threshold)
-        for c in phi.constraints
-    ]
-    conjunction = MNot(MOr(tuple(MNot(b) for b in bounds)))
-    return Diamond(phi.label, conjunction)
-
-
-def expand_greater(m: Nlmp, phi: StateFormula, q: Fraction) -> MOr:
-    """The strict bound as a finite disjunction of inclusive bounds over
-    the pool-relevant thresholds (the values model measures actually
-    take on phi's extension)."""
-    ext = eval_state(m, phi)
-    values = sorted({mu.value(ext) for mu in m.pool if mu.value(ext) > q})
-    return MOr(tuple(AtLeast(phi, v) for v in values))
 
 
 # ---------------------------------------------------------------------------

@@ -108,13 +108,6 @@ class SigmaAlgebra:
         # Only the atoms q meets can straddle it.
         return all(self.atoms[i] <= q for i in {self._atom_index[s] for s in q})
 
-    def measurable_sets(self) -> list[StateSet]:
-        """All measurable sets, i.e. all unions of atoms (2^len(atoms) sets)."""
-        sets: list[StateSet] = [frozenset()]
-        for a in self.atoms:
-            sets += [q | a for q in sets]
-        return sets
-
     def __le__(self, other: "SigmaAlgebra") -> bool:
         return sigma_is_sub(self, other)
 
@@ -172,10 +165,6 @@ class Relation:
         square = frozenset((s, t) for b in blocks for s in b for t in b)
         return square == self.pairs
 
-    def image(self, q: Iterable[str]) -> StateSet:
-        q = self.universe.check_subset(q)
-        return frozenset(t for s, t in self.pairs if s in q)
-
     def _greedy_blocks(self) -> list[set[str]]:
         blocks: list[set[str]] = []
         for s in self.universe:
@@ -187,12 +176,6 @@ class Relation:
                 blocks.append({s})
         return blocks
 
-    def classes(self) -> tuple[StateSet, ...]:
-        """Equivalence classes, canonically ordered; requires an equivalence."""
-        if not self.is_equivalence:
-            raise PreconditionError("classes() requires an equivalence relation")
-        return _canonical_atoms(self.universe, (frozenset(b) for b in self._greedy_blocks()))
-
     def __contains__(self, pair: Pair) -> bool:
         return pair in self.pairs
 
@@ -201,12 +184,6 @@ class Relation:
 
     def union(self, other: "Relation") -> "Relation":
         return Relation(self.universe, self.pairs | other.pairs)
-
-    def compose(self, other: "Relation") -> "Relation":
-        pairs = frozenset(
-            (s, v) for s, t in self.pairs for u, v in other.pairs if t == u
-        )
-        return Relation(self.universe, pairs)
 
 
 def sigma_generate(universe: Universe, generators: Iterable[Iterable[str]]) -> SigmaAlgebra:
@@ -222,16 +199,6 @@ def sigma_generate(universe: Universe, generators: Iterable[Iterable[str]]) -> S
         sig = tuple(s in g for g in gens)
         signature.setdefault(sig, set()).add(s)
     return SigmaAlgebra(universe, tuple(frozenset(b) for b in signature.values()))
-
-
-def is_measurable(sigma: SigmaAlgebra, q: Iterable[str]) -> bool:
-    return sigma.is_measurable(q)
-
-
-def is_r_closed(r: Relation, q: Iterable[str]) -> bool:
-    """True iff the image of q under r stays inside q."""
-    q = r.universe.check_subset(q)
-    return r.image(q) <= q
 
 
 def sigma_of_relation(sigma: SigmaAlgebra, r: Relation) -> SigmaAlgebra:

@@ -33,14 +33,11 @@ from fractions import Fraction
 
 from .errors import DomainError, ModelSyntaxError
 from .logic import (
+    BOUNDS,
     And,
-    AtLeast,
-    AtMost,
     Constraint,
     Diamond,
     DiamondMulti,
-    GreaterThan,
-    LessThan,
     MNot,
     MOr,
     MeasureFormula,
@@ -438,15 +435,9 @@ class _FormulaParser:
             self.expect("]")
             cmp_tok = self.take()
             q = self.rational()
-            if cmp_tok[1] == ">=":
-                return AtLeast(phi, q)
-            if cmp_tok[1] == ">":
-                return GreaterThan(phi, q)
-            if cmp_tok[1] == "<":
-                return LessThan(phi, q)
-            if cmp_tok[1] == "<=":
-                return AtMost(phi, q)
-            raise ModelSyntaxError(f"unknown comparison {cmp_tok[1]!r}", None, cmp_tok[2])
+            if cmp_tok[1] not in BOUNDS:
+                raise ModelSyntaxError(f"unknown comparison {cmp_tok[1]!r}", None, cmp_tok[2])
+            return BOUNDS[cmp_tok[1]](phi, q)
         raise ModelSyntaxError(f"unexpected token {tok[1]!r} in measure formula", None, tok[2])
 
     def rational(self) -> Fraction:

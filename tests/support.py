@@ -14,6 +14,7 @@ from nlmp import (
     And,
     AtLeast,
     AtMost,
+    CheckResult,
     Constraint,
     Diamond,
     DiamondMulti,
@@ -31,13 +32,16 @@ from nlmp import (
     SigmaAlgebra,
     Top,
     Universe,
+    diamond,
     dirac,
+    eval_state,
     hit_preimage,
-    is_r_closed,
     profile,
     sigma_of_relation,
     trace_classes,
 )
+from nlmp.bisim import DiamondWitness
+from nlmp.model import Finding
 
 F = Fraction
 
@@ -298,12 +302,47 @@ def family_atoms(family, universe: Universe) -> frozenset[frozenset[str]]:
     return frozenset(atoms)
 
 
+def measurable_sets(sigma: SigmaAlgebra) -> list[frozenset[str]]:
+    """All measurable sets, i.e. all unions of atoms (2^len(atoms) sets):
+    the empty set, then for each atom in turn the unions of it with
+    every set listed before it."""
+    sets: list[frozenset[str]] = [frozenset()]
+    for a in sigma.atoms:
+        sets += [q | a for q in sets]
+    return sets
+
+
 def measurable_family(sigma: SigmaAlgebra) -> frozenset[frozenset[str]]:
-    return frozenset(sigma.measurable_sets())
+    return frozenset(measurable_sets(sigma))
+
+
+def image(r: Relation, q) -> frozenset[str]:
+    q = r.universe.check_subset(q)
+    return frozenset(t for s, t in r.pairs if s in q)
+
+
+def is_r_closed(r: Relation, q) -> bool:
+    """True iff the image of q under r stays inside q."""
+    q = r.universe.check_subset(q)
+    return image(r, q) <= q
+
+
+def compose(r1: Relation, r2: Relation) -> Relation:
+    pairs = frozenset((s, v) for s, t in r1.pairs for u, v in r2.pairs if t == u)
+    return Relation(r1.universe, pairs)
+
+
+def classes(r: Relation) -> tuple[frozenset[str], ...]:
+    """Equivalence classes ordered by their first state; requires an
+    equivalence."""
+    if not r.is_equivalence:
+        raise PreconditionError("classes() requires an equivalence relation")
+    index = r.universe.index
+    return tuple(sorted({image(r, {s}) for s in r.universe}, key=lambda c: min(map(index, c))))
 
 
 def rclosed_family(sigma: SigmaAlgebra, r: Relation) -> frozenset[frozenset[str]]:
-    return frozenset(q for q in sigma.measurable_sets() if is_r_closed(r, q))
+    return frozenset(q for q in measurable_sets(sigma) if is_r_closed(r, q))
 
 
 def all_set_partitions(items):
@@ -344,7 +383,7 @@ def lmp_bisimilarity(l: Lmp) -> Relation:
     while True:
         closed = [
             q
-            for q in l.sigma.measurable_sets()
+            for q in measurable_sets(l.sigma)
             if all((s in q) == (t in q) for s, t in pairs)
         ]
         new = {
@@ -393,6 +432,37 @@ def event_bisim_direct(m: Nlmp, lam: SigmaAlgebra) -> bool:
     )
 
 
+def lmp_validate_direct(l: Lmp) -> list[tuple[frozenset[str], Finding]]:
+    """lmp_validate by literal quantification over every measurable set,
+    each finding paired with the set whose value map it is about."""
+    out = []
+    for a in l.labels:
+        for q in measurable_sets(l.sigma):
+            by_value: dict = {}
+            for s in l.states:
+                by_value.setdefault(l.kernel(s, a).value(q), set()).add(s)
+            for v, level in sorted(by_value.items()):
+                if not l.sigma.is_measurable(level):
+                    message = f"kernel value map on {sorted(q)} has a non-measurable level set at {v}"
+                    out.append((q, Finding("error", message, label=a, witness_set=frozenset(level))))
+    return out
+
+
+def np_state_direct(m: Nlmp, r: Relation) -> CheckResult:
+    """np_state_check by literal quantification over every r-closed
+    measurable set, smallest first (ties by sorted states)."""
+    sig_r = sigma_of_relation(m.sigma, r)
+    index = m.universe.index
+    pairs = sorted(r.pairs, key=lambda p: (index(p[0]), index(p[1])))
+    for q in sorted(measurable_sets(sig_r), key=lambda q: (len(q), sorted(q))):
+        for a in m.labels:
+            reach = diamond(m, a, q)
+            for s, t in pairs:
+                if (s in reach) != (t in reach):
+                    return CheckResult(False, DiamondWitness(s, t, a, q))
+    return CheckResult(True)
+
+
 def delta_trace_family(pool, lam: SigmaAlgebra) -> frozenset[frozenset[Measure]]:
     """Traces on the pool of the measure sets generated by lam: closure
     under union, intersection, and complement (within the pool) of the
@@ -400,7 +470,7 @@ def delta_trace_family(pool, lam: SigmaAlgebra) -> frozenset[frozenset[Measure]]
     thresholds ranging over the values pool measures actually take."""
     pool = frozenset(pool)
     gens = {pool, frozenset()}
-    for q in lam.measurable_sets():
+    for q in measurable_sets(lam):
         values = {mu.value(q) for mu in pool}
         for v in values:
             gens.add(frozenset(mu for mu in pool if mu.value(q) >= v))
@@ -621,6 +691,29 @@ def tree_eval_measure(m: Nlmp, psi) -> frozenset[Measure]:
         AtMost: lambda v: v <= psi.q,
     }[type(psi)]
     return frozenset(mu for mu in m.pool if keep(dense_value(mu, ext)))
+
+
+# ---------------------------------------------------------------------------
+# Definitional expansions of the derived modalities
+
+
+def expand_multi(phi: DiamondMulti) -> Diamond:
+    """The multi-constraint diamond as a plain diamond over a measure
+    level conjunction (made of negation and disjunction)."""
+    bounds = [
+        GreaterThan(c.phi, c.threshold) if c.op == ">" else LessThan(c.phi, c.threshold)
+        for c in phi.constraints
+    ]
+    return Diamond(phi.label, MNot(MOr(tuple(MNot(b) for b in bounds))))
+
+
+def expand_greater(m: Nlmp, phi, q: Fraction) -> MOr:
+    """The strict bound as a finite disjunction of inclusive bounds over
+    the pool-relevant thresholds (the values model measures actually
+    take on phi's extension)."""
+    ext = eval_state(m, phi)
+    values = sorted({mu.value(ext) for mu in m.pool if mu.value(ext) > q})
+    return MOr(tuple(AtLeast(phi, v) for v in values))
 
 
 # ---------------------------------------------------------------------------

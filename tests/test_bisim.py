@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import nlmp.bisim
 from nlmp import (
     Nlmp,
     PreconditionError,
@@ -24,9 +25,11 @@ from nlmp import (
 )
 from support import (
     all_equivalences,
+    compose,
     event_bisim_direct,
     lmp_bisimilarity,
     np_reach_model,
+    np_state_direct,
     rand_lmp,
     rand_symmetric_relation,
     rand_valid_nlmp,
@@ -301,6 +304,37 @@ class TestNonProbabilisticCheckers:
             assert bool(np_traditional_check(m, r)) == bool(is_traditional_bisim(m, r))
             assert bool(np_state_check(m, r)) == bool(is_state_bisim(m, r))
 
+    def test_state_check_agrees_with_every_closed_set(self):
+        rng = random.Random(412)
+        outcomes = set()
+        for i in range(150):
+            m = rand_valid_nlmp(rng, max_states=6, coarse=i % 2 == 1, dirac_only=True)
+            bisim = largest_state(m).relation
+            pairs = list(rand_symmetric_relation(rng, m.universe, 0.2).pairs)
+            for r in (
+                Relation.identity(m.universe),
+                bisim,
+                bisim.union(Relation.from_pairs(m.universe, pairs[:2] + [(t, s) for s, t in pairs[:2]])),
+                rand_symmetric_relation(rng, m.universe, rng.choice((0.1, 0.3, 0.6))),
+            ):
+                result = np_state_check(m, r)
+                assert result == np_state_direct(m, r)
+                outcomes.add(result.holds)
+        assert outcomes == {True, False}
+
+    def test_state_check_tries_each_closed_atom_once(self, monkeypatch):
+        u = Universe(tuple(f"s{i}" for i in range(8)))
+        sig = SigmaAlgebra.powerset(u)
+        rows = {(f"s{i}", "a"): (dirac(sig, f"s{min(i + 1, 7)}"),) for i in range(8)}
+        rows.update({(f"s{i}", "b"): (dirac(sig, f"s{i // 2}"),) for i in range(8)})
+        m = Nlmp(sig, ("a", "b"), rows)
+        r = Relation.identity(u)
+        calls = []
+        real = nlmp.bisim.diamond
+        monkeypatch.setattr(nlmp.bisim, "diamond", lambda m, a, q: calls.append(q) or real(m, a, q))
+        assert np_state_check(m, r)
+        assert 0 < len(calls) <= len(m.labels) * len(sigma_of_relation(sig, r).atoms)
+
 
 class TestStructuralProperties:
     def test_traditional_acceptance_implies_state_acceptance(self):
@@ -384,4 +418,4 @@ class TestStructuralProperties:
                 accepted.append(candidate)
             for r1 in accepted:
                 for r2 in accepted:
-                    assert is_traditional_bisim(m, r1.compose(r2))
+                    assert is_traditional_bisim(m, compose(r1, r2))

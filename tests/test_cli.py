@@ -3,11 +3,57 @@ import shutil
 
 import pytest
 
-from nlmp import corpus_dir, parse_model, parse_state_formula, satisfies, trace_classes
+from nlmp import (
+    Relation,
+    corpus_dir,
+    is_traditional_bisim,
+    largest_traditional,
+    parse_model,
+    parse_state_formula,
+    satisfies,
+    trace_classes,
+)
 from nlmp.cli import main
 from support import two_bounds_model
 
 TWO_BOUNDS_FORMULA = "<a>[ >1/4 <b>[T]>=1 , <3/4 <b>[T]>=1 ]"
+
+# s and t share an atom but step to different atoms, so the kernel
+# value maps of the atoms {x} and {y} split the atom {s, t}.
+INVALID_LMP = """lmp
+states s t x y
+labels a
+sigma gen {s t} {x}
+trans s a -> x
+trans t a -> y
+trans x a -> x
+trans y a -> y
+"""
+
+# Four planted classes sN_0/sN_1 of bisimilar copies (perfbench synth
+# seed 61, model lump28).  Bisimilarity merges classes 0, 1 and 3, but
+# merging classes 1 and 3 alone is not a bisimulation.
+LUMP28 = """nlmp
+states s2_0 s0_1 s1_1 s2_1 s3_1 s1_0 s3_0 s0_0
+labels a b
+sigma powerset
+trans s0_1 a s0_0:1/2 s1_1:1/2
+trans s0_1 b s1_1:1/4 s1_0:1/4 s0_1:1/12 s0_0:1/12 s3_0:1/6 s3_1:1/6
+trans s0_1 b s1_1:1/2 s1_0:1/2
+trans s1_1 a s0_0:1/2 s1_0:1/2
+trans s1_1 b -> s1_0
+trans s3_1 a s0_0:1/4 s0_1:1/4 s1_0:1/2
+trans s3_1 a s1_1:1/2 s3_1:1/2
+trans s3_1 b s1_1:1/2 s1_0:1/2
+trans s1_0 a s0_1:1/4 s0_0:1/4 s1_0:1/4 s1_1:1/4
+trans s1_0 b -> s1_1
+trans s3_0 a s0_1:1/2 s1_1:1/2
+trans s3_0 a s1_1:1/4 s1_0:1/4 s3_0:1/2
+trans s3_0 b s1_1:1/2 s1_0:1/2
+trans s0_0 a s0_0:1/4 s0_1:1/4 s1_0:1/2
+trans s0_0 b s1_1:1/4 s1_0:1/4 s0_1:1/6 s3_0:1/3
+trans s0_0 b s1_0:1/2 s1_1:1/2
+"""
 
 
 def run(capsys, *argv):
@@ -59,6 +105,30 @@ class TestValidateCommand:
         code, _, err = run(capsys, "validate", "no/such/file.nlmp")
         assert code == 1
         assert err
+
+    def test_invalid_lmp_reports_one_finding_per_atom_and_level(self, tmp_path, capsys):
+        path = tmp_path / "invalid.nlmp"
+        path.write_text(INVALID_LMP)
+        code, report, err = run(capsys, "validate", str(path))
+        assert code == 2
+        assert err == ""
+        assert report["result"] == {
+            "valid": False,
+            "findings": [
+                {
+                    "severity": "error",
+                    "label": "a",
+                    "message": f"kernel value map on ['{q}'] has a non-measurable level set at {v}",
+                    "witness_set": level,
+                }
+                for q, v, level in [
+                    ("x", 0, ["t", "y"]),
+                    ("x", 1, ["s", "x"]),
+                    ("y", 0, ["s", "x"]),
+                    ("y", 1, ["t", "y"]),
+                ]
+            ],
+        }
 
 
 class TestInputBoundary:
@@ -195,6 +265,22 @@ class TestDistinguishCommand:
         code, report, _ = run(capsys, "distinguish", corpus("coarse_valid.nlmp"), "s", "x")
         assert code == 6
         assert report["result"]["supported"] is False
+
+    def test_classes_merged_only_with_a_third_are_equivalent(self, tmp_path, capsys):
+        path = tmp_path / "lump28.nlmp"
+        path.write_text(LUMP28)
+        code, report, _ = run(capsys, "distinguish", str(path), "s1_1", "s3_0")
+        assert code == 5
+        assert report["result"]["equivalent"] is True
+        m = parse_model(LUMP28).nlmp
+        largest = largest_traditional(m)
+        assert sorted(sorted(b) for b in largest.partition) == [
+            ["s0_0", "s0_1", "s1_0", "s1_1", "s3_0", "s3_1"],
+            ["s2_0", "s2_1"],
+        ]
+        assert is_traditional_bisim(m, largest.relation)
+        two_merged = [["s0_0", "s0_1"], ["s2_0", "s2_1"], ["s1_0", "s1_1", "s3_0", "s3_1"]]
+        assert not is_traditional_bisim(m, Relation.from_partition(m.universe, two_merged))
 
 
 class TestExitCodeMap:

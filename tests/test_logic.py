@@ -9,6 +9,7 @@ from nlmp import (
     And,
     AtLeast,
     AtMost,
+    Bound,
     Constraint,
     Diamond,
     DiamondMulti,
@@ -28,8 +29,7 @@ from nlmp import (
     distinguish,
     eval_measure,
     eval_state,
-    expand_greater,
-    expand_multi,
+    formula_to_text,
     largest_traditional,
     logical_equivalence,
     satisfies,
@@ -37,6 +37,8 @@ from nlmp import (
     trace_classes,
 )
 from support import (
+    expand_greater,
+    expand_multi,
     lmp_bisimilarity,
     np_reach_model,
     rand_any_nlmp,
@@ -238,6 +240,33 @@ class TestSugarCoherence:
             q = F(rng.randint(0, 4), 4)
             assert eval_measure(m, LessThan(phi, q)) == eval_measure(m, MNot(AtLeast(phi, q)))
             assert eval_measure(m, AtMost(phi, q)) == eval_measure(m, MNot(GreaterThan(phi, q)))
+
+
+class TestBounds:
+    KINDS = (AtLeast, GreaterThan, LessThan, AtMost)
+
+    def test_bounds_of_different_kinds_are_never_equal(self):
+        bounds = [cls(PHI_X, F(1, 2)) for cls in self.KINDS]
+        assert all(isinstance(b, Bound) for b in bounds)
+        for i, b in enumerate(bounds):
+            for j, c in enumerate(bounds):
+                assert (b == c) == (i == j)
+        assert len(set(bounds)) == 4
+        assert AtLeast(PHI_X, F(1, 2)) == AtLeast(PHI_X, F(2, 4))
+        assert repr(LessThan(Top(), F(1, 3))) == "LessThan(phi=Top(), q=Fraction(1, 3))"
+
+    def test_rendering_is_unchanged(self):
+        assert [formula_to_text(cls(PHI_X, F(1, 2))) for cls in self.KINDS] == [
+            "[<b> [T]>=1]>=1/2",
+            "[<b> [T]>=1]>1/2",
+            "[<b> [T]>=1]<1/2",
+            "[<b> [T]>=1]<=1/2",
+        ]
+
+    def test_threshold_outside_unit_interval_rejected(self):
+        for cls in self.KINDS:
+            with pytest.raises(DomainError):
+                cls(Top(), F(3, 2))
 
 
 class TestLogicalEquivalence:

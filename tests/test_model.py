@@ -26,6 +26,8 @@ from support import (
     atom_split_model,
     coarse_valid_model,
     delta_trace_family,
+    lmp_validate_direct,
+    measurable_sets,
     np_reach_model,
     rand_any_nlmp,
     rand_lmp,
@@ -108,6 +110,32 @@ class TestLmpEmbed:
         with pytest.raises(PreconditionError):
             lmp_embed(l)
         assert lmp_embed(l, validate=False) is not None
+
+
+class TestLmpValidateAtoms:
+    def test_findings_are_the_single_atom_findings_of_every_set(self):
+        rng = random.Random(305)
+        invalid_seen = 0
+        for i in range(200):
+            l = rand_lmp(rng, max_states=6, coarse=i % 3 != 0, per_state=i % 2 == 0)
+            direct = lmp_validate_direct(l)
+            report = lmp_validate(l)
+            assert list(report.findings) == [f for q, f in direct if q in l.sigma.atoms]
+            assert report.valid == (not direct)
+            invalid_seen += not report.valid
+        assert invalid_seen > 30
+
+    def test_one_value_per_label_atom_and_state(self, monkeypatch):
+        rng = random.Random(306)
+        u = Universe(tuple(f"s{i}" for i in range(12)))
+        sig = SigmaAlgebra.powerset(u)
+        labels = ("a", "b")
+        l = Lmp(sig, labels, {(s, a): rand_measure(rng, sig) for s in u for a in labels})
+        calls = []
+        real = Measure.value
+        monkeypatch.setattr(Measure, "value", lambda mu, q: calls.append(q) or real(mu, q))
+        assert lmp_validate(l).valid
+        assert len(calls) == len(labels) * len(sig.atoms) * len(u)
 
 
 class TestNonProbabilistic:
@@ -208,7 +236,7 @@ class TestDiracSubspace:
                 reach_side = all(
                     lam.is_measurable(diamond(m, a, q))
                     for a in m.labels
-                    for q in lam.measurable_sets()
+                    for q in measurable_sets(lam)
                 )
                 assert hit_side == reach_side
 
