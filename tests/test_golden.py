@@ -1,9 +1,14 @@
 """CLI reports pinned on the bundled corpus.
 
-Covers `bisim --kind all` on every corpus model and `distinguish` on
-every ordered pair of distinct states of the powerset corpus models:
-partitions, iteration counts, sigma atoms and the synthesized formula
-text, i.e. everything a report holds except `timing_ms`.  The report
+Covers, on every corpus model, `validate`, `bisim` of every kind and
+`check` with the fixed formulas of `CHECK_FORMULAS` (with and without
+`--state` at the first state); `distinguish` on every ordered pair of
+distinct states (exit 6 on the valid coarse model, exit 2 on the
+invalid one); and a malformed formula on the invalid model, which
+still reports its findings because every command validates first.
+That is partitions, iteration counts, sigma atoms, findings, formula
+text and extensions, i.e. everything a report holds except
+`timing_ms`.  Only commands that print a report are pinned.  The report
 is rendered with `json.dumps(..., sort_keys=True)`, so the parsed
 dictionary pins its bytes.
 
@@ -30,6 +35,16 @@ from nlmp.cli import main
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 
 
+# `{a}` is the first label of the model.
+CHECK_FORMULAS = (
+    "T",
+    "<{a}>[T]>=1",
+    "<{a}>[<{a}>[T]>0]>1/3 & T",
+    "<{a}>(![T]<1 \\/ [<{a}>[T]>=1]<=1/2)",
+    "<{a}>[ >1/4 <{a}>[T]>=1 , <3/4 <{a}>[T]>=1 ]",
+)
+
+
 def cases() -> list[list[str]]:
     out = []
     for path in sorted(corpus_dir().glob("*.nlmp")):
@@ -38,6 +53,17 @@ def cases() -> list[list[str]]:
         m = parse_model(path.read_text(encoding="utf-8")).nlmp
         if m.sigma.is_powerset:
             out += [["distinguish", path.name, s, t] for s in m.states for t in m.states if s != t]
+    for path in sorted(corpus_dir().glob("*.nlmp")):
+        m = parse_model(path.read_text(encoding="utf-8")).nlmp
+        out.append(["validate", path.name])
+        out += [["bisim", path.name, "--kind", kind] for kind in ("traditional", "state", "event")]
+        for formula in CHECK_FORMULAS:
+            text = formula.format(a=m.labels[0])
+            out.append(["check", path.name, text])
+            out.append(["check", path.name, text, "--state", m.states[0]])
+        if not m.sigma.is_powerset:
+            out += [["distinguish", path.name, s, t] for s in m.states for t in m.states if s != t]
+    out.append(["check", "atom_split_invalid.nlmp", "T &"])
     return out
 
 
