@@ -29,7 +29,7 @@ from .errors import (
     UnsupportedModelError,
 )
 from .logic import distinguish, eval_state, formula_labels, formula_to_text
-from .model import Finding, ValidationReport, lmp_validate, nlmp_validate
+from .model import Finding, lmp_validate, nlmp_validate
 from .parser import ModelDocument, _measure_text, parse_model, parse_state_formula
 
 EXIT_OK = 0
@@ -47,19 +47,15 @@ def corpus_dir() -> Path:
 
 
 def _sorted_sets(doc: ModelDocument, sets) -> list[list[str]]:
-    universe = doc.nlmp.universe
-    return sorted(
-        (universe.sort(block) for block in sets),
-        key=lambda b: [universe.index(s) for s in b],
-    )
+    # Partitions and atoms come ordered by least state; only the blocks
+    # need sorting.
+    return [doc.nlmp.universe.sort(block) for block in sets]
 
 
 def _finding_json(f: Finding) -> dict:
     out: dict = {"severity": f.severity, "message": f.message}
     if f.label is not None:
         out["label"] = f.label
-    if f.state is not None:
-        out["state"] = f.state
     if f.xi is not None:
         out["xi"] = [_measure_text(mu) for mu in f.xi]
     if f.witness_set is not None:
@@ -78,102 +74,42 @@ def _bisim_json(doc: ModelDocument, rep: BisimReport) -> dict:
     return out
 
 
-def _report(doc: ModelDocument, command: str, args: dict, result: dict, started: float) -> dict:
-    return {
-        "command": command,
-        "args": args,
-        "model": {
-            "digest": doc.digest,
-            "kind": doc.kind,
-            "states": list(doc.nlmp.states),
-            "labels": list(doc.nlmp.labels),
-            "sigma_atoms": _sorted_sets(doc, doc.nlmp.sigma.atoms),
-        },
-        "result": result,
-        "timing_ms": round((time.perf_counter() - started) * 1000, 3),
-    }
-
-
-def _emit(report: dict) -> None:
-    print(json.dumps(report, indent=2, sort_keys=True))
-
-
 def _load(path: str) -> ModelDocument:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ModelSyntaxError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
-    return parse_model(text, source=path)
+    return parse_model(text)
 
 
-def _validate(doc: ModelDocument) -> ValidationReport:
-    if doc.kind == "lmp":
-        return lmp_validate(doc.lmp)
-    return nlmp_validate(doc.nlmp)
+# Command bodies: each runs on a validated model and returns its result
+# and exit code.
 
 
-def cmd_validate(args) -> int:
-    started = time.perf_counter()
-    doc = _load(args.path)
-    report = _validate(doc)
-    result = {
-        "valid": report.valid,
-        "findings": [_finding_json(f) for f in report.findings],
-    }
-    _emit(_report(doc, "validate", {"path": args.path}, result, started))
-    return EXIT_OK if report.valid else EXIT_INVALID_MODEL
-
-
-def _require_valid_doc(doc: ModelDocument, command: str, args: dict, started: float) -> bool:
-    report = _validate(doc)
-    if report.valid:
-        return True
-    result = {
-        "valid": False,
-        "findings": [_finding_json(f) for f in report.findings],
-    }
-    _emit(_report(doc, command, args, result, started))
-    return False
-
-
-def cmd_bisim(args) -> int:
-    started = time.perf_counter()
-    doc = _load(args.path)
-    cmd_args = {"path": args.path, "kind": args.kind}
-    if not _require_valid_doc(doc, "bisim", cmd_args, started):
-        return EXIT_INVALID_MODEL
+def _bisim(doc: ModelDocument, args) -> tuple[dict, int]:
     m = doc.nlmp
-    if args.kind == "all":
-        comparison = compare_bisims(m)
-        result = {
-            "traditional": _bisim_json(doc, comparison.traditional),
-            "state": _bisim_json(doc, comparison.state),
-            "event": _bisim_json(doc, comparison.event),
-            "chain_holds": comparison.chain_holds,
-            "traditional_eq_state": comparison.traditional_eq_state,
-            "state_eq_event": comparison.state_eq_event,
-            "all_equal": comparison.all_equal,
-            "sigma_is_powerset": comparison.sigma_is_powerset,
-        }
-    else:
-        rep = {
+    if args.kind != "all":
+        fixpoint = {
             "traditional": largest_traditional,
             "state": largest_state,
             "event": smallest_stable_sigma,
-        }[args.kind](m)
-        result = _bisim_json(doc, rep)
-    _emit(_report(doc, "bisim", cmd_args, result, started))
-    return EXIT_OK
+        }[args.kind]
+        return _bisim_json(doc, fixpoint(m)), EXIT_OK
+    comparison = compare_bisims(m)
+    result = {
+        "traditional": _bisim_json(doc, comparison.traditional),
+        "state": _bisim_json(doc, comparison.state),
+        "event": _bisim_json(doc, comparison.event),
+        "chain_holds": comparison.chain_holds,
+        "traditional_eq_state": comparison.traditional_eq_state,
+        "state_eq_event": comparison.state_eq_event,
+        "all_equal": comparison.all_equal,
+        "sigma_is_powerset": comparison.sigma_is_powerset,
+    }
+    return result, EXIT_OK
 
 
-def cmd_check(args) -> int:
-    started = time.perf_counter()
-    doc = _load(args.path)
-    cmd_args = {"path": args.path, "formula": args.formula}
-    if args.state is not None:
-        cmd_args["state"] = args.state
-    if not _require_valid_doc(doc, "check", cmd_args, started):
-        return EXIT_INVALID_MODEL
+def _check(doc: ModelDocument, args) -> tuple[dict, int]:
     phi = parse_state_formula(args.formula)
     unknown = formula_labels(phi) - set(doc.nlmp.labels)
     if unknown:
@@ -185,32 +121,21 @@ def cmd_check(args) -> int:
         "formula": formula_to_text(phi),
         "states": doc.nlmp.universe.sort(extension),
     }
-    code = EXIT_OK
-    if args.state is not None:
-        satisfied = args.state in extension
-        result["state"] = args.state
-        result["satisfied"] = satisfied
-        code = EXIT_OK if satisfied else EXIT_UNSATISFIED
-    _emit(_report(doc, "check", cmd_args, result, started))
-    return code
+    if args.state is None:
+        return result, EXIT_OK
+    satisfied = args.state in extension
+    result["state"] = args.state
+    result["satisfied"] = satisfied
+    return result, EXIT_OK if satisfied else EXIT_UNSATISFIED
 
 
-def cmd_distinguish(args) -> int:
-    started = time.perf_counter()
-    doc = _load(args.path)
-    cmd_args = {"path": args.path, "s": args.s, "t": args.t}
-    if not _require_valid_doc(doc, "distinguish", cmd_args, started):
-        return EXIT_INVALID_MODEL
+def _distinguish(doc: ModelDocument, args) -> tuple[dict, int]:
     try:
         phi = distinguish(doc.nlmp, args.s, args.t)
     except UnsupportedModelError as exc:
-        result = {"supported": False, "reason": str(exc)}
-        _emit(_report(doc, "distinguish", cmd_args, result, started))
-        return EXIT_UNSUPPORTED
+        return {"supported": False, "reason": str(exc)}, EXIT_UNSUPPORTED
     if phi is None:
-        result = {"equivalent": True}
-        _emit(_report(doc, "distinguish", cmd_args, result, started))
-        return EXIT_EQUIVALENT
+        return {"equivalent": True}, EXIT_EQUIVALENT
     # distinguish re-verifies the formula before returning it.
     extension = eval_state(doc.nlmp, phi)
     result = {
@@ -218,8 +143,38 @@ def cmd_distinguish(args) -> int:
         "formula": formula_to_text(phi),
         "satisfied_by": sorted(x for x in (args.s, args.t) if x in extension),
     }
-    _emit(_report(doc, "distinguish", cmd_args, result, started))
-    return EXIT_OK
+    return result, EXIT_OK
+
+
+def _run(args) -> int:
+    """Load and validate the model, run the command's body on a valid
+    model, and print the one JSON report."""
+    started = time.perf_counter()
+    doc = _load(args.path)
+    validation = lmp_validate(doc.lmp) if doc.kind == "lmp" else nlmp_validate(doc.nlmp)
+    if args.body is None or not validation.valid:
+        result = {
+            "valid": validation.valid,
+            "findings": [_finding_json(f) for f in validation.findings],
+        }
+        code = EXIT_OK if validation.valid else EXIT_INVALID_MODEL
+    else:
+        result, code = args.body(doc, args)
+    report = {
+        "command": args.command,
+        "args": {k: v for k, v in vars(args).items() if k not in ("command", "body") and v is not None},
+        "model": {
+            "digest": doc.digest,
+            "kind": doc.kind,
+            "states": list(doc.nlmp.states),
+            "labels": list(doc.nlmp.labels),
+            "sigma_atoms": _sorted_sets(doc, doc.nlmp.sigma.atoms),
+        },
+        "result": result,
+        "timing_ms": round((time.perf_counter() - started) * 1000, 3),
+    }
+    print(json.dumps(report, indent=2, sort_keys=True))
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -231,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check model well-formedness and measurability")
     p.add_argument("path")
-    p.set_defaults(func=cmd_validate)
+    p.set_defaults(body=None)
 
     p = sub.add_parser("bisim", help="compute bisimilarity partitions")
     p.add_argument("path")
@@ -240,19 +195,19 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["traditional", "state", "event", "all"],
         default="all",
     )
-    p.set_defaults(func=cmd_bisim)
+    p.set_defaults(body=_bisim)
 
     p = sub.add_parser("check", help="evaluate a state formula")
     p.add_argument("path")
     p.add_argument("formula")
     p.add_argument("--state", default=None)
-    p.set_defaults(func=cmd_check)
+    p.set_defaults(body=_check)
 
     p = sub.add_parser("distinguish", help="synthesize a formula separating two states")
     p.add_argument("path")
     p.add_argument("s")
     p.add_argument("t")
-    p.set_defaults(func=cmd_distinguish)
+    p.set_defaults(body=_distinguish)
 
     return parser
 
@@ -264,7 +219,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        return _run(args)
     except (ModelSyntaxError, DomainError, FileNotFoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

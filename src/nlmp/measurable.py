@@ -182,9 +182,6 @@ class Relation:
     def __le__(self, other: "Relation") -> bool:
         return self.pairs <= other.pairs
 
-    def union(self, other: "Relation") -> "Relation":
-        return Relation(self.universe, self.pairs | other.pairs)
-
 
 def sigma_generate(universe: Universe, generators: Iterable[Iterable[str]]) -> SigmaAlgebra:
     """Smallest sigma-algebra containing every generator set.

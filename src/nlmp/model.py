@@ -169,7 +169,6 @@ class Finding:
     severity: str  # "error" | "warning"
     message: str
     label: str | None = None
-    state: str | None = None
     xi: tuple[Measure, ...] | None = None
     witness_set: StateSet | None = None
 
@@ -188,7 +187,9 @@ class ValidationReport:
 
 
 def nlmp_validate(m: Nlmp) -> ValidationReport:
-    """Check well-formedness and measurability of the transition map.
+    """Check measurability of the transition map.  (Well-formedness
+    needs no check: `Measure` rejects weights that do not sum to 1 and
+    `Nlmp` rejects measures over another sigma-algebra.)
 
     Measurability quantifies over unions of profile classes of the pool
     (the traces of the measurable sets of measures); since the hit
@@ -204,12 +205,6 @@ def nlmp_validate(m: Nlmp) -> ValidationReport:
 
 def _nlmp_findings(m: Nlmp) -> ValidationReport:
     findings: list[Finding] = []
-    for (s, a), row in m.transition_items():
-        for mu in row:
-            if sum(mu.weights) != 1:
-                findings.append(
-                    Finding("error", "transition weight vector does not sum to 1", label=a, state=s)
-                )
     classes = trace_classes(m.pool, m.sigma)
     for a in m.labels:
         for cls in classes:

@@ -64,7 +64,6 @@ class ModelDocument:
     kind: str  # "nlmp" | "lmp"
     nlmp: Nlmp
     lmp: Lmp | None
-    source: str
 
     @property
     def digest(self) -> str:
@@ -77,17 +76,26 @@ class ModelDocument:
 _LINE_TOKEN = re.compile(r"\{|\}|[^\s{}]+")
 
 
+def _numeral(digits: str, line: int | None, column: int | None = None) -> int:
+    # int() refuses digit strings beyond the interpreter's limit
+    # (sys.get_int_max_str_digits()); report that as a syntax error.
+    try:
+        return int(digits)
+    except ValueError:
+        raise ModelSyntaxError(f"numeral of {len(digits)} digits is too long", line, column) from None
+
+
 def _parse_rational(text: str, line_no: int) -> Fraction:
     m = re.fullmatch(r"(\d+)(?:/(\d+))?", text)
     if not m:
         raise ModelSyntaxError(f"expected a rational number, got {text!r}", line_no)
-    num, den = int(m.group(1)), int(m.group(2) or 1)
+    num, den = _numeral(m.group(1), line_no), _numeral(m.group(2) or "1", line_no)
     if den == 0:
         raise ModelSyntaxError("zero denominator", line_no)
     return Fraction(num, den)
 
 
-def parse_model(text: str, source: str = "<string>") -> ModelDocument:
+def parse_model(text: str) -> ModelDocument:
     kind = "nlmp"
     states: list[str] | None = None
     labels: list[str] | None = None
@@ -166,9 +174,9 @@ def parse_model(text: str, source: str = "<string>") -> ModelDocument:
                             f"deterministic model is missing the transition for ({s}, {a})"
                         )
             lmp = Lmp(sigma, labels, kernels)
-            return ModelDocument("lmp", lmp_embed(lmp, validate=False), lmp, source)
+            return ModelDocument("lmp", lmp_embed(lmp, validate=False), lmp)
         nlmp = Nlmp(sigma, labels, {k: tuple(v) for k, v in rows.items()})
-        return ModelDocument("nlmp", nlmp, None, source)
+        return ModelDocument("nlmp", nlmp, None)
     except DomainError as exc:
         raise ModelSyntaxError(str(exc)) from exc
 
@@ -263,15 +271,11 @@ def serialize_model(doc: ModelDocument) -> str:
             "{" + " ".join(model.universe.sort(a)) + "}" for a in model.sigma.atoms
         )
         lines.append(f"sigma gen {blocks}")
-    if doc.kind == "lmp":
-        assert doc.lmp is not None
-        for s in model.states:
-            for a in model.labels:
-                lines.append(f"trans {s} {a} {_measure_text(doc.lmp.kernel(s, a))}")
-    else:
-        for (s, a), row in model.transition_items():
-            for mu in row:
-                lines.append(f"trans {s} {a} {_measure_text(mu)}")
+    # The embedding of an lmp document holds exactly its kernels, as
+    # singleton rows in the same state x label order.
+    for (s, a), row in model.transition_items():
+        for mu in row:
+            lines.append(f"trans {s} {a} {_measure_text(mu)}")
     return "\n".join(lines) + "\n"
 
 
@@ -307,7 +311,9 @@ def _tokenize_formula(text: str) -> list[tuple[str, str, int]]:
 
 
 # Deepest nesting of modalities, negations and parentheses accepted in
-# a formula; the parser and the evaluator recurse once per level.
+# a formula, where each `&` of a chain also counts as one level: `&`
+# nests to the left, so the parser, the renderer and the evaluator
+# recurse once per level and once per conjunct.
 MAX_FORMULA_DEPTH = 100
 
 
@@ -356,11 +362,18 @@ class _FormulaParser:
     # state level ----------------------------------------------------------
 
     def state_formula(self) -> StateFormula:
-        phi = self.nested(self.state_atom)
-        while not self.done() and self.peek()[1] == "&":
-            self.take()
-            phi = And(phi, self.nested(self.state_atom))
-        return phi
+        # The depth is restored on every exit, including the errors that
+        # the `<a>[` backtracking recovers from.
+        depth = self.depth
+        try:
+            phi = self.nested(self.state_atom)
+            while not self.done() and self.peek()[1] == "&":
+                self.take()
+                self.depth += 1
+                phi = And(phi, self.nested(self.state_atom))
+            return phi
+        finally:
+            self.depth = depth
 
     def state_atom(self) -> StateFormula:
         tok = self.take()
@@ -444,14 +457,15 @@ class _FormulaParser:
         tok = self.take()
         if tok[0] != "int":
             raise ModelSyntaxError("expected a rational number", None, tok[2])
-        num = int(tok[1])
+        num = _numeral(tok[1], None, tok[2])
         nxt = self.peek()
         if nxt is not None and nxt[1] == "/":
             self.take()
             den_tok = self.take()
-            if den_tok[0] != "int" or int(den_tok[1]) == 0:
+            den = _numeral(den_tok[1], None, den_tok[2]) if den_tok[0] == "int" else 0
+            if den == 0:
                 raise ModelSyntaxError("expected a nonzero denominator", None, den_tok[2])
-            return Fraction(num, int(den_tok[1]))
+            return Fraction(num, den)
         return Fraction(num)
 
 

@@ -332,6 +332,10 @@ def compose(r1: Relation, r2: Relation) -> Relation:
     return Relation(r1.universe, pairs)
 
 
+def union(r1: Relation, r2: Relation) -> Relation:
+    return Relation(r1.universe, r1.pairs | r2.pairs)
+
+
 def classes(r: Relation) -> tuple[frozenset[str], ...]:
     """Equivalence classes ordered by their first state; requires an
     equivalence."""

@@ -38,6 +38,7 @@ from support import (
     two_bounds_model,
     two_bounds_measures,
     uniform_rows_model,
+    union,
 )
 
 
@@ -314,7 +315,7 @@ class TestNonProbabilisticCheckers:
             for r in (
                 Relation.identity(m.universe),
                 bisim,
-                bisim.union(Relation.from_pairs(m.universe, pairs[:2] + [(t, s) for s, t in pairs[:2]])),
+                union(bisim, Relation.from_pairs(m.universe, pairs[:2] + [(t, s) for s, t in pairs[:2]])),
                 rand_symmetric_relation(rng, m.universe, rng.choice((0.1, 0.3, 0.6))),
             ):
                 result = np_state_check(m, r)
@@ -411,9 +412,7 @@ class TestStructuralProperties:
         for _ in range(60):
             m = rand_valid_nlmp(rng, max_states=4, coarse=rng.random() < 0.5)
             accepted = [Relation.identity(m.universe), largest_traditional(m).relation]
-            candidate = rand_symmetric_relation(rng, m.universe).union(
-                Relation.identity(m.universe)
-            )
+            candidate = union(rand_symmetric_relation(rng, m.universe), Relation.identity(m.universe))
             if is_traditional_bisim(m, candidate):
                 accepted.append(candidate)
             for r1 in accepted:

@@ -154,6 +154,43 @@ class TestInputBoundary:
         assert err.startswith("error: ") and "nests deeper than" in err
         assert len(err.splitlines()) == 1
 
+    @staticmethod
+    def assert_one_error_line(err):
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert len(err.splitlines()) == 1
+
+    def test_model_numeral_beyond_the_int_limit_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.nlmp"
+        path.write_text(f"states s x y\nlabels a\ntrans s a x:1/2 y:{'1' * 5000}/2\n")
+        code, report, err = run(capsys, "validate", str(path))
+        assert code == 1
+        assert report is None
+        self.assert_one_error_line(err)
+        assert "5000 digits" in err and "line 3" in err
+
+    @pytest.mark.parametrize("threshold", [f"{'1' * 5000}/2", f"1/{'1' * 5000}"])
+    def test_formula_numeral_beyond_the_int_limit_is_a_usage_error(self, capsys, threshold):
+        formula = f"<a>[T]>={threshold}"
+        code, report, err = run(capsys, "check", corpus("uniform_rows.nlmp"), formula)
+        assert code == 1
+        assert report is None
+        self.assert_one_error_line(err)
+        assert "5000 digits" in err
+
+    def test_3000_conjuncts_are_a_usage_error(self, capsys):
+        formula = " & ".join(["T"] * 3000)
+        code, report, err = run(capsys, "check", corpus("uniform_rows.nlmp"), formula)
+        assert code == 1
+        assert report is None
+        self.assert_one_error_line(err)
+        assert "nests deeper than" in err
+
+    def test_100_conjuncts_still_parse(self, capsys):
+        formula = " & ".join(["<a>[T]>=1"] * 100)
+        code, report, _ = run(capsys, "check", corpus("uniform_rows.nlmp"), formula, "--state", "p")
+        assert code == 0
+        assert report["result"]["states"] == ["p", "q", "r"]
+
 
 class TestBisimCommand:
     def test_flagship_all_kinds_coincide(self, capsys):

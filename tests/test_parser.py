@@ -28,7 +28,7 @@ from nlmp import (
     parse_state_formula,
     serialize_model,
 )
-from nlmp.parser import MAX_FORMULA_DEPTH
+from nlmp.parser import MAX_FORMULA_DEPTH, _FormulaParser
 from support import (
     rand_measure_formula,
     rand_state_formula,
@@ -120,8 +120,8 @@ class TestModelParsing:
 class TestRoundTrip:
     @pytest.mark.parametrize("name", CORPUS_FILES)
     def test_corpus_files_round_trip(self, name):
-        doc = parse_model(read_corpus(name), source=name)
-        again = parse_model(serialize_model(doc), source=name)
+        doc = parse_model(read_corpus(name))
+        again = parse_model(serialize_model(doc))
         assert again.kind == doc.kind
         assert again.nlmp == doc.nlmp
         if doc.kind == "lmp":
@@ -131,7 +131,7 @@ class TestRoundTrip:
         rng = random.Random(601)
         for _ in range(60):
             m = rand_valid_nlmp(rng, coarse=rng.random() < 0.5)
-            doc = ModelDocument("nlmp", m, None, "<generated>")
+            doc = ModelDocument("nlmp", m, None)
             again = parse_model(serialize_model(doc))
             assert again.nlmp == m
 
@@ -144,7 +144,7 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("name", CORPUS_FILES)
     def test_digest_is_the_sha256_of_the_serialized_model(self, name):
-        doc = parse_model(read_corpus(name), source=name)
+        doc = parse_model(read_corpus(name))
         assert doc.digest == hashlib.sha256(serialize_model(doc).encode()).hexdigest()
 
 
@@ -211,6 +211,30 @@ class TestFormulaParsing:
         parse_measure_formula("!" * MAX_FORMULA_DEPTH + "[T]>0")
         with pytest.raises(ModelSyntaxError, match="nests deeper than"):
             parse_measure_formula("!" * (MAX_FORMULA_DEPTH + 1) + "[T]>0")
+
+    def test_conjunction_chain_counts_toward_the_limit(self):
+        # each `&` of a chain is one level: a chain of MAX_FORMULA_DEPTH + 1
+        # conjuncts nests as deep as MAX_FORMULA_DEPTH parentheses
+        parse_state_formula(" & ".join(["T"] * (MAX_FORMULA_DEPTH + 1)))
+        with pytest.raises(ModelSyntaxError, match="nests deeper than"):
+            parse_state_formula(" & ".join(["T"] * (MAX_FORMULA_DEPTH + 2)))
+
+    def test_chain_and_nesting_share_the_limit(self):
+        half = MAX_FORMULA_DEPTH // 2
+
+        def wrapped(conjuncts):
+            return "(" * half + " & ".join(["T"] * conjuncts) + ")" * half
+
+        parse_state_formula(wrapped(MAX_FORMULA_DEPTH - half + 1))
+        with pytest.raises(ModelSyntaxError, match="nests deeper than"):
+            parse_state_formula(wrapped(MAX_FORMULA_DEPTH - half + 2))
+
+    @pytest.mark.parametrize("text", ["T & T & (T & ", "<a>[ >1/2 T & T & <b>[T]>=1 , x ]"])
+    def test_depth_is_restored_after_a_failed_production(self, text):
+        parser = _FormulaParser(text)
+        with pytest.raises(ModelSyntaxError):
+            parser.state_formula()
+        assert parser.depth == 0
 
     def test_threshold_range_enforced(self):
         with pytest.raises(DomainError):
