@@ -356,14 +356,13 @@ def logical_equivalence(m: Nlmp, fragment: str = "Lf") -> EquivalenceReport:
         raise PreconditionError("model fails measurability validation")
     partition, formulas = _lf_refinement(m)
     relation = Relation.from_partition(m.universe, partition)
-    # (s, t) and (t, s) share one formula, and separation is symmetric:
-    # verify each unordered pair once, at its first ordered occurrence.
-    verified: set[tuple[str, str]] = set()
+    # Verify every pair against a memo of its own, not the one synthesis
+    # filled: pairs share interned formulas, so each distinct node is
+    # evaluated once however many pairs it separates.
+    memo: _Memo = {}
     for (s, t), psi in formulas.items():
-        if (t, s) in verified:
-            continue
-        verified.add((s, t))
-        if satisfies(m, s, psi) == satisfies(m, t, psi):
+        ext = _eval_state(m, psi, memo)
+        if (s in ext) == (t in ext):
             raise InternalCheckError(f"synthesized formula fails to separate {s!r} and {t!r}")
     return EquivalenceReport("Lf", relation, partition, formulas)
 
@@ -404,8 +403,13 @@ def _lf_refinement(m: Nlmp) -> tuple[Partition, dict[tuple[str, str], StateFormu
     round's closed sets already differ on a recorded extension).
     """
     universe = m.universe
-    family: dict[StateSet, StateFormula] = {frozenset(m.states): Top()}
+    top = Top()
+    family: dict[StateSet, StateFormula] = {frozenset(m.states): top}
     formulas: dict[tuple[str, str], StateFormula] = {}
+    # Synthesized formulas, hash-consed: an equal DiamondMulti is the
+    # same object.  Each constraint is keyed by id(phi): every phi is a
+    # family formula, one object per extension, pinned by this table.
+    interned: dict[tuple, DiamondMulti] = {}
     # One evaluation memo for all synthesized formulas: each reuses
     # family formulas, whose extensions are the family's keys.
     memo: _Memo = {}
@@ -434,18 +438,20 @@ def _lf_refinement(m: Nlmp) -> tuple[Partition, dict[tuple[str, str], StateFormu
     def synthesize(s: str, t: str, label: str, mu: Measure) -> StateFormula:
         # mu leaves s under label and is unmatched in t's row.
         opponents = m.row(t, label)
-        constraints: list[Constraint] = []
+        bounds: dict[tuple, tuple] = {}
         if not opponents:
-            constraints.append(Constraint(">", ZERO, Top()))
+            bounds[(">", ZERO, id(top))] = (">", ZERO, top)
         else:
             for nu in opponents:
                 ext, phi = separator(mu, nu)
                 a_val, b_val = mu.value(ext), nu.value(ext)
                 op = ">" if a_val > b_val else "<"
-                c = Constraint(op, (a_val + b_val) / 2, phi)
-                if c not in constraints:
-                    constraints.append(c)
-        return DiamondMulti(label, tuple(constraints))
+                q = (a_val + b_val) / 2
+                bounds.setdefault((op, q, id(phi)), (op, q, phi))
+        key = (label, tuple(bounds))
+        if key not in interned:
+            interned[key] = DiamondMulti(label, tuple(Constraint(*b) for b in bounds.values()))
+        return interned[key]
 
     for lam, key, splits in refinement(m, traditional_signature):
         split_pairs = [

@@ -28,6 +28,7 @@ with rational thresholds written p/q, 0 or 1.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -83,6 +84,15 @@ def _numeral(digits: str, line: int | None, column: int | None = None) -> int:
         return int(digits)
     except ValueError:
         raise ModelSyntaxError(f"numeral of {len(digits)} digits is too long", line, column) from None
+
+
+def _rational_text(q: Fraction) -> str | None:
+    # str() refuses integers beyond the same limit, and an exact sum of
+    # numerals under it can exceed it; None stands for such a rational.
+    try:
+        return str(q)
+    except ValueError:
+        return None
 
 
 def _parse_rational(text: str, line_no: int) -> Fraction:
@@ -237,11 +247,20 @@ def _parse_trans(
         weights[target] = _parse_rational(w, line_no)
     total = sum(weights.values())
     if total != 1:
-        raise ModelSyntaxError(f"weights sum to {total}, expected 1", line_no)
+        text = _rational_text(total) or "a rational too long to print"
+        raise ModelSyntaxError(f"weights sum to {text}, expected 1", line_no)
     try:
-        return s, a, Measure.from_state_weights(sigma, weights)
+        mu = Measure.from_state_weights(sigma, weights)
     except DomainError as exc:
         raise ModelSyntaxError(str(exc), line_no) from exc
+    # An atom's weight sums its states' weights, and serialize_model
+    # prints it.  Its numerator and denominator have at most as many
+    # digits as the line's denominators together, so only a line longer
+    # than the int-string limit (0: none) can hold one that does not print.
+    limit = sys.get_int_max_str_digits()
+    if limit and sum(map(len, body)) > limit and any(_rational_text(w) is None for w in mu.weights):
+        raise ModelSyntaxError("an atom's accumulated weight is too long to print", line_no)
+    return s, a, mu
 
 
 # ---------------------------------------------------------------------------

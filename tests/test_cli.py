@@ -168,6 +168,35 @@ class TestInputBoundary:
         self.assert_one_error_line(err)
         assert "5000 digits" in err and "line 3" in err
 
+    # Two coprime 4000-digit denominators: each numeral is under the
+    # int-string limit, their exact sums are not.
+    P = 10**3999
+    Q = P + 1
+
+    def test_weight_sum_beyond_the_int_limit_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "sum.nlmp"
+        path.write_text(f"states s x y\nlabels a\ntrans s a x:1/{self.P} y:1/{self.Q}\n")
+        code, report, err = run(capsys, "validate", str(path))
+        assert code == 1
+        assert report is None
+        self.assert_one_error_line(err)
+        assert "weights sum to" in err and "line 3" in err
+
+    def test_accumulated_atom_weight_beyond_the_int_limit_is_a_usage_error(self, tmp_path, capsys):
+        # x and z share an atom, as do u and w: both atom weights have
+        # about 8000 digits, although every weight sums to 1 exactly.
+        P2, Q2 = 2 * self.P, 2 * self.Q
+        path = tmp_path / "coarse.nlmp"
+        path.write_text(
+            "states s x z u w\nlabels a\nsigma gen {x z} {u w} {s}\n"
+            f"trans s a x:1/{P2} u:{self.P - 1}/{P2} z:1/{Q2} w:{self.Q - 1}/{Q2}\n"
+        )
+        code, report, err = run(capsys, "validate", str(path))
+        assert code == 1
+        assert report is None
+        self.assert_one_error_line(err)
+        assert "too long to print" in err and "line 4" in err
+
     @pytest.mark.parametrize("threshold", [f"{'1' * 5000}/2", f"1/{'1' * 5000}"])
     def test_formula_numeral_beyond_the_int_limit_is_a_usage_error(self, capsys, threshold):
         formula = f"<a>[T]>={threshold}"

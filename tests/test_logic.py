@@ -309,15 +309,81 @@ class TestLogicalEquivalence:
             assert report.relation.pairs == largest_traditional(m).relation.pairs
 
     def test_each_unordered_pair_is_verified_once(self, monkeypatch):
+        # One logical_equivalence call verifies every pair with one memo:
+        # each distinct formula node is evaluated at most once, so its
+        # measure values stay within one pass over the distinct nodes and
+        # below what two satisfies calls per unordered pair took.
         import nlmp.logic
 
         calls = []
-        real = nlmp.logic.satisfies
-        monkeypatch.setattr(nlmp.logic, "satisfies", lambda m, s, phi: calls.append(s) or real(m, s, phi))
-        report = logical_equivalence(two_bounds_model(), "Lf")
-        # both ordered pairs share one formula; each side is evaluated once
-        assert len(report.formulas) == 20
-        assert len(calls) == len(report.formulas)
+        real_value = Measure.value
+        monkeypatch.setattr(Measure, "value", lambda mu, q: calls.append(mu) or real_value(mu, q))
+        synthesized = []
+        real_refinement = nlmp.logic._lf_refinement
+
+        def refinement(m):
+            out = real_refinement(m)
+            synthesized.append(len(calls))
+            return out
+
+        monkeypatch.setattr(nlmp.logic, "_lf_refinement", refinement)
+        rng = random.Random(511)
+        models = [two_bounds_model()] + [rand_valid_nlmp(rng, coarse=False) for _ in range(20)]
+        compared = 0
+        for m in models:
+            calls.clear()
+            synthesized.clear()
+            report = logical_equivalence(m, "Lf")
+            verification = len(calls) - synthesized[0]
+            nodes, stack = {}, list(report.formulas.values())
+            while stack:
+                f = stack.pop()
+                if id(f) in nodes:
+                    continue
+                nodes[id(f)] = f
+                if isinstance(f, And):
+                    stack += [f.left, f.right]
+                elif isinstance(f, DiamondMulti):
+                    stack += [c.phi for c in f.constraints]
+                else:
+                    assert isinstance(f, Top)
+            one_pass = sum(
+                len(f.constraints) * len({mu for s in m.states for mu in m.row(s, f.label)})
+                for f in nodes.values()
+                if isinstance(f, DiamondMulti)
+            )
+            assert verification <= one_pass
+            calls.clear()
+            pairs = {frozenset(pair): psi for pair, psi in report.formulas.items()}
+            for pair, psi in pairs.items():
+                for s in pair:
+                    satisfies(m, s, psi)
+            if len(pairs) > 1:
+                assert verification < len(calls)
+                compared += 1
+        assert compared > 10
+
+    def test_synthesized_formulas_are_interned(self):
+        # equal formulas are one object, however many pairs they separate
+        rng = random.Random(512)
+        shared = 0
+        for _ in range(40):
+            m = rand_valid_nlmp(rng, coarse=False)
+            formulas = list(logical_equivalence(m, "Lf").formulas.values())
+            assert len({id(f) for f in formulas}) == len(set(formulas))
+            shared += len(set(formulas)) < len(formulas) // 2
+        assert shared  # some formula separates several unordered pairs
+
+    def test_shared_formula_that_fails_one_pair_is_an_internal_error(self, monkeypatch):
+        # TWO_BOUNDS holds at s only: it separates s from t, not t from x
+        import nlmp.logic
+
+        m = two_bounds_model()
+        partition = tuple(frozenset([s]) for s in m.states)
+        formulas = {pair: TWO_BOUNDS for pair in (("s", "t"), ("t", "s"), ("t", "x"), ("x", "t"))}
+        monkeypatch.setattr(nlmp.logic, "_lf_refinement", lambda m: (partition, formulas))
+        with pytest.raises(InternalCheckError, match="'t' and 'x'"):
+            logical_equivalence(m, "Lf")
 
     def test_formula_that_fails_to_separate_is_an_internal_error(self, monkeypatch):
         import nlmp.logic
