@@ -1,6 +1,6 @@
 """Bisimulation checkers and greatest-fixpoint computers.
 
-Three notions are implemented, each with an independent code path:
+Three notions are implemented, each with an independent checker:
 
 * traditional: related states match transition measures one against one,
   modulo agreement on all r-closed measurable sets;
@@ -10,21 +10,22 @@ Three notions are implemented, each with an independent code path:
 * event: a sub-sigma-algebra on which the model is still a model, i.e.
   all hit preimages of its measure sets stay inside it.
 
-The three fixpoint computers share one partition-refinement kernel
-(`refinement`) and differ only in the signature that splits a block:
-the profile sets of the rows, the hit profile classes, and membership
-in the hit preimages.  Each starts from the total relation (the trivial
-sigma-algebra) and iterates a monotone operator; the inclusion order on
-relations transfers inversely to the induced sigma-algebras, which makes
-each step shrink (resp. grow) toward the greatest bisimilarity
-(smallest stable sigma-algebra).  Determinism everywhere comes from
-canonical state, label, and atom ordering.
+The three fixpoint computers read one partition refinement
+(`refinement`), computed once per model.  It splits blocks by the
+profile sets of the rows; the profile classes a row hits, and its
+membership in their hit preimages, carry the same information, so the
+state and event signatures would split every block identically
+(`tests/support.py` keeps them as oracles).  Refinement from the total
+relation (the trivial sigma-algebra) shrinks toward the greatest
+bisimilarity (grows toward the smallest stable sigma-algebra).
+Determinism everywhere comes from canonical state, label, and atom
+ordering.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Iterator
+from typing import Iterable
 
 from .errors import InternalCheckError, PreconditionError
 from .measurable import (
@@ -39,10 +40,6 @@ from .measures import Measure, Profile, profile, trace_classes
 from .model import Nlmp, diamond, hit_preimage, is_non_probabilistic, nlmp_validate
 
 Partition = tuple[StateSet, ...]
-# A signature maps one round's sigma-algebra to a key on states; the
-# kernel splits a block into the states of equal key.
-Key = Callable[[str], Hashable]
-Signature = Callable[[Nlmp, SigmaAlgebra], Key]
 
 
 @dataclass(frozen=True)
@@ -214,61 +211,42 @@ def traditional_signature(m: Nlmp, lam: SigmaAlgebra) -> RowProfiles:
     return RowProfiles(m, _profiles(m.pool, lam))
 
 
-def state_signature(m: Nlmp, lam: SigmaAlgebra) -> Key:
-    """Per label, the indices of the pool's lam-profile classes that a
-    state's transition set intersects."""
-    class_sets = [frozenset(c) for c in trace_classes(m.pool, lam)]
-
-    def key(s: str) -> tuple[frozenset[int], ...]:
-        return tuple(
-            frozenset(i for i, c in enumerate(class_sets) if not c.isdisjoint(m.row(s, a)))
-            for a in m.labels
-        )
-
-    return key
-
-
-def event_signature(m: Nlmp, lam: SigmaAlgebra) -> Key:
-    """Membership in the hit preimage, under every label, of every
-    lam-profile class of the pool."""
-    classes = trace_classes(m.pool, lam)
-    preimages = [hit_preimage(m, a, cls) for a in m.labels for cls in classes]
-    return lambda s: tuple(s in pre for pre in preimages)
-
-
-def refinement(
-    m: Nlmp, signature: Signature
-) -> Iterator[tuple[SigmaAlgebra, Key, list[list[list[str]]]]]:
+def refinement(m: Nlmp) -> tuple[tuple[SigmaAlgebra, RowProfiles, tuple], ...]:
     """Partition refinement from the total partition, one round at a time.
 
     Each round takes lam to be the sigma-algebra whose atoms are the
-    current blocks, splits every block by ``key = signature(m, lam)``
-    (states in universe order, sub-blocks in first-seen order) and
-    yields ``(lam, key, sub-blocks per block)``.  The last round yielded
-    is the first in which no block splits; its lam is the fixpoint.
+    current blocks, splits every block by ``key = traditional_signature(m,
+    lam)`` (states in universe order, sub-blocks in first-seen order) and
+    records ``(lam, key, sub-blocks per block)``.  The last round is the
+    first in which no block splits; its lam is the fixpoint.  The rounds
+    are computed once per model object and kept on it.
 
     On a valid model the rows are constant within the model's atoms, so
     every block stays a union of atoms and lam is exactly the r-closed
     sub-sigma-algebra of the blocks' equivalence.
     """
-    lam = SigmaAlgebra.trivial(m.universe)
-    while True:
-        key = signature(m, lam)
-        splits = []
-        for block in lam.atoms:
-            groups: dict[Hashable, list[str]] = {}
-            for s in m.universe.sort(block):
-                groups.setdefault(key(s), []).append(s)
-            splits.append(list(groups.values()))
-        yield lam, key, splits
-        if all(len(subs) == 1 for subs in splits):
-            return
-        lam = SigmaAlgebra(m.universe, tuple(frozenset(b) for subs in splits for b in subs))
+    if m._refinement is None:
+        rounds = []
+        lam = SigmaAlgebra.trivial(m.universe)
+        while True:
+            key = traditional_signature(m, lam)
+            splits = []
+            for block in lam.atoms:
+                groups: dict[tuple, list[str]] = {}
+                for s in m.universe.sort(block):
+                    groups.setdefault(key(s), []).append(s)
+                splits.append(tuple(map(tuple, groups.values())))
+            rounds.append((lam, key, tuple(splits)))
+            if all(len(subs) == 1 for subs in splits):
+                break
+            lam = SigmaAlgebra(m.universe, tuple(frozenset(b) for subs in splits for b in subs))
+        m._refinement = tuple(rounds)
+    return m._refinement
 
 
-def _fixpoint(kind: str, m: Nlmp, signature: Signature) -> BisimReport:
+def _fixpoint(kind: str, m: Nlmp) -> BisimReport:
     _require_valid(m)
-    rounds = [lam for lam, _, _ in refinement(m, signature)]
+    rounds = [lam for lam, _, _ in refinement(m)]
     lam = rounds[-1]
     return BisimReport(
         kind,
@@ -288,14 +266,14 @@ def largest_traditional(m: Nlmp) -> BisimReport:
     makes the limit the largest relation accepted by
     is_traditional_bisim.
     """
-    return _fixpoint("traditional", m, traditional_signature)
+    return _fixpoint("traditional", m)
 
 
 def largest_state(m: Nlmp) -> BisimReport:
     """Greatest fixpoint of the hit-class operator: states stay together
     while, for every label, their transition sets intersect exactly the
     same profile classes over the current partition."""
-    return _fixpoint("state", m, state_signature)
+    return _fixpoint("state", m)
 
 
 def smallest_stable_sigma(m: Nlmp) -> BisimReport:
@@ -305,7 +283,7 @@ def smallest_stable_sigma(m: Nlmp) -> BisimReport:
     The limit is the smallest sub-sigma-algebra on which the model is
     still a model; its inseparability relation is event bisimilarity.
     """
-    report = _fixpoint("event", m, event_signature)
+    report = _fixpoint("event", m)
     if not sigma_is_sub(report.sigma, m.sigma):
         raise InternalCheckError("stable sigma-algebra escaped the model's sigma-algebra")
     return report

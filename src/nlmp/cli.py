@@ -132,6 +132,7 @@ def _check(doc: ModelDocument, args) -> tuple[dict, int]:
 def _distinguish(doc: ModelDocument, args) -> tuple[dict, int]:
     try:
         phi = distinguish(doc.nlmp, args.s, args.t)
+        text = None if phi is None else formula_to_text(phi)
     except UnsupportedModelError as exc:
         return {"supported": False, "reason": str(exc)}, EXIT_UNSUPPORTED
     if phi is None:
@@ -140,7 +141,7 @@ def _distinguish(doc: ModelDocument, args) -> tuple[dict, int]:
     extension = eval_state(doc.nlmp, phi)
     result = {
         "equivalent": False,
-        "formula": formula_to_text(phi),
+        "formula": text,
         "satisfied_by": sorted(x for x in (args.s, args.t) if x in extension),
     }
     return result, EXIT_OK

@@ -34,4 +34,6 @@ class ModelSyntaxError(NlmpError, ValueError):
         where = ""
         if line is not None:
             where = f" at line {line}" + (f", column {column}" if column is not None else "")
+        elif column is not None:
+            where = f" at column {column}"
         super().__init__(message + where)

@@ -25,9 +25,9 @@ from fractions import Fraction
 from typing import ClassVar
 
 from .errors import DomainError, InternalCheckError, PreconditionError, UnsupportedModelError
-from .bisim import refinement, smallest_stable_sigma, traditional_signature
+from .bisim import refinement, smallest_stable_sigma
 from .measurable import Relation, StateSet
-from .measures import Measure, ZERO
+from .measures import Measure, ZERO, _rational_text
 from .model import Nlmp, hit_preimage, nlmp_validate
 
 Partition = tuple[StateSet, ...]
@@ -161,6 +161,13 @@ BOUNDS = {cls.op: cls for cls in (AtLeast, GreaterThan, LessThan, AtMost)}
 # Concrete syntax rendering (the parser lives in nlmp.parser)
 
 
+def _threshold_text(q: Fraction) -> str:
+    text = _rational_text(q)
+    if text is None:
+        raise UnsupportedModelError("a threshold of the formula is a rational too long to print")
+    return text
+
+
 def formula_to_text(f: StateFormula | MeasureFormula) -> str:
     if isinstance(f, Top):
         return "T"
@@ -173,7 +180,7 @@ def formula_to_text(f: StateFormula | MeasureFormula) -> str:
         return f"<{f.label}> {formula_to_text(f.body)}"
     if isinstance(f, DiamondMulti):
         parts = ", ".join(
-            f"{c.op}{c.threshold} {formula_to_text(c.phi)}" for c in f.constraints
+            f"{c.op}{_threshold_text(c.threshold)} {formula_to_text(c.phi)}" for c in f.constraints
         )
         return f"<{f.label}>[ {parts} ]"
     if isinstance(f, MOr):
@@ -192,7 +199,7 @@ def formula_to_text(f: StateFormula | MeasureFormula) -> str:
             inner = f"({inner})"
         return f"!{inner}"
     if isinstance(f, Bound):
-        return f"[{formula_to_text(f.phi)}]{f.op}{f.q}"
+        return f"[{formula_to_text(f.phi)}]{f.op}{_threshold_text(f.q)}"
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -453,7 +460,7 @@ def _lf_refinement(m: Nlmp) -> tuple[Partition, dict[tuple[str, str], StateFormu
             interned[key] = DiamondMulti(label, tuple(Constraint(*b) for b in bounds.values()))
         return interned[key]
 
-    for lam, key, splits in refinement(m, traditional_signature):
+    for lam, key, splits in refinement(m):
         split_pairs = [
             (s, t)
             for subs in splits

@@ -93,6 +93,15 @@ class Measure:
         return self.dirac_atom is not None
 
 
+def _rational_text(q: Fraction) -> str | None:
+    # str() refuses integers beyond sys.get_int_max_str_digits(), which
+    # an exact sum of shorter numerals can exceed; None stands for such.
+    try:
+        return str(q)
+    except ValueError:
+        return None
+
+
 def dirac(sigma: SigmaAlgebra, s: str) -> Measure:
     """Point mass at s: value 1 on exactly the measurable sets containing s."""
     if s not in sigma.universe:

@@ -60,6 +60,7 @@ class Nlmp:
         self._pool: tuple[Measure, ...] | None = None
         self._pool_set: frozenset[Measure] | None = None
         self._validation: ValidationReport | None = None
+        self._refinement: tuple | None = None  # nlmp.bisim.refinement
 
     @property
     def universe(self) -> Universe:

@@ -46,7 +46,7 @@ from .logic import (
     Top,
 )
 from .measurable import SigmaAlgebra, Universe, sigma_generate
-from .measures import Measure, dirac
+from .measures import Measure, _rational_text, dirac
 from .model import Lmp, Nlmp, lmp_embed
 
 # hashlib loads OpenSSL (several MiB of resident memory) just for the
@@ -84,15 +84,6 @@ def _numeral(digits: str, line: int | None, column: int | None = None) -> int:
         return int(digits)
     except ValueError:
         raise ModelSyntaxError(f"numeral of {len(digits)} digits is too long", line, column) from None
-
-
-def _rational_text(q: Fraction) -> str | None:
-    # str() refuses integers beyond the same limit, and an exact sum of
-    # numerals under it can exceed it; None stands for such a rational.
-    try:
-        return str(q)
-    except ValueError:
-        return None
 
 
 def _parse_rational(text: str, line_no: int) -> Fraction:
@@ -312,8 +303,10 @@ def _tokenize_formula(text: str) -> list[tuple[str, str, int]]:
     while pos < len(text):
         m = _FORMULA_TOKEN.match(text, pos)
         if not m:
-            if text[pos:].strip():
-                raise ModelSyntaxError(f"unexpected character {text[pos]!r}", None, pos + 1)
+            rest = text[pos:].lstrip()
+            if rest:
+                column = len(text) - len(rest) + 1
+                raise ModelSyntaxError(f"unexpected character {rest[0]!r}", None, column)
             break
         pos = m.end()
         if m.group("or"):

@@ -436,6 +436,50 @@ def event_bisim_direct(m: Nlmp, lam: SigmaAlgebra) -> bool:
     )
 
 
+def state_signature(m: Nlmp, lam: SigmaAlgebra):
+    """Per label, the indices of the pool's lam-profile classes that a
+    state's transition set intersects."""
+    class_sets = [frozenset(c) for c in trace_classes(m.pool, lam)]
+
+    def key(s: str) -> tuple[frozenset[int], ...]:
+        return tuple(
+            frozenset(i for i, c in enumerate(class_sets) if not c.isdisjoint(m.row(s, a)))
+            for a in m.labels
+        )
+
+    return key
+
+
+def event_signature(m: Nlmp, lam: SigmaAlgebra):
+    """Membership in the hit preimage, under every label, of every
+    lam-profile class of the pool."""
+    classes = trace_classes(m.pool, lam)
+    preimages = [hit_preimage(m, a, cls) for a in m.labels for cls in classes]
+    return lambda s: tuple(s in pre for pre in preimages)
+
+
+def refinement_under(m: Nlmp, signature) -> list[tuple[tuple[frozenset[str], ...], list[list[list[str]]]]]:
+    """The rounds of partition refinement from the total partition when
+    blocks are split by ``signature(m, lam)``, as (atoms of lam, sub-blocks
+    per block), with the states of a block in universe order and its
+    sub-blocks in first-seen order: the shape `nlmp.bisim.refinement`
+    records, computed without it."""
+    lam = SigmaAlgebra.trivial(m.universe)
+    rounds = []
+    while True:
+        key = signature(m, lam)
+        splits = []
+        for block in lam.atoms:
+            groups: dict = {}
+            for s in sorted(block, key=m.universe.index):
+                groups.setdefault(key(s), []).append(s)
+            splits.append(list(groups.values()))
+        rounds.append((lam.atoms, splits))
+        if all(len(subs) == 1 for subs in splits):
+            return rounds
+        lam = SigmaAlgebra(m.universe, tuple(frozenset(b) for subs in splits for b in subs))
+
+
 def lmp_validate_direct(l: Lmp) -> list[tuple[frozenset[str], Finding]]:
     """lmp_validate by literal quantification over every measurable set,
     each finding paired with the set whose value map it is about."""

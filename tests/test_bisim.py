@@ -17,6 +17,7 @@ from nlmp import (
     largest_state,
     largest_traditional,
     lmp_embed,
+    logical_equivalence,
     np_state_check,
     np_traditional_check,
     relation_of_sigma,
@@ -27,13 +28,16 @@ from support import (
     all_equivalences,
     compose,
     event_bisim_direct,
+    event_signature,
     lmp_bisimilarity,
     np_reach_model,
     np_state_direct,
     rand_lmp,
     rand_symmetric_relation,
     rand_valid_nlmp,
+    refinement_under,
     state_bisim_direct,
+    state_signature,
     subalgebras,
     two_bounds_model,
     two_bounds_measures,
@@ -265,6 +269,62 @@ class TestCompare:
         m = Nlmp(sig, ("a",), {("s", "a"): (dirac(sig, "x"),)})
         with pytest.raises(PreconditionError):
             compare_bisims(m)
+
+
+class TestRefinement:
+    def test_state_and_event_signatures_split_like_the_traditional_one(self):
+        # The library splits blocks by the traditional signature only;
+        # the state and event signatures, kept here as oracles, must give
+        # the same rounds: the same lam, the same splits, the same
+        # sub-block order.
+        rng = random.Random(1701)
+        for i in range(1200):
+            m = rand_valid_nlmp(rng, max_states=6, coarse=i % 2 == 1, dirac_only=i % 3 == 0)
+            kept = [
+                (lam.atoms, [[list(b) for b in subs] for subs in splits])
+                for lam, _, splits in nlmp.bisim.refinement(m)
+            ]
+            assert refinement_under(m, nlmp.bisim.traditional_signature) == kept
+            assert refinement_under(m, state_signature) == kept
+            assert refinement_under(m, event_signature) == kept
+
+    def test_one_refinement_serves_every_fixpoint(self, monkeypatch):
+        rng = random.Random(1702)
+        models = [two_bounds_model(), uniform_rows_model()]
+        models += [rand_valid_nlmp(rng, coarse=i % 2 == 1, dirac_only=i % 3 == 0) for i in range(20)]
+        real = nlmp.bisim.traditional_signature
+        calls = []
+
+        def counting(m, lam):
+            calls.append(lam)
+            return real(m, lam)
+
+        def forbidden(*args):
+            raise AssertionError("a fixpoint recomputed profile classes or hit preimages")
+
+        monkeypatch.setattr(nlmp.bisim, "traditional_signature", counting)
+        monkeypatch.setattr(nlmp.bisim, "trace_classes", forbidden)
+        monkeypatch.setattr(nlmp.bisim, "hit_preimage", forbidden)
+        for m in models:
+            calls.clear()
+            comparison = compare_bisims(m)
+            rounds = len(comparison.traditional.trace)
+            assert len(calls) == rounds
+            assert len(comparison.state.trace) == len(comparison.event.trace) == rounds
+            cached = nlmp.bisim.refinement(m)
+            largest_traditional(m)
+            largest_state(m)
+            smallest_stable_sigma(m)
+            logical_equivalence(m, "Lf")
+            assert len(calls) == rounds
+            assert nlmp.bisim.refinement(m) is cached
+
+    def test_refinement_is_kept_per_model_object(self):
+        m = two_bounds_model()
+        twin = two_bounds_model()
+        assert twin == m
+        assert nlmp.bisim.refinement(twin) is not nlmp.bisim.refinement(m)
+        assert nlmp.bisim.refinement(m) is nlmp.bisim.refinement(m)
 
 
 class TestNonProbabilisticCheckers:

@@ -206,6 +206,40 @@ class TestInputBoundary:
         self.assert_one_error_line(err)
         assert "5000 digits" in err
 
+    def test_distinguishing_threshold_beyond_the_int_limit_is_unsupported(self, tmp_path, capsys):
+        # s reaches {x, y} with probability 1/2P + 1/2Q and t never does;
+        # the midpoint threshold has about 8000 digits.
+        P2, Q2 = 2 * self.P, 2 * self.Q
+        path = tmp_path / "threshold.nlmp"
+        path.write_text(
+            "states s t x u y w\nlabels a b\n"
+            f"trans s a x:1/{P2} u:{self.P - 1}/{P2} y:1/{Q2} w:{self.Q - 1}/{Q2}\n"
+            "trans t a -> u\ntrans x b -> x\ntrans y b -> x\n"
+        )
+        assert run(capsys, "bisim", str(path))[0] == 0
+        code, report, err = run(capsys, "distinguish", str(path), "s", "t")
+        assert code == 6
+        assert err == ""
+        assert report["result"] == {
+            "supported": False,
+            "reason": "a threshold of the formula is a rational too long to print",
+        }
+
+    @pytest.mark.parametrize(
+        "formula,message",
+        [
+            ("<a> [T]>=1 & @", "unexpected character '@' at column 14"),
+            ("T &\t\t%", "unexpected character '%' at column 6"),
+            ("<a> [T]>>1", "expected a rational number at column 9"),
+            ("<a> [T]>=1 & <b>", "unexpected end of formula"),
+        ],
+    )
+    def test_formula_error_names_its_column_and_character(self, capsys, formula, message):
+        code, report, err = run(capsys, "check", corpus("uniform_rows.nlmp"), formula)
+        assert code == 1
+        assert report is None
+        assert err == f"error: {message}\n"
+
     def test_3000_conjuncts_are_a_usage_error(self, capsys):
         formula = " & ".join(["T"] * 3000)
         code, report, err = run(capsys, "check", corpus("uniform_rows.nlmp"), formula)
