@@ -23,7 +23,6 @@ from .measurable import (
 )
 from .measures import (
     Measure,
-    build_pool,
     dirac,
     profile,
     trace_classes,

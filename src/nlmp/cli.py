@@ -133,8 +133,14 @@ def _distinguish(doc: ModelDocument, args) -> tuple[dict, int]:
     try:
         phi = distinguish(doc.nlmp, args.s, args.t)
         text = None if phi is None else formula_to_text(phi)
+        if text is not None:
+            # Print only what `check` accepts, e.g. within the depth limit.
+            parse_state_formula(text)
     except UnsupportedModelError as exc:
         return {"supported": False, "reason": str(exc)}, EXIT_UNSUPPORTED
+    except ModelSyntaxError as exc:
+        reason = f"the distinguishing formula does not parse back: {exc}"
+        return {"supported": False, "reason": reason}, EXIT_UNSUPPORTED
     if phi is None:
         return {"equivalent": True}, EXIT_EQUIVALENT
     # distinguish re-verifies the formula before returning it.

@@ -274,16 +274,13 @@ def _eval_state(m: Nlmp, phi: StateFormula, memo: _Memo) -> StateSet:
         if phi.label not in m.labels:
             raise DomainError(f"unknown label {phi.label!r}")
         bounds = [(c, _eval_state(m, c.phi, memo)) for c in phi.constraints]
-        # Rows share measures: test each distinct one against the bounds once.
-        meets: dict[Measure, bool] = {}
-
-        def holds(mu: Measure) -> bool:
-            if mu not in meets:
-                meets[mu] = all(_bound_holds(mu.value(ext), c) for c, ext in bounds)
-            return meets[mu]
-
-        result = frozenset(
-            s for s in m.states if any(holds(mu) for mu in m.row(s, phi.label))
+        # Each distinct measure of the label's rows is tested once.
+        result = frozenset().union(
+            *(
+                states
+                for mu, states in m.holders[phi.label].items()
+                if all(_bound_holds(mu.value(ext), c) for c, ext in bounds)
+            )
         )
         _assert_measurable(m, result)
     else:

@@ -82,11 +82,9 @@ class Measure:
 
     @property
     def dirac_atom(self) -> StateSet | None:
-        """The single atom carrying weight 1, if any."""
-        for a, w in zip(self.sigma.atoms, self.weights):
-            if w == ONE:
-                return a
-        return None
+        """The single atom carrying weight 1, if any: a point mass has
+        exactly one atom of non-zero weight."""
+        return self._support[0][0] if len(self._support) == 1 else None
 
     @property
     def is_dirac(self) -> bool:
@@ -123,14 +121,6 @@ def profile(mu: Measure, lam: SigmaAlgebra) -> Profile:
     for a, w in mu._support:
         totals[lam.atom_index(next(iter(a)))] += w
     return tuple(totals)
-
-
-def build_pool(measures: Iterable[Measure]) -> tuple[Measure, ...]:
-    """Deduplicate by exact equality, preserving first-seen order."""
-    seen: dict[Measure, None] = {}
-    for mu in measures:
-        seen.setdefault(mu)
-    return tuple(seen)
 
 
 def trace_classes(pool: Sequence[Measure], lam: SigmaAlgebra) -> tuple[tuple[Measure, ...], ...]:

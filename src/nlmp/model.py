@@ -6,8 +6,9 @@ measures on its own sigma-algebra.  Validity means measurability of the
 transition map: every "hit" preimage of a measurable set of measures
 must itself be measurable.  On a finite model the candidate sets of
 measures are exactly the unions of profile classes of the transition
-pool, and because hit preimages distribute over unions it is enough to
-check each class on its own.
+pool; over the model's own sigma-algebra each class is a single
+measure, and because hit preimages distribute over unions it is enough
+to check each measure on its own.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, PreconditionError
 from .measurable import SigmaAlgebra, StateSet, Universe
-from .measures import Measure, build_pool, trace_classes
+from .measures import Measure
 
 Row = tuple[Measure, ...]
 
@@ -55,10 +56,20 @@ class Nlmp:
             if row:
                 rows[(s, a)] = row
         self._rows = rows
-        # Derived once per model and never invalidated: the rows are
-        # fixed at construction, so no cache outlives what it describes.
-        self._pool: tuple[Measure, ...] | None = None
-        self._pool_set: frozenset[Measure] | None = None
+        # One pass in canonical (state, label) order: the pool holds the
+        # distinct measures in first-seen order, and holders[a][mu] the
+        # states whose a-row holds mu.  The rows never change, so neither
+        # these nor the lazy caches below go stale.
+        pool: dict[Measure, None] = {}
+        holders: dict[str, dict[Measure, set[str]]] = {a: {} for a in self.labels}
+        for s in sigma.universe.states:
+            for a in self.labels:
+                for mu in rows.get((s, a), ()):
+                    pool[mu] = None
+                    holders[a].setdefault(mu, set()).add(s)
+        self.pool = tuple(pool)
+        self.pool_set = frozenset(pool)
+        self.holders = {a: {mu: frozenset(h) for mu, h in by_mu.items()} for a, by_mu in holders.items()}
         self._validation: ValidationReport | None = None
         self._refinement: tuple | None = None  # nlmp.bisim.refinement
 
@@ -76,23 +87,6 @@ class Nlmp:
         if a not in self.labels:
             raise DomainError(f"unknown label {a!r}")
         return self._rows.get((s, a), ())
-
-    @property
-    def pool(self) -> tuple[Measure, ...]:
-        """All distinct measures appearing in some transition, in
-        first-seen order over (state, label) in canonical order."""
-        if self._pool is None:
-            self._pool = build_pool(
-                mu for s in self.states for a in self.labels for mu in self.row(s, a)
-            )
-        return self._pool
-
-    @property
-    def pool_set(self) -> frozenset[Measure]:
-        """The pool as a set, for membership tests."""
-        if self._pool_set is None:
-            self._pool_set = frozenset(self.pool)
-        return self._pool_set
 
     def transition_items(self) -> list[tuple[tuple[str, str], Row]]:
         return [
@@ -193,11 +187,13 @@ def nlmp_validate(m: Nlmp) -> ValidationReport:
     `Nlmp` rejects measures over another sigma-algebra.)
 
     Measurability quantifies over unions of profile classes of the pool
-    (the traces of the measurable sets of measures); since the hit
-    preimage of a union is the union of the hit preimages and measurable
-    sets are closed under union, checking the single classes decides all
-    unions.  The first failing class is reported as the witness.  The
-    report is computed once per model object and kept on it.
+    (the traces of the measurable sets of measures).  Over the model's
+    own sigma-algebra distinct measures have distinct profiles, so each
+    class is one measure; since the hit preimage of a union is the union
+    of the hit preimages and measurable sets are closed under union,
+    checking the single measures decides all unions.  Each failing
+    measure is reported with its preimage as the witness.  The report is
+    computed once per model object and kept on it.
     """
     if m._validation is None:
         m._validation = _nlmp_findings(m)
@@ -206,17 +202,16 @@ def nlmp_validate(m: Nlmp) -> ValidationReport:
 
 def _nlmp_findings(m: Nlmp) -> ValidationReport:
     findings: list[Finding] = []
-    classes = trace_classes(m.pool, m.sigma)
     for a in m.labels:
-        for cls in classes:
-            pre = hit_preimage(m, a, cls)
+        for mu in m.pool:
+            pre = hit_preimage(m, a, (mu,))
             if not m.sigma.is_measurable(pre):
                 findings.append(
                     Finding(
                         "error",
                         "hit preimage of a measurable set of measures is not measurable",
                         label=a,
-                        xi=cls,
+                        xi=(mu,),
                         witness_set=pre,
                     )
                 )
@@ -272,7 +267,7 @@ def lmp_embed(l: Lmp, validate: bool = True) -> Nlmp:
 def is_non_probabilistic(m: Nlmp) -> bool:
     """True iff every transition measure is a point mass (weight 1 on a
     single atom)."""
-    return all(mu.is_dirac for _, row in m.transition_items() for mu in row)
+    return all(mu.is_dirac for mu in m.pool)
 
 
 def hit_preimage(m: Nlmp, a: str, xi: Iterable[Measure]) -> StateSet:
@@ -282,7 +277,8 @@ def hit_preimage(m: Nlmp, a: str, xi: Iterable[Measure]) -> StateSet:
     xi = frozenset(xi)
     if not xi <= m.pool_set:
         raise DomainError("xi contains a measure outside the model's pool")
-    return frozenset(s for s in m.states if not xi.isdisjoint(m.row(s, a)))
+    holders = m.holders[a]
+    return frozenset().union(*(holders.get(mu, ()) for mu in xi))
 
 
 def diamond(m: Nlmp, a: str, q: Iterable[str]) -> StateSet:
@@ -297,11 +293,6 @@ def diamond(m: Nlmp, a: str, q: Iterable[str]) -> StateSet:
     if a not in m.labels:
         raise DomainError(f"unknown label {a!r}")
     q = m.universe.check_subset(q)
-    hit = set()
-    for s in m.states:
-        for mu in m.row(s, a):
-            atom = mu.dirac_atom
-            if atom is not None and atom & q:
-                hit.add(s)
-                break
-    return frozenset(hit)
+    return frozenset().union(
+        *(states for mu, states in m.holders[a].items() if mu.dirac_atom & q)
+    )

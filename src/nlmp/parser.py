@@ -336,6 +336,7 @@ class _TooDeep(ModelSyntaxError):
 class _FormulaParser:
     def __init__(self, text: str):
         self.tokens = _tokenize_formula(text)
+        self.end = len(text) + 1  # the column one past the text
         self.pos = 0
         self.depth = 0
 
@@ -346,7 +347,7 @@ class _FormulaParser:
     def take(self) -> tuple[str, str, int]:
         tok = self.peek()
         if tok is None:
-            raise ModelSyntaxError("unexpected end of formula")
+            raise ModelSyntaxError("unexpected end of formula", None, self.end)
         self.pos += 1
         return tok
 
@@ -445,7 +446,7 @@ class _FormulaParser:
     def measure_term(self) -> MeasureFormula:
         tok = self.peek()
         if tok is None:
-            raise ModelSyntaxError("unexpected end of formula")
+            raise ModelSyntaxError("unexpected end of formula", None, self.end)
         if tok[1] == "!":
             self.take()
             return MNot(self.nested(self.measure_term))

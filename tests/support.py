@@ -32,10 +32,8 @@ from nlmp import (
     SigmaAlgebra,
     Top,
     Universe,
-    diamond,
     dirac,
     eval_state,
-    hit_preimage,
     profile,
     sigma_of_relation,
     trace_classes,
@@ -415,10 +413,10 @@ def state_bisim_direct(m: Nlmp, r: Relation) -> bool:
     """State bisimulation by literal quantification over every union of
     the pool's profile classes over the r-closed sub-sigma-algebra:
     related states must lie on the same side of every hit preimage."""
-    classes = trace_classes(m.pool, sigma_of_relation(m.sigma, r))
+    classes = trace_classes(scan_pool(m), sigma_of_relation(m.sigma, r))
     for xi in _class_unions(classes):
         for a in m.labels:
-            pre = hit_preimage(m, a, xi)
+            pre = scan_hit_preimage(m, a, xi)
             if any((s in pre) != (t in pre) for s, t in r.pairs):
                 return False
     return True
@@ -428,9 +426,9 @@ def event_bisim_direct(m: Nlmp, lam: SigmaAlgebra) -> bool:
     """Event bisimulation by literal quantification over every union of
     the pool's lam-profile classes: every hit preimage must be
     lam-measurable."""
-    classes = trace_classes(m.pool, lam)
+    classes = trace_classes(scan_pool(m), lam)
     return all(
-        lam.is_measurable(hit_preimage(m, a, xi))
+        lam.is_measurable(scan_hit_preimage(m, a, xi))
         for a in m.labels
         for xi in _class_unions(classes)
     )
@@ -439,7 +437,7 @@ def event_bisim_direct(m: Nlmp, lam: SigmaAlgebra) -> bool:
 def state_signature(m: Nlmp, lam: SigmaAlgebra):
     """Per label, the indices of the pool's lam-profile classes that a
     state's transition set intersects."""
-    class_sets = [frozenset(c) for c in trace_classes(m.pool, lam)]
+    class_sets = [frozenset(c) for c in trace_classes(scan_pool(m), lam)]
 
     def key(s: str) -> tuple[frozenset[int], ...]:
         return tuple(
@@ -453,8 +451,8 @@ def state_signature(m: Nlmp, lam: SigmaAlgebra):
 def event_signature(m: Nlmp, lam: SigmaAlgebra):
     """Membership in the hit preimage, under every label, of every
     lam-profile class of the pool."""
-    classes = trace_classes(m.pool, lam)
-    preimages = [hit_preimage(m, a, cls) for a in m.labels for cls in classes]
+    classes = trace_classes(scan_pool(m), lam)
+    preimages = [scan_hit_preimage(m, a, cls) for a in m.labels for cls in classes]
     return lambda s: tuple(s in pre for pre in preimages)
 
 
@@ -504,7 +502,7 @@ def np_state_direct(m: Nlmp, r: Relation) -> CheckResult:
     pairs = sorted(r.pairs, key=lambda p: (index(p[0]), index(p[1])))
     for q in sorted(measurable_sets(sig_r), key=lambda q: (len(q), sorted(q))):
         for a in m.labels:
-            reach = diamond(m, a, q)
+            reach = scan_diamond(m, a, q)
             for s, t in pairs:
                 if (s in reach) != (t in reach):
                     return CheckResult(False, DiamondWitness(s, t, a, q))
@@ -553,16 +551,17 @@ def sublogic_extensions(m: Nlmp, depth: int) -> set[frozenset[str]]:
     intersection enumerates every reachable extension without touching
     the (unbounded) syntax.
     """
+    pool = scan_pool(m)
     exts: set[frozenset[str]] = {frozenset(m.states)}
     for _ in range(depth):
         new = set(exts)
         for a in m.labels:
             base: set[frozenset] = set()
             for ext in exts:
-                for q in relevant_thresholds(m.pool, ext):
-                    base.add(frozenset(mu for mu in m.pool if mu.value(ext) > q))
-                    base.add(frozenset(mu for mu in m.pool if mu.value(ext) < q))
-            filters = {frozenset(m.pool)} | base
+                for q in relevant_thresholds(pool, ext):
+                    base.add(frozenset(mu for mu in pool if mu.value(ext) > q))
+                    base.add(frozenset(mu for mu in pool if mu.value(ext) < q))
+            filters = {frozenset(pool)} | base
             while True:
                 more = set(filters)
                 for f1 in filters:
@@ -591,7 +590,7 @@ def single_bound_separates(m: Nlmp, s: str, t: str, depth: int = 2) -> bool:
     extensions and the threshold over the pool-relevant rationals."""
     for ext in sublogic_extensions(m, depth):
         for a in m.labels:
-            for q in relevant_thresholds(m.pool, ext):
+            for q in relevant_thresholds(scan_pool(m), ext):
                 for op in (">", "<"):
                     sat = frozenset(
                         w
@@ -660,6 +659,63 @@ def dense_profile(mu: Measure, lam: SigmaAlgebra) -> tuple[Fraction, ...]:
     )
 
 
+def build_pool(measures) -> tuple[Measure, ...]:
+    """Deduplicate by exact equality, preserving first-seen order."""
+    seen: dict[Measure, None] = {}
+    for mu in measures:
+        seen.setdefault(mu)
+    return tuple(seen)
+
+
+def scan_pool(m: Nlmp) -> tuple[Measure, ...]:
+    """Nlmp.pool by a scan of every row: the distinct transition
+    measures in first-seen order over (state, label)."""
+    return build_pool(mu for s in m.states for a in m.labels for mu in m.row(s, a))
+
+
+def scan_hit_preimage(m: Nlmp, a: str, xi) -> frozenset[str]:
+    """hit_preimage as a scan of every state's row under a."""
+    if a not in m.labels:
+        raise DomainError(f"unknown label {a!r}")
+    xi = frozenset(xi)
+    if not xi <= frozenset(scan_pool(m)):
+        raise DomainError("xi contains a measure outside the model's pool")
+    return frozenset(s for s in m.states if not xi.isdisjoint(m.row(s, a)))
+
+
+def scan_diamond(m: Nlmp, a: str, q) -> frozenset[str]:
+    """diamond as a scan of every state's row under a for a point mass
+    whose atom meets q."""
+    if not all(scan_dirac_atom(mu) is not None for mu in scan_pool(m)):
+        raise PreconditionError("diamond is only defined on non-probabilistic models")
+    if a not in m.labels:
+        raise DomainError(f"unknown label {a!r}")
+    q = m.universe.check_subset(q)
+    return frozenset(s for s in m.states if any(scan_dirac_atom(mu) & q for mu in m.row(s, a)))
+
+
+def scan_dirac_atom(mu: Measure):
+    """Measure.dirac_atom as a scan of every dense weight for a 1."""
+    for a, w in zip(mu.sigma.atoms, mu.weights):
+        if w == 1:
+            return a
+    return None
+
+
+def class_findings(m: Nlmp) -> tuple[Finding, ...]:
+    """nlmp_validate's findings by testing, per label, the scanned hit
+    preimage of every profile class of the pool over the model's own
+    sigma-algebra."""
+    findings = []
+    for a in m.labels:
+        for cls in trace_classes(scan_pool(m), m.sigma):
+            pre = scan_hit_preimage(m, a, cls)
+            if not all_atoms_is_measurable(m.sigma, pre):
+                message = "hit preimage of a measurable set of measures is not measurable"
+                findings.append(Finding("error", message, label=a, xi=cls, witness_set=pre))
+    return tuple(findings)
+
+
 def rand_coarsening(rng: random.Random, sigma: SigmaAlgebra) -> SigmaAlgebra:
     """A random sub-sigma-algebra: a random partition of sigma's atoms,
     each block merged into one atom."""
@@ -700,7 +756,7 @@ def tree_eval_state(m: Nlmp, phi) -> frozenset[str]:
     if isinstance(phi, And):
         return tree_eval_state(m, phi.left) & tree_eval_state(m, phi.right)
     if isinstance(phi, Diamond):
-        result = hit_preimage(m, phi.label, tree_eval_measure(m, phi.body))
+        result = scan_hit_preimage(m, phi.label, tree_eval_measure(m, phi.body))
         _tree_assert_measurable(m, result)
         return result
     if isinstance(phi, DiamondMulti):
@@ -730,7 +786,7 @@ def tree_eval_measure(m: Nlmp, psi) -> frozenset[Measure]:
             out |= tree_eval_measure(m, item)
         return out
     if isinstance(psi, MNot):
-        return frozenset(m.pool) - tree_eval_measure(m, psi.item)
+        return frozenset(scan_pool(m)) - tree_eval_measure(m, psi.item)
     ext = tree_eval_state(m, psi.phi)
     keep = {
         AtLeast: lambda v: v >= psi.q,
@@ -738,7 +794,7 @@ def tree_eval_measure(m: Nlmp, psi) -> frozenset[Measure]:
         LessThan: lambda v: v < psi.q,
         AtMost: lambda v: v <= psi.q,
     }[type(psi)]
-    return frozenset(mu for mu in m.pool if keep(dense_value(mu, ext)))
+    return frozenset(mu for mu in scan_pool(m) if keep(dense_value(mu, ext)))
 
 
 # ---------------------------------------------------------------------------

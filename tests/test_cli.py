@@ -13,6 +13,7 @@ from nlmp import (
     satisfies,
     trace_classes,
 )
+from nlmp import parser
 from nlmp.cli import main
 from support import two_bounds_model
 
@@ -231,7 +232,8 @@ class TestInputBoundary:
             ("<a> [T]>=1 & @", "unexpected character '@' at column 14"),
             ("T &\t\t%", "unexpected character '%' at column 6"),
             ("<a> [T]>>1", "expected a rational number at column 9"),
-            ("<a> [T]>=1 & <b>", "unexpected end of formula"),
+            ("<a> [T]>=1 & <b>", "unexpected end of formula at column 17"),
+            ("<a> [T]>=", "unexpected end of formula at column 10"),
         ],
     )
     def test_formula_error_names_its_column_and_character(self, capsys, formula, message):
@@ -381,6 +383,45 @@ class TestDistinguishCommand:
         assert is_traditional_bisim(m, largest.relation)
         two_merged = [["s0_0", "s0_1"], ["s2_0", "s2_1"], ["s1_0", "s1_1", "s3_0", "s3_1"]]
         assert not is_traditional_bisim(m, Relation.from_partition(m.universe, two_merged))
+
+
+def chain_model(n: int) -> str:
+    """c0 -a-> c1 -a-> ... -a-> c(n-1): c0 and c1 are separated only by a
+    formula nesting n - 1 diamonds."""
+    lines = ["states " + " ".join(f"c{i}" for i in range(n)), "labels a"]
+    lines += [f"trans c{i} a -> c{i + 1}" for i in range(n - 1)]
+    return "\n".join(lines) + "\n"
+
+
+class TestDistinguishDepth:
+    def test_formula_too_deep_for_check_is_unsupported(self, tmp_path, capsys):
+        path = tmp_path / "chain105.nlmp"
+        path.write_text(chain_model(105))
+        code, report, err = run(capsys, "distinguish", str(path), "c0", "c1")
+        assert code == 6
+        assert err == ""
+        assert report["result"] == {
+            "supported": False,
+            "reason": "the distinguishing formula does not parse back: "
+            "formula nests deeper than 100 levels at column 1011",
+        }
+
+    def test_depth_limit_decides_what_is_printed(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "chain6.nlmp"
+        path.write_text(chain_model(6))
+        code, report, _ = run(capsys, "distinguish", str(path), "c0", "c1")
+        assert code == 0
+        formula = report["result"]["formula"]
+        assert run(capsys, "check", str(path), formula, "--state", "c0")[0] == 0
+        monkeypatch.setattr(parser, "MAX_FORMULA_DEPTH", 3)
+        code, report, err = run(capsys, "distinguish", str(path), "c0", "c1")
+        assert code == 6
+        assert err == ""
+        assert report["result"]["supported"] is False
+        assert "nests deeper than 3 levels" in report["result"]["reason"]
+        code, _, err = run(capsys, "check", str(path), formula)
+        assert code == 1
+        assert "nests deeper than 3 levels" in err
 
 
 class TestExitCodeMap:

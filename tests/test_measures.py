@@ -13,7 +13,6 @@ from nlmp import (
     PreconditionError,
     SigmaAlgebra,
     Universe,
-    build_pool,
     dirac,
     profile,
     sigma_of_relation,
@@ -22,6 +21,7 @@ from nlmp import (
 from support import (
     BoundSpec,
     all_atoms_is_measurable,
+    build_pool,
     dense_profile,
     dense_value,
     in_delta_set,

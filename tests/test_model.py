@@ -11,7 +11,6 @@ from nlmp import (
     PreconditionError,
     SigmaAlgebra,
     Universe,
-    build_pool,
     diamond,
     dirac,
     hit_preimage,
@@ -24,6 +23,8 @@ from nlmp import (
 )
 from support import (
     atom_split_model,
+    build_pool,
+    class_findings,
     coarse_valid_model,
     delta_trace_family,
     lmp_validate_direct,
@@ -36,6 +37,10 @@ from support import (
     rand_universe,
     rand_valid_nlmp,
     row_constant_on_atoms,
+    scan_diamond,
+    scan_dirac_atom,
+    scan_hit_preimage,
+    scan_pool,
     subalgebras,
     two_bounds_model,
     two_bounds_measures,
@@ -208,6 +213,51 @@ class TestDiamond:
     def test_probabilistic_model_rejected(self):
         with pytest.raises(PreconditionError):
             diamond(two_bounds_model(), "a", {"x"})
+
+
+class TestHoldersIndex:
+    """The pool and per-label holders built once at construction answer
+    exactly what a scan of every row answers."""
+
+    @staticmethod
+    def models(rng: random.Random):
+        # Valid (some point-mass) and possibly invalid models, each also
+        # with an extra label that has no rows at all.
+        for i in range(600):
+            if i % 3 == 0:
+                m = rand_any_nlmp(rng)
+            else:
+                m = rand_valid_nlmp(rng, coarse=rng.random() < 0.5, dirac_only=i % 3 == 2)
+            yield m
+            yield Nlmp(m.sigma, m.labels + ("z",), dict(m.transition_items()))
+
+    def test_lookups_match_their_row_scans(self):
+        rng = random.Random(307)
+        point_mass = invalid = empty_label = 0
+        for m in self.models(rng):
+            assert m.pool == scan_pool(m)
+            assert m.pool_set == frozenset(scan_pool(m))
+            for a in m.labels:
+                xi = [mu for mu in m.pool if rng.random() < 0.5]
+                assert hit_preimage(m, a, xi) == scan_hit_preimage(m, a, xi)
+                for mu in m.pool:
+                    assert hit_preimage(m, a, (mu,)) == scan_hit_preimage(m, a, (mu,))
+                empty_label += not any(m.row(s, a) for s in m.states)
+            for mu in m.pool:
+                assert mu.dirac_atom == scan_dirac_atom(mu)
+            point = all(scan_dirac_atom(mu) is not None for mu in scan_pool(m))
+            assert is_non_probabilistic(m) == point
+            if point:
+                point_mass += 1
+                states = m.states
+                for a in m.labels:
+                    for mask in range(2 ** len(states)):
+                        q = {x for i, x in enumerate(states) if mask >> i & 1}
+                        assert diamond(m, a, q) == scan_diamond(m, a, q)
+            report = nlmp_validate(m)
+            assert report.findings == class_findings(m)
+            invalid += not report.valid
+        assert point_mass > 200 and invalid > 50 and empty_label > 600
 
 
 class TestDiracSubspace:
