@@ -6,9 +6,8 @@ measures on its own sigma-algebra.  Validity means measurability of the
 transition map: every "hit" preimage of a measurable set of measures
 must itself be measurable.  On a finite model the candidate sets of
 measures are exactly the unions of profile classes of the transition
-pool; over the model's own sigma-algebra each class is a single
-measure, and because hit preimages distribute over unions it is enough
-to check each measure on its own.
+pool, and because hit preimages distribute over unions it is enough to
+check each class on its own.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, PreconditionError
 from .measurable import SigmaAlgebra, StateSet, Universe
-from .measures import Measure
+from .measures import Measure, trace_classes
 
 Row = tuple[Measure, ...]
 
@@ -187,13 +186,12 @@ def nlmp_validate(m: Nlmp) -> ValidationReport:
     `Nlmp` rejects measures over another sigma-algebra.)
 
     Measurability quantifies over unions of profile classes of the pool
-    (the traces of the measurable sets of measures).  Over the model's
-    own sigma-algebra distinct measures have distinct profiles, so each
-    class is one measure; since the hit preimage of a union is the union
-    of the hit preimages and measurable sets are closed under union,
-    checking the single measures decides all unions.  Each failing
-    measure is reported with its preimage as the witness.  The report is
-    computed once per model object and kept on it.
+    (the traces of the measurable sets of measures); since the hit
+    preimage of a union is the union of the hit preimages and measurable
+    sets are closed under union, checking the single classes decides all
+    unions.  Each failing class is reported with its preimage as the
+    witness.  The report is computed once per model object and kept on
+    it.
     """
     if m._validation is None:
         m._validation = _nlmp_findings(m)
@@ -202,16 +200,17 @@ def nlmp_validate(m: Nlmp) -> ValidationReport:
 
 def _nlmp_findings(m: Nlmp) -> ValidationReport:
     findings: list[Finding] = []
+    classes = trace_classes(m.pool, m.sigma)
     for a in m.labels:
-        for mu in m.pool:
-            pre = hit_preimage(m, a, (mu,))
+        for cls in classes:
+            pre = hit_preimage(m, a, cls)
             if not m.sigma.is_measurable(pre):
                 findings.append(
                     Finding(
                         "error",
                         "hit preimage of a measurable set of measures is not measurable",
                         label=a,
-                        xi=(mu,),
+                        xi=cls,
                         witness_set=pre,
                     )
                 )

@@ -10,6 +10,7 @@ import pytest
 from nlmp import (
     DomainError,
     Measure,
+    Nlmp,
     PreconditionError,
     SigmaAlgebra,
     Universe,
@@ -374,5 +375,7 @@ class TestTraceClasses:
     def test_pool_deduplicates_by_exact_equality(self, xyz):
         mu = Measure.from_state_weights(xyz, {"x": F(2, 4), "y": F(1, 2)})
         nu = Measure.from_state_weights(xyz, {"x": F(1, 2), "y": F(1, 2)})
-        assert build_pool([mu, nu]) == (mu,)
+        m = Nlmp(xyz, ("a",), {("x", "a"): (mu,), ("y", "a"): (nu,)})
+        assert m.pool == (mu,)
+        assert m.pool_set == {nu}
         assert mu == nu
