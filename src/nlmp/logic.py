@@ -9,9 +9,11 @@ requires one and the same transition measure to satisfy several
 probability bounds at once; a single bound per modality is strictly
 weaker on nondeterministic models.
 
-Synthesis walks the bisimulation refinement: whenever two states split,
+Synthesis walks the bisimulation refinement: whenever a block splits,
+each pair of its sub-blocks gets one formula, which separates every
+state of one from every state of the other.  On two representatives,
 one unmatched transition measure is pinned down against every measure
-on the other side by already-synthesized formulas, with a rational
+on the other side by formulas of earlier rounds, with a rational
 midpoint threshold for each, and the bounds are packed into one
 multi-constraint diamond.  Every synthesized formula is re-checked by
 the evaluator before it is handed out.
@@ -22,6 +24,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, product
 from typing import ClassVar
 
 from .errors import DomainError, InternalCheckError, PreconditionError, UnsupportedModelError
@@ -398,13 +401,19 @@ def distinguish(m: Nlmp, s: str, t: str) -> StateFormula | None:
 
 
 def _lf_refinement(m: Nlmp) -> tuple[Partition, dict[tuple[str, str], StateFormula]]:
-    """Partition refinement with formula synthesis.
+    """Partition refinement with formula synthesis, one formula per split.
 
-    Invariant: after every round the current partition is exactly the
-    indistinguishability relation of the formulas synthesized so far
-    (kept, with their extensions, in a family closed under conjunction,
-    so that any two measures differing on a set built from the current
-    round's closed sets already differ on a recorded extension).
+    For each pair of sub-blocks (left, right) of a splitting block, one
+    formula is synthesized on left[0] and right[0] and recorded for all
+    of left x right.  It separates them all, by induction on rounds: the
+    family of recorded extensions grows only between rounds, so within a
+    round every family extension is a union of the round's blocks (the
+    atoms of lam), whether a bound holds of a measure depends only on its
+    profile over lam, and all states of one sub-block have equal profile
+    sets.  Two measures with different profiles always have a separator:
+    the family contains the universe, is closed under intersection and
+    generates lam (its indistinguishability classes are the blocks), so
+    by the pi-lambda theorem measures agreeing on it agree on lam.
     """
     universe = m.universe
     top = Top()
@@ -417,8 +426,6 @@ def _lf_refinement(m: Nlmp) -> tuple[Partition, dict[tuple[str, str], StateFormu
     # One evaluation memo for all synthesized formulas: each reuses
     # family formulas, whose extensions are the family's keys.
     memo: _Memo = {}
-    # The family in separator order; emptied whenever the family grows.
-    ordered: list[StateSet] = []
 
     def family_add(ext: StateSet, phi: StateFormula) -> None:
         queue = [(ext, phi)]
@@ -428,16 +435,7 @@ def _lf_refinement(m: Nlmp) -> tuple[Partition, dict[tuple[str, str], StateFormu
                 continue
             family[e] = f
             memo[id(f)] = (f, e)
-            ordered.clear()
             queue.extend((e & e2, And(f, f2)) for e2, f2 in list(family.items()))
-
-    def separator(mu: Measure, nu: Measure) -> tuple[StateSet, StateFormula]:
-        if not ordered:
-            ordered.extend(sorted(family, key=lambda e: (len(e), sorted(universe.index(x) for x in e))))
-        for ext in ordered:
-            if mu.value(ext) != nu.value(ext):
-                return ext, family[ext]
-        raise InternalCheckError("no recorded formula separates two distinct measures")
 
     def synthesize(s: str, t: str, label: str, mu: Measure) -> StateFormula:
         # mu leaves s under label and is unmatched in t's row.
@@ -445,28 +443,26 @@ def _lf_refinement(m: Nlmp) -> tuple[Partition, dict[tuple[str, str], StateFormu
         bounds: dict[tuple, tuple] = {}
         if not opponents:
             bounds[(">", ZERO, id(top))] = (">", ZERO, top)
-        else:
-            for nu in opponents:
-                ext, phi = separator(mu, nu)
-                a_val, b_val = mu.value(ext), nu.value(ext)
-                op = ">" if a_val > b_val else "<"
-                q = (a_val + b_val) / 2
-                bounds.setdefault((op, q, id(phi)), (op, q, phi))
+        for nu in opponents:
+            ext = next((e for e in ordered if mu.value(e) != nu.value(e)), None)
+            if ext is None:
+                raise InternalCheckError("no recorded formula separates two distinct measures")
+            phi = family[ext]
+            a_val, b_val = mu.value(ext), nu.value(ext)
+            op = ">" if a_val > b_val else "<"
+            q = (a_val + b_val) / 2
+            bounds.setdefault((op, q, id(phi)), (op, q, phi))
         key = (label, tuple(bounds))
         if key not in interned:
             interned[key] = DiamondMulti(label, tuple(Constraint(*b) for b in bounds.values()))
         return interned[key]
 
     for lam, key, splits in refinement(m):
-        split_pairs = [
-            (s, t)
-            for subs in splits
-            for i, left in enumerate(subs)
-            for right in subs[i + 1 :]
-            for s in left
-            for t in right
-        ]
-        for s, t in split_pairs:
+        # The family in separator order: it grows only between rounds.
+        ordered = sorted(family, key=lambda e: (len(e), sorted(universe.index(x) for x in e)))
+        new: list[StateFormula] = []
+        for left, right in (pair for subs in splits for pair in combinations(subs, 2)):
+            s, t = left[0], right[0]
             for a, hs, ht in zip(m.labels, key(s), key(t)):
                 if hs != ht:
                     x, y, only = (s, t, hs - ht) if hs - ht else (t, s, ht - hs)
@@ -475,7 +471,9 @@ def _lf_refinement(m: Nlmp) -> tuple[Partition, dict[tuple[str, str], StateFormu
                     break
             else:
                 raise InternalCheckError("split without a hit-class mismatch")
-            formulas[(s, t)] = psi
-            formulas[(t, s)] = psi
+            for s, t in product(left, right):
+                formulas[(s, t)] = formulas[(t, s)] = psi
+            new.append(psi)
+        for psi in new:
             family_add(_eval_state(m, psi, memo), psi)
     return lam.atoms, formulas

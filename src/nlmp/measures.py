@@ -75,8 +75,8 @@ class Measure:
 
     def value(self, q: Iterable[str]) -> Fraction:
         """Measure of a measurable set: the sum of its atoms' weights."""
-        q = self.sigma.universe.check_subset(q)
-        if not self.sigma.is_measurable(q):
+        q = frozenset(q)
+        if not self.sigma.is_measurable(q):  # also rejects states outside the universe
             raise DomainError(f"set {sorted(q)} is not measurable")
         return sum((w for a, w in self._support if a <= q), ZERO)
 

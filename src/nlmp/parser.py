@@ -98,9 +98,9 @@ def _parse_rational(text: str, line_no: int) -> Fraction:
 
 def parse_model(text: str) -> ModelDocument:
     kind = "nlmp"
-    states: list[str] | None = None
+    universe: Universe | None = None
     labels: list[str] | None = None
-    sigma_spec: list[list[str]] | str | None = None
+    sigma: SigmaAlgebra | None = None
     trans_lines: list[tuple[int, list[str]]] = []
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -112,28 +112,36 @@ def parse_model(text: str) -> ModelDocument:
         if head in ("nlmp", "lmp"):
             if rest:
                 raise ModelSyntaxError(f"unexpected tokens after {head!r} header", line_no)
-            if states is not None or trans_lines:
+            if universe is not None or trans_lines:
                 raise ModelSyntaxError("header must come first", line_no)
             kind = head
         elif head == "states":
-            if states is not None:
+            if universe is not None:
                 raise ModelSyntaxError("duplicate states line", line_no)
             if not rest:
                 raise ModelSyntaxError("states line needs at least one state", line_no)
-            states = rest
+            try:
+                universe = Universe(tuple(rest))
+            except DomainError as exc:
+                raise ModelSyntaxError(str(exc), line_no) from exc
         elif head == "labels":
             if labels is not None:
                 raise ModelSyntaxError("duplicate labels line", line_no)
+            if len(set(rest)) != len(rest):
+                raise ModelSyntaxError("duplicate labels", line_no)
             labels = rest
         elif head == "sigma":
-            if states is None:
+            if universe is None:
                 raise ModelSyntaxError("sigma line must come after the states line", line_no)
-            if sigma_spec is not None:
+            if sigma is not None:
                 raise ModelSyntaxError("duplicate sigma line", line_no)
             if rest == ["powerset"]:
-                sigma_spec = "powerset"
+                sigma = SigmaAlgebra.powerset(universe)
             elif rest and rest[0] == "gen":
-                sigma_spec = _parse_generators(rest[1:], line_no)
+                try:
+                    sigma = sigma_generate(universe, _parse_generators(rest[1:], line_no))
+                except DomainError as exc:
+                    raise ModelSyntaxError(str(exc), line_no) from exc
             else:
                 raise ModelSyntaxError("expected 'sigma powerset' or 'sigma gen {..} ..'", line_no)
         elif head == "trans":
@@ -141,45 +149,38 @@ def parse_model(text: str) -> ModelDocument:
         else:
             raise ModelSyntaxError(f"unknown directive {head!r}", line_no)
 
-    if states is None:
+    if universe is None:
         raise ModelSyntaxError("missing states line", len(text.splitlines()) or 1)
     if labels is None:
         raise ModelSyntaxError("missing labels line", len(text.splitlines()) or 1)
-    try:
-        universe = Universe(tuple(states))
-        if sigma_spec is None or sigma_spec == "powerset":
-            sigma = SigmaAlgebra.powerset(universe)
-        else:
-            sigma = sigma_generate(universe, [frozenset(g) for g in sigma_spec])
-    except DomainError as exc:
-        raise ModelSyntaxError(str(exc)) from exc
+    if sigma is None:
+        sigma = SigmaAlgebra.powerset(universe)
 
     rows: dict[tuple[str, str], list[Measure]] = {}
     for line_no, rest in trans_lines:
         s, a, mu = _parse_trans(rest, universe, sigma, set(labels), line_no)
         rows.setdefault((s, a), []).append(mu)
 
-    try:
-        if kind == "lmp":
-            kernels: dict[tuple[str, str], Measure] = {}
-            for (s, a), measures in rows.items():
-                if len(measures) > 1:
+    # Every DomainError the constructors below could raise was ruled
+    # out at its line.
+    if kind == "lmp":
+        kernels: dict[tuple[str, str], Measure] = {}
+        for (s, a), measures in rows.items():
+            if len(measures) > 1:
+                raise ModelSyntaxError(
+                    f"deterministic model has several transitions for ({s}, {a})"
+                )
+            kernels[(s, a)] = measures[0]
+        for s in universe:
+            for a in labels:
+                if (s, a) not in kernels:
                     raise ModelSyntaxError(
-                        f"deterministic model has several transitions for ({s}, {a})"
+                        f"deterministic model is missing the transition for ({s}, {a})"
                     )
-                kernels[(s, a)] = measures[0]
-            for s in universe:
-                for a in labels:
-                    if (s, a) not in kernels:
-                        raise ModelSyntaxError(
-                            f"deterministic model is missing the transition for ({s}, {a})"
-                        )
-            lmp = Lmp(sigma, labels, kernels)
-            return ModelDocument("lmp", lmp_embed(lmp, validate=False), lmp)
-        nlmp = Nlmp(sigma, labels, {k: tuple(v) for k, v in rows.items()})
-        return ModelDocument("nlmp", nlmp, None)
-    except DomainError as exc:
-        raise ModelSyntaxError(str(exc)) from exc
+        lmp = Lmp(sigma, labels, kernels)
+        return ModelDocument("lmp", lmp_embed(lmp, validate=False), lmp)
+    nlmp = Nlmp(sigma, labels, {k: tuple(v) for k, v in rows.items()})
+    return ModelDocument("nlmp", nlmp, None)
 
 
 def _parse_generators(tokens: list[str], line_no: int) -> list[list[str]]:

@@ -169,6 +169,23 @@ class TestInputBoundary:
         self.assert_one_error_line(err)
         assert "5000 digits" in err and "line 3" in err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("states s s\nlabels a\n", "universe contains duplicate state identifiers at line 1"),
+            ("states s t\nlabels a a\n", "duplicate labels at line 2"),
+            ("states s t\nlabels a\nsigma gen {s} {u}\n", "state 'u' is not in the universe at line 3"),
+        ],
+    )
+    def test_model_error_names_its_line(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.nlmp"
+        path.write_text(text)
+        code, report, err = run(capsys, "validate", str(path))
+        assert code == 1
+        assert report is None
+        self.assert_one_error_line(err)
+        assert err == f"error: {message}\n"
+
     # Two coprime 4000-digit denominators: each numeral is under the
     # int-string limit, their exact sums are not.
     P = 10**3999

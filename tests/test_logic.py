@@ -55,6 +55,7 @@ from support import (
     uniform_rows_model,
 )
 from nlmp import lmp_embed
+from nlmp.bisim import refinement
 
 PHI_X = Diamond("b", AtLeast(Top(), F(1)))
 TWO_BOUNDS = DiamondMulti(
@@ -373,6 +374,20 @@ class TestLogicalEquivalence:
             assert len({id(f) for f in formulas}) == len(set(formulas))
             shared += len(set(formulas)) < len(formulas) // 2
         assert shared  # some formula separates several unordered pairs
+
+    def test_one_formula_per_pair_of_sub_blocks(self):
+        # each split of the refinement is explained by one formula, shared
+        # by every pair of states across the two sub-blocks
+        rng = random.Random(520)
+        for i in range(200):
+            m = rand_valid_nlmp(rng, coarse=i % 2 == 0)
+            formulas = logical_equivalence(m, "Lf").formulas
+            for _, _, splits in refinement(m):
+                for subs in splits:
+                    for left, right in combinations(subs, 2):
+                        pairs = [(s, t) for s in left for t in right]
+                        pairs += [(t, s) for s, t in pairs]
+                        assert len({id(formulas[p]) for p in pairs}) == 1
 
     def test_shared_formula_that_fails_one_pair_is_an_internal_error(self, monkeypatch):
         # TWO_BOUNDS holds at s only: it separates s from t, not t from x
