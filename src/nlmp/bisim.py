@@ -248,9 +248,11 @@ def _fixpoint(kind: str, m: Nlmp) -> BisimReport:
     _require_valid(m)
     rounds = [lam for lam, _, _ in refinement(m)]
     lam = rounds[-1]
+    if m._bisimilarity is None:
+        m._bisimilarity = relation_of_sigma(lam)
     return BisimReport(
         kind,
-        relation_of_sigma(lam),
+        m._bisimilarity,
         lam.atoms,
         tuple(r.atoms for r in rounds),
         sigma=lam if kind == "event" else None,

@@ -237,6 +237,8 @@ def relation_of_sigma(lam: SigmaAlgebra) -> Relation:
 def sigma_is_sub(lam: SigmaAlgebra, sigma: SigmaAlgebra) -> bool:
     """True iff every lam-measurable set is sigma-measurable, i.e. sigma's
     atoms refine lam's."""
+    if lam is sigma:
+        return True
     if lam.universe != sigma.universe:
         raise DomainError("sigma-algebras live on different universes")
     # The lam atoms partition the universe, so an atom of sigma lies in

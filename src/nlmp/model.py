@@ -16,15 +16,18 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, PreconditionError
-from .measurable import SigmaAlgebra, StateSet, Universe
+from .measurable import Relation, SigmaAlgebra, StateSet, Universe
 from .measures import Measure, trace_classes
 
 Row = tuple[Measure, ...]
 
 
 def _canonical_row(measures: Iterable[Measure]) -> Row:
+    # Ordered as the dense weight tuples would be: at the first atom
+    # where two measures differ, the one without weight there has its
+    # next support entry at a later atom, hence a smaller -index.
     uniq = {mu: None for mu in measures}
-    return tuple(sorted(uniq, key=lambda mu: mu.weights))
+    return tuple(sorted(uniq, key=lambda mu: tuple((-i, w) for i, w in mu.support)))
 
 
 class Nlmp:
@@ -48,7 +51,7 @@ class Nlmp:
                 raise DomainError(f"unknown label {a!r} in transitions")
             row = _canonical_row(measures)
             for mu in row:
-                if mu.sigma != sigma:
+                if mu.sigma is not sigma and mu.sigma != sigma:
                     raise DomainError(
                         f"transition measure at ({s!r}, {a!r}) is not over the model's sigma-algebra"
                     )
@@ -71,6 +74,7 @@ class Nlmp:
         self.holders = {a: {mu: frozenset(h) for mu, h in by_mu.items()} for a, by_mu in holders.items()}
         self._validation: ValidationReport | None = None
         self._refinement: tuple | None = None  # nlmp.bisim.refinement
+        self._bisimilarity: Relation | None = None  # nlmp.bisim._fixpoint
 
     @property
     def universe(self) -> Universe:

@@ -86,8 +86,11 @@ def _numeral(digits: str, line: int | None, column: int | None = None) -> int:
         raise ModelSyntaxError(f"numeral of {len(digits)} digits is too long", line, column) from None
 
 
+_RATIONAL = re.compile(r"(\d+)(?:/(\d+))?")
+
+
 def _parse_rational(text: str, line_no: int) -> Fraction:
-    m = re.fullmatch(r"(\d+)(?:/(\d+))?", text)
+    m = _RATIONAL.fullmatch(text)
     if not m:
         raise ModelSyntaxError(f"expected a rational number, got {text!r}", line_no)
     num, den = _numeral(m.group(1), line_no), _numeral(m.group(2) or "1", line_no)
@@ -250,7 +253,7 @@ def _parse_trans(
     # digits as the line's denominators together, so only a line longer
     # than the int-string limit (0: none) can hold one that does not print.
     limit = sys.get_int_max_str_digits()
-    if limit and sum(map(len, body)) > limit and any(_rational_text(w) is None for w in mu.weights):
+    if limit and sum(map(len, body)) > limit and any(_rational_text(w) is None for _, w in mu.support):
         raise ModelSyntaxError("an atom's accumulated weight is too long to print", line_no)
     return s, a, mu
 
@@ -263,11 +266,8 @@ def _measure_text(mu: Measure) -> str:
     atom = mu.dirac_atom
     if atom is not None:
         return "-> " + min(atom, key=mu.sigma.universe.index)
-    parts = []
-    for a, w in zip(mu.sigma.atoms, mu.weights):
-        if w:
-            parts.append(f"{min(a, key=mu.sigma.universe.index)}:{w}")
-    return " ".join(parts)
+    atoms, index = mu.sigma.atoms, mu.sigma.universe.index
+    return " ".join(f"{min(atoms[i], key=index)}:{w}" for i, w in mu.support)
 
 
 def serialize_model(doc: ModelDocument) -> str:

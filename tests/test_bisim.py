@@ -263,6 +263,22 @@ class TestCompare:
         assert comparison.all_equal
         assert comparison.traditional.partition == (frozenset({"only"}),)
 
+    def test_one_relation_serves_every_fixpoint(self, monkeypatch):
+        real = nlmp.bisim.relation_of_sigma
+        calls = []
+
+        def counting(lam):
+            calls.append(lam)
+            return real(lam)
+
+        monkeypatch.setattr(nlmp.bisim, "relation_of_sigma", counting)
+        m = two_bounds_model()
+        comparison = compare_bisims(m)
+        assert comparison.traditional.relation is comparison.state.relation
+        assert comparison.state.relation is comparison.event.relation
+        assert largest_state(m).relation is comparison.state.relation
+        assert len(calls) == 1
+
     def test_invalid_model_rejected(self):
         u = Universe(("s", "t", "x"))
         sig = SigmaAlgebra(u, (frozenset({"s", "t"}), frozenset({"x"})))

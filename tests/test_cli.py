@@ -450,6 +450,20 @@ class TestExitCodeMap:
         assert main(["--help"]) == 0
         capsys.readouterr()
 
+    def test_parser_is_built_once_per_process(self, capsys, monkeypatch):
+        import nlmp.cli as cli_mod
+
+        def forbidden():
+            raise AssertionError("the argument parser was rebuilt")
+
+        assert main(["bogus"]) == 1
+        monkeypatch.setattr(cli_mod, "build_parser", forbidden)
+        assert main(["validate", corpus("two_bounds_needed.nlmp")]) == 0
+        assert main(["bogus"]) == 1
+        assert main(["validate"]) == 1
+        assert main(["--help"]) == 0
+        capsys.readouterr()
+
     def test_internal_invariant_violation_maps_to_3(self, capsys, monkeypatch):
         from nlmp.errors import InternalCheckError
         import nlmp.cli as cli_mod

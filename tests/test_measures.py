@@ -224,13 +224,41 @@ class TestProfile:
             assert measures_related(mu, nu, lam) == same_everywhere
 
 
+def spread_over_states(mu: Measure) -> dict:
+    """mu's weights spread evenly over the states of each atom."""
+    by_state = {}
+    for a, w in zip(mu.sigma.atoms, mu.weights):
+        for s in a:
+            by_state[s] = w / len(a)
+    return by_state
+
+
 class TestMeasureHash:
-    def test_hash_is_the_dataclass_hash(self):
+    def test_hash_agrees_with_equality_on_seeded_models(self):
         rng = random.Random(604)
         for _ in range(100):
             m = rand_valid_nlmp(rng, max_states=6, coarse=rng.random() < 0.5)
+            sig = m.sigma
             for mu in m.pool:
-                assert hash(mu) == hash((mu.sigma, mu.weights))
+                same = [
+                    Measure(sig, mu.weights),
+                    Measure.from_atom_weights(sig, {sig.atoms[i]: w for i, w in mu.support}),
+                    Measure.from_state_weights(sig, spread_over_states(mu)),
+                    pickle.loads(pickle.dumps(mu)),
+                ]
+                if mu.is_dirac:
+                    same.append(dirac(sig, min(mu.dirac_atom)))
+                for nu in same:
+                    assert nu == mu and hash(nu) == hash(mu)
+                for nu in m.pool:
+                    assert (nu == mu) == (nu.weights == mu.weights)
+                    assert (nu != mu) == (nu.weights != mu.weights)
+
+    def test_same_support_over_another_sigma_algebra_is_unequal(self):
+        xy = powerset("x", "y")
+        assert dirac(xy, "x") != dirac(powerset("x", "z"), "x")
+        assert dirac(xy, "x") != dirac(SigmaAlgebra.trivial(xy.universe), "x")
+        assert dirac(xy, "x") == dirac(powerset("x", "y"), "x")
 
     def test_equal_measures_from_every_constructor_hash_equal(self):
         rng = random.Random(605)
@@ -240,16 +268,10 @@ class TestMeasureHash:
                 universe, tuple(frozenset(b) for b in rand_partition(rng, list(universe)))
             )
             mu = rand_measure(rng, sig)
-            # the same weights spread over the states of each atom
-            by_state = {}
-            for a, w in zip(sig.atoms, mu.weights):
-                states = sorted(a)
-                for s in states:
-                    by_state[s] = w / len(states)
             same = [
                 Measure(sig, tuple(str(w) for w in mu.weights)),
                 Measure.from_atom_weights(sig, dict(zip(sig.atoms, mu.weights))),
-                Measure.from_state_weights(sig, by_state),
+                Measure.from_state_weights(sig, spread_over_states(mu)),
             ]
             for nu in same:
                 assert nu == mu and hash(nu) == hash(mu)
@@ -379,3 +401,102 @@ class TestTraceClasses:
         assert m.pool == (mu,)
         assert m.pool_set == {nu}
         assert mu == nu
+
+
+class TestConstruction:
+    def test_state_weight_outside_unit_interval_rejected(self):
+        # each atom total lies in [0, 1] and the totals sum to 1
+        sig = SigmaAlgebra(Universe(("x", "y", "z")), (frozenset({"x", "y"}), frozenset({"z"})))
+        for by_state in ({"x": F(3, 2), "y": F(-1, 2)}, {"x": F(-1, 2), "y": F(1, 2), "z": F(1)}):
+            with pytest.raises(DomainError):
+                Measure.from_state_weights(sig, by_state)
+        assert Measure.from_state_weights(sig, {"x": F(1, 2), "y": F(1, 2)}) == dirac(sig, "x")
+
+    def test_atom_weights_outside_unit_interval_or_not_summing_to_one_rejected(self):
+        xy = powerset("x", "y")
+        for weights in ((F(3, 2), F(-1, 2)), (F(1, 2), F(1, 4)), (F(1),), (1, 0, 0)):
+            with pytest.raises(DomainError):
+                Measure(xy, weights)
+        with pytest.raises(DomainError):
+            Measure.from_atom_weights(xy, {frozenset({"x"}): F(3, 2), frozenset({"y"}): F(-1, 2)})
+
+    def test_unknown_states_and_atoms_rejected(self, xyz):
+        with pytest.raises(DomainError):
+            Measure.from_state_weights(xyz, {"nope": F(1)})
+        for key in (frozenset({"x", "y"}), frozenset({"nope"}), frozenset()):
+            with pytest.raises(DomainError):
+                Measure.from_atom_weights(xyz, {key: F(1)})
+
+    def test_measures_are_immutable(self, xyz):
+        mu = dirac(xyz, "x")
+        with pytest.raises(AttributeError):
+            mu.support = ()
+        with pytest.raises(AttributeError):
+            mu.weights = (F(1), F(0), F(0))
+
+
+def random_state_split(rng: random.Random, mu: Measure) -> dict:
+    """mu's weights split at random over the states of each atom."""
+    by_state = {}
+    for i, w in mu.support:
+        states = sorted(mu.sigma.atoms[i])
+        raw = [rng.randint(0, 3) for _ in states]
+        if not any(raw):
+            raw[rng.randrange(len(raw))] = 1
+        for s, r in zip(states, raw):
+            if r or rng.random() < 0.5:  # zero weights may be given or left out
+                by_state[s] = w * F(r, sum(raw))
+    return by_state
+
+
+class TestSparseForm:
+    def test_sparse_and_dense_constructors_agree(self):
+        rng = random.Random(2101)
+        for i in range(150):
+            universe = rand_universe(rng, max_states=6)
+            sig = SigmaAlgebra(
+                universe, tuple(frozenset(b) for b in rand_partition(rng, list(universe)))
+            ) if i % 2 else SigmaAlgebra.powerset(universe)
+            lam = rand_coarsening(rng, sig)
+            dense = [rand_measure(rng, sig) for _ in range(rng.randint(1, 5))]
+            dense.append(Measure(sig, tuple(int(k == 0) for k in range(len(sig.atoms)))))
+            built = []
+            for mu in dense:
+                forms = [
+                    Measure.from_atom_weights(sig, {sig.atoms[k]: w for k, w in mu.support}),
+                    Measure.from_state_weights(sig, random_state_split(rng, mu)),
+                    pickle.loads(pickle.dumps(mu)),
+                ]
+                if mu.is_dirac:
+                    forms.append(dirac(sig, rng.choice(sorted(mu.dirac_atom))))
+                for nu in forms:
+                    assert nu == mu and hash(nu) == hash(mu)
+                    assert nu.support == mu.support and nu.weights == mu.weights
+                    assert (nu.dirac_atom, nu.is_dirac) == (mu.dirac_atom, mu.is_dirac)
+                    assert profile(nu, lam) == dense_profile(mu, lam)
+                    for q in measurable_sets(sig):
+                        assert nu.value(q) == measure_eval(mu, q) == dense_value(mu, q)
+                built.append(rng.choice(forms))
+            # rows are ordered as the dense weight vectors would be
+            rng.shuffle(built)
+            m = Nlmp(sig, ("a",), {(universe.states[0], "a"): built})
+            expected = sorted(build_pool(dense), key=lambda mu: mu.weights)
+            assert [nu.weights for nu in m.row(universe.states[0], "a")] == [
+                mu.weights for mu in expected
+            ]
+
+    def test_point_masses_on_many_atoms_store_only_their_support(self):
+        sig = SigmaAlgebra.powerset(Universe(tuple(f"s{i}" for i in range(10_000))))
+        measures = {
+            ((7_777, F(1)),): dirac(sig, "s7777"),
+            ((3, F(1, 3)), (9_000, F(2, 3))): Measure.from_state_weights(
+                sig, {"s9000": F(2, 3), "s3": F(1, 3)}
+            ),
+            ((42, F(1)),): Measure.from_atom_weights(sig, {frozenset({"s42"}): F(1)}),
+        }
+        for support, mu in measures.items():
+            assert not hasattr(mu, "__dict__")
+            assert mu.sigma is sig and mu.support == support
+            stored = [getattr(mu, name) for name in type(mu).__slots__]
+            assert [x for x in stored if isinstance(x, tuple)] == [support]
+            assert len(mu.weights) == 10_000 and sum(mu.weights) == 1
