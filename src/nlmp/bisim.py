@@ -17,7 +17,10 @@ membership in their hit preimages, carry the same information, so the
 state and event signatures would split every block identically
 (`tests/support.py` keeps them as oracles).  Refinement from the total
 relation (the trivial sigma-algebra) shrinks toward the greatest
-bisimilarity (grows toward the smallest stable sigma-algebra).
+bisimilarity (grows toward the smallest stable sigma-algebra).  A round
+compares profiles by small-int ids, one pass over each pool measure's
+support; the dense `profile` and `trace_classes` serve the independent
+checkers and validation.
 Determinism everywhere comes from canonical state, label, and atom
 ordering.
 """
@@ -25,7 +28,7 @@ ordering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from fractions import Fraction
 
 from .errors import InternalCheckError, PreconditionError
 from .measurable import (
@@ -36,7 +39,7 @@ from .measurable import (
     sigma_is_sub,
     sigma_of_relation,
 )
-from .measures import Measure, Profile, profile, trace_classes
+from .measures import Measure, profile, trace_classes
 from .model import Nlmp, diamond, hit_preimage, is_non_probabilistic, nlmp_validate
 
 Partition = tuple[StateSet, ...]
@@ -126,10 +129,6 @@ def _ordered_pairs(r: Relation) -> list[tuple[str, str]]:
     return sorted(r.pairs, key=lambda p: (idx(p[0]), idx(p[1])))
 
 
-def _profiles(measures: Iterable[Measure], lam: SigmaAlgebra) -> dict[Measure, Profile]:
-    return {mu: profile(mu, lam) for mu in measures}
-
-
 def is_traditional_bisim(m: Nlmp, r: Relation) -> CheckResult:
     """One-against-one matching of transition measures.
 
@@ -139,7 +138,7 @@ def is_traditional_bisim(m: Nlmp, r: Relation) -> CheckResult:
     """
     _require_symmetric(r)
     sig_r = sigma_of_relation(m.sigma, r)
-    prof = _profiles(m.pool, sig_r)
+    prof = {mu: profile(mu, sig_r) for mu in m.pool}
     for s, t in _ordered_pairs(r):
         for a in m.labels:
             targets = {prof[nu] for nu in m.row(t, a)}
@@ -195,20 +194,48 @@ def is_event_bisim(m: Nlmp, lam: SigmaAlgebra) -> CheckResult:
 
 @dataclass(frozen=True)
 class RowProfiles:
-    """The traditional signature over one sigma-algebra; the profiles of
-    the whole pool are kept for formula synthesis."""
+    """The traditional signature over one sigma-algebra.  ``profiles``
+    maps each pool measure to a small-int id, equal for two measures iff
+    their profiles over the sigma-algebra are; synthesis reads it to find
+    a measure of a given class."""
 
     m: Nlmp
-    profiles: dict[Measure, Profile]
+    profiles: dict[Measure, int]
 
-    def __call__(self, s: str) -> tuple[frozenset[Profile], ...]:
+    def __call__(self, s: str) -> tuple[frozenset[int], ...]:
         return tuple(frozenset(self.profiles[mu] for mu in self.m.row(s, a)) for a in self.m.labels)
 
 
 def traditional_signature(m: Nlmp, lam: SigmaAlgebra) -> RowProfiles:
-    """Per label, the set of lam-profiles of a state's row: two states
-    keep the same key iff their rows match measure against measure."""
-    return RowProfiles(m, _profiles(m.pool, lam))
+    """Per label, the set of lam-profile ids of a state's row: two states
+    keep the same key iff their rows match measure against measure.
+
+    The guard that lam is a sub-sigma-algebra of the model's runs once,
+    then ``block[i]`` gives the lam atom of model atom ``i`` and each
+    pool measure costs one pass over its support.  A profile is keyed by
+    its block index when all its mass lies in one block, and otherwise
+    by its ``(block, numerator, denominator)`` triples in block order,
+    which is exact since a Fraction is kept in lowest terms; each key is
+    interned to a small int.
+    """
+    if not sigma_is_sub(lam, m.sigma):
+        raise PreconditionError("profile requires a sub-sigma-algebra of the measure's")
+    index = lam._atom_index
+    block = [index[next(iter(a))] for a in m.sigma.atoms]
+    ids: dict[object, int] = {}
+    profiles: dict[Measure, int] = {}
+    for mu in m.pool:
+        support = mu.support
+        k = block[support[0][0]]
+        if len(support) > 1:
+            totals: dict[int, Fraction] = {}
+            for i, w in support:
+                j = block[i]
+                totals[j] = totals[j] + w if j in totals else w
+            if len(totals) > 1:
+                k = tuple(x for j in sorted(totals) for x in (j, totals[j].numerator, totals[j].denominator))
+        profiles[mu] = ids.setdefault(k, len(ids))
+    return RowProfiles(m, profiles)
 
 
 def refinement(m: Nlmp) -> tuple[tuple[SigmaAlgebra, RowProfiles, tuple], ...]:
@@ -217,7 +244,9 @@ def refinement(m: Nlmp) -> tuple[tuple[SigmaAlgebra, RowProfiles, tuple], ...]:
     Each round takes lam to be the sigma-algebra whose atoms are the
     current blocks, splits every block by ``key = traditional_signature(m,
     lam)`` (states in universe order, sub-blocks in first-seen order) and
-    records ``(lam, key, sub-blocks per block)``.  The last round is the
+    records ``(lam, key, sub-blocks per block)``.  A round costs one
+    sub-sigma-algebra check, one pass over each pool measure's support
+    and one key of small ints per state.  The last round is the
     first in which no block splits; its lam is the fixpoint.  The rounds
     are computed once per model object and kept on it.
 

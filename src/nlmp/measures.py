@@ -13,6 +13,7 @@ profile classes.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, PreconditionError
@@ -25,6 +26,30 @@ Profile = tuple[Fraction, ...]
 Support = tuple[tuple[int, Fraction], ...]
 
 
+def _rational_text(q: Fraction) -> str | None:
+    # str() refuses integers beyond sys.get_int_max_str_digits(), which
+    # an exact sum of shorter numerals can exceed; None stands for such.
+    try:
+        return str(q)
+    except ValueError:
+        return None
+
+
+def _shown(q: Fraction) -> str:
+    """q as an error message prints it."""
+    return _rational_text(q) or "a rational too long to print"
+
+
+def _exact_sum(weights: Iterable[Fraction]) -> Fraction:
+    """The sum of the weights, added as integers over the lcm of their
+    denominators and reduced once."""
+    weights = tuple(weights)
+    if len(weights) == 1:
+        return weights[0]
+    den = lcm(*[w.denominator for w in weights])
+    return Fraction(sum(w.numerator * (den // w.denominator) for w in weights), den)
+
+
 def _unit_weight(w, state: str | None = None) -> Fraction:
     """w as a Fraction, or DomainError unless 0 <= w <= 1."""
     if type(w) is not Fraction:
@@ -32,7 +57,7 @@ def _unit_weight(w, state: str | None = None) -> Fraction:
     # Fraction keeps its denominator positive.
     if w.numerator < 0 or w.numerator > w.denominator:
         owner = "atom" if state is None else f"state {state!r}"
-        raise DomainError(f"{owner} weight {w} outside [0, 1]")
+        raise DomainError(f"{owner} weight {_shown(w)} outside [0, 1]")
     return w
 
 
@@ -70,15 +95,14 @@ class Measure:
 
     def _settle(self, sigma: SigmaAlgebra, items: Iterable[tuple[int, Fraction]]) -> None:
         support = []
-        total = ZERO
         for i, w in items:
             w = _unit_weight(w)
             if w:
                 support.append((i, w))
-                total = total + w if total else w
-        if total != ONE:
-            raise DomainError(f"atom weights sum to {total}, expected 1")
         support = tuple(support)
+        total = _exact_sum(w for _, w in support)
+        if total != ONE:
+            raise DomainError(f"atom weights sum to {_shown(total)}, expected 1")
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "_hash", hash(support))
@@ -156,15 +180,6 @@ class Measure:
     @property
     def is_dirac(self) -> bool:
         return len(self.support) == 1
-
-
-def _rational_text(q: Fraction) -> str | None:
-    # str() refuses integers beyond sys.get_int_max_str_digits(), which
-    # an exact sum of shorter numerals can exceed; None stands for such.
-    try:
-        return str(q)
-    except ValueError:
-        return None
 
 
 def dirac(sigma: SigmaAlgebra, s: str) -> Measure:

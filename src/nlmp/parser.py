@@ -46,7 +46,7 @@ from .logic import (
     Top,
 )
 from .measurable import SigmaAlgebra, Universe, sigma_generate
-from .measures import Measure, _rational_text, dirac
+from .measures import Measure, _exact_sum, _rational_text, _shown, dirac
 from .model import Lmp, Nlmp, lmp_embed
 
 # hashlib loads OpenSSL (several MiB of resident memory) just for the
@@ -160,8 +160,11 @@ def parse_model(text: str) -> ModelDocument:
         sigma = SigmaAlgebra.powerset(universe)
 
     rows: dict[tuple[str, str], list[Measure]] = {}
+    label_set = set(labels)
+    # Weight text -> Fraction: models repeat a few weights on many lines.
+    rationals: dict[str, Fraction] = {}
     for line_no, rest in trans_lines:
-        s, a, mu = _parse_trans(rest, universe, sigma, set(labels), line_no)
+        s, a, mu = _parse_trans(rest, universe, sigma, label_set, rationals, line_no)
         rows.setdefault((s, a), []).append(mu)
 
     # Every DomainError the constructors below could raise was ruled
@@ -213,6 +216,7 @@ def _parse_trans(
     universe: Universe,
     sigma: SigmaAlgebra,
     labels: set[str],
+    rationals: dict[str, Fraction],
     line_no: int,
 ) -> tuple[str, str, Measure]:
     if len(tokens) < 3:
@@ -239,11 +243,13 @@ def _parse_trans(
             raise ModelSyntaxError(f"unknown state {target!r}", line_no)
         if target in weights:
             raise ModelSyntaxError(f"duplicate weight for state {target!r}", line_no)
-        weights[target] = _parse_rational(w, line_no)
-    total = sum(weights.values())
+        q = rationals.get(w)
+        if q is None:
+            q = rationals[w] = _parse_rational(w, line_no)
+        weights[target] = q
+    total = _exact_sum(weights.values())
     if total != 1:
-        text = _rational_text(total) or "a rational too long to print"
-        raise ModelSyntaxError(f"weights sum to {text}, expected 1", line_no)
+        raise ModelSyntaxError(f"weights sum to {_shown(total)}, expected 1", line_no)
     try:
         mu = Measure.from_state_weights(sigma, weights)
     except DomainError as exc:

@@ -434,6 +434,13 @@ def event_bisim_direct(m: Nlmp, lam: SigmaAlgebra) -> bool:
     )
 
 
+def profile_signature(m: Nlmp, lam: SigmaAlgebra):
+    """Per label, the set of dense lam-profiles of a state's row: the
+    traditional signature keyed by profile tuples rather than ids."""
+    profiles = {mu: profile(mu, lam) for mu in scan_pool(m)}
+    return lambda s: tuple(frozenset(profiles[mu] for mu in m.row(s, a)) for a in m.labels)
+
+
 def state_signature(m: Nlmp, lam: SigmaAlgebra):
     """Per label, the indices of the pool's lam-profile classes that a
     state's transition set intersects."""

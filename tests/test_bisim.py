@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction as F
 
 import pytest
 
@@ -9,6 +10,7 @@ from nlmp import (
     Relation,
     SigmaAlgebra,
     Universe,
+    Measure,
     compare_bisims,
     dirac,
     is_event_bisim,
@@ -20,6 +22,7 @@ from nlmp import (
     logical_equivalence,
     np_state_check,
     np_traditional_check,
+    profile,
     relation_of_sigma,
     sigma_of_relation,
     smallest_stable_sigma,
@@ -32,6 +35,7 @@ from support import (
     lmp_bisimilarity,
     np_reach_model,
     np_state_direct,
+    profile_signature,
     rand_lmp,
     rand_symmetric_relation,
     rand_valid_nlmp,
@@ -301,6 +305,7 @@ class TestRefinement:
                 for lam, _, splits in nlmp.bisim.refinement(m)
             ]
             assert refinement_under(m, nlmp.bisim.traditional_signature) == kept
+            assert refinement_under(m, profile_signature) == kept
             assert refinement_under(m, state_signature) == kept
             assert refinement_under(m, event_signature) == kept
 
@@ -309,16 +314,28 @@ class TestRefinement:
         models = [two_bounds_model(), uniform_rows_model()]
         models += [rand_valid_nlmp(rng, coarse=i % 2 == 1, dirac_only=i % 3 == 0) for i in range(20)]
         real = nlmp.bisim.traditional_signature
+        real_sub = nlmp.bisim.sigma_is_sub
         calls = []
+        guards = []
 
         def counting(m, lam):
+            before = len(guards)
+            key = real(m, lam)
+            # one sub-sigma-algebra check per round, not one per measure
+            assert len(guards) == before + 1
             calls.append(lam)
-            return real(m, lam)
+            return key
+
+        def counting_sub(lam, sigma):
+            guards.append(lam)
+            return real_sub(lam, sigma)
 
         def forbidden(*args):
-            raise AssertionError("a fixpoint recomputed profile classes or hit preimages")
+            raise AssertionError("a fixpoint recomputed dense profiles, profile classes or hit preimages")
 
         monkeypatch.setattr(nlmp.bisim, "traditional_signature", counting)
+        monkeypatch.setattr(nlmp.bisim, "sigma_is_sub", counting_sub)
+        monkeypatch.setattr(nlmp.bisim, "profile", forbidden)
         monkeypatch.setattr(nlmp.bisim, "trace_classes", forbidden)
         monkeypatch.setattr(nlmp.bisim, "hit_preimage", forbidden)
         for m in models:
@@ -334,6 +351,46 @@ class TestRefinement:
             logical_equivalence(m, "Lf")
             assert len(calls) == rounds
             assert nlmp.bisim.refinement(m) is cached
+
+    def test_profile_ids_are_equal_iff_dense_profiles_are(self):
+        rng = random.Random(1703)
+        for i in range(300):
+            m = rand_valid_nlmp(rng, max_states=6, coarse=i % 2 == 1, dirac_only=i % 3 == 0)
+            for lam, key, _ in nlmp.bisim.refinement(m):
+                assert set(key.profiles) == set(m.pool)
+                assert all(type(k) is int for k in key.profiles.values())
+                dense = {mu: profile(mu, lam) for mu in m.pool}
+                for mu in m.pool:
+                    for nu in m.pool:
+                        assert (key.profiles[mu] == key.profiles[nu]) == (dense[mu] == dense[nu])
+
+    def test_coarse_model_profile_ids(self):
+        # Model atoms {x1 x2} {y} {z}; lam puts x and y in one block.
+        u = Universe(("s", "x1", "x2", "y", "z"))
+        sig = SigmaAlgebra(u, tuple(map(frozenset, ({"s"}, {"x1", "x2"}, {"y"}, {"z"}))))
+        lam = SigmaAlgebra(u, tuple(map(frozenset, ({"s"}, {"x1", "x2", "y"}, {"z"}))))
+        half = F(1, 2)
+        split = Measure.from_state_weights(sig, {"x1": half, "y": half})  # mass split inside one block
+        point = dirac(sig, "y")
+        heavy_z = Measure.from_state_weights(sig, {"y": F(1, 3), "z": F(2, 3)})
+        heavy_x = Measure.from_state_weights(sig, {"x2": F(2, 3), "z": F(1, 3)})
+        light_x = Measure.from_state_weights(sig, {"x1": F(1, 3), "z": F(2, 3)})
+        rows = {("s", "a"): (split, point, heavy_z, heavy_x, light_x), ("z", "a"): (dirac(sig, "z"),)}
+        m = Nlmp(sig, ("a",), rows)
+        ids = nlmp.bisim.traditional_signature(m, lam).profiles
+        assert ids[split] == ids[point]
+        # equal weights on different blocks keep different profiles
+        assert ids[heavy_z] != ids[heavy_x]
+        assert ids[heavy_z] == ids[light_x]
+        assert ids[point] != ids[dirac(sig, "z")]
+        assert len(set(ids.values())) == 4
+
+    def test_signature_needs_a_sub_sigma_algebra_of_the_models(self):
+        u = Universe(("x", "y", "z"))
+        sig = SigmaAlgebra(u, (frozenset({"x", "y"}), frozenset({"z"})))
+        m = Nlmp(sig, ("a",), {("x", "a"): (dirac(sig, "z"),)})
+        with pytest.raises(PreconditionError, match="sub-sigma-algebra"):
+            nlmp.bisim.traditional_signature(m, SigmaAlgebra.powerset(u))
 
     def test_refinement_is_kept_per_model_object(self):
         m = two_bounds_model()

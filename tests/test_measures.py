@@ -19,6 +19,7 @@ from nlmp import (
     sigma_of_relation,
     trace_classes,
 )
+from nlmp.measures import _exact_sum
 from support import (
     BoundSpec,
     all_atoms_is_measurable,
@@ -426,6 +427,25 @@ class TestConstruction:
         for key in (frozenset({"x", "y"}), frozenset({"nope"}), frozenset()):
             with pytest.raises(DomainError):
                 Measure.from_atom_weights(xyz, {key: F(1)})
+
+    def test_unprintable_rationals_are_domain_errors(self):
+        # Past Python's default int-string limit str() refuses these
+        # rationals; each constructor still names the fault.
+        xy = powerset("x", "y")
+        huge = F(10**4400)
+        with pytest.raises(DomainError, match="state 'x' weight a rational too long to print"):
+            Measure.from_state_weights(xy, {"x": huge})
+        with pytest.raises(DomainError, match="atom weight a rational too long to print"):
+            Measure(xy, (huge, 0))
+        with pytest.raises(DomainError, match="atom weights sum to a rational too long to print"):
+            Measure(xy, (F(1, 10**4400), F(1, 3)))
+
+    def test_exact_sum_is_the_fraction_sum(self):
+        rng = random.Random(4100)
+        for _ in range(300):
+            ws = [F(rng.randint(0, 30), rng.randint(1, 30)) for _ in range(rng.randint(0, 6))]
+            total = _exact_sum(ws)
+            assert type(total) is F and total == sum(ws, F(0))
 
     def test_measures_are_immutable(self, xyz):
         mu = dirac(xyz, "x")
