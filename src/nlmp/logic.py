@@ -12,17 +12,23 @@ weaker on nondeterministic models.
 Synthesis walks the bisimulation refinement: whenever a block splits,
 each pair of its sub-blocks gets one formula, which separates every
 state of one from every state of the other.  On two representatives,
-one unmatched transition measure is pinned down against every measure
-on the other side by formulas of earlier rounds, with a rational
-midpoint threshold for each, and the bounds are packed into one
-multi-constraint diamond.  Every synthesized formula is re-checked by
-the evaluator before it is handed out.
+one unmatched transition measure is told apart from every measure on
+the other side by a candidate set of the round: for a block B, C(B) is
+the intersection of the extensions of earlier formulas that contain B,
+named by their conjunction.  The values of a measure on the candidates
+form a unitriangular system in its masses on the blocks, so two
+measures with different profiles differ on some C(B).  Each difference
+gives a bound with a rational midpoint threshold, and the bounds are
+packed into one multi-constraint diamond.  Every synthesized formula is
+re-checked by the evaluator before it is handed out.
 """
 
 from __future__ import annotations
 
 import operator
+from bisect import insort
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from itertools import combinations, product
 from typing import ClassVar
@@ -214,15 +220,9 @@ def formula_labels(f: StateFormula | MeasureFormula) -> frozenset[str]:
     if isinstance(f, Diamond):
         return frozenset([f.label]) | formula_labels(f.body)
     if isinstance(f, DiamondMulti):
-        out = frozenset([f.label])
-        for c in f.constraints:
-            out |= formula_labels(c.phi)
-        return out
+        return frozenset([f.label]).union(*(formula_labels(c.phi) for c in f.constraints))
     if isinstance(f, MOr):
-        out = frozenset()
-        for i in f.items:
-            out |= formula_labels(i)
-        return out
+        return frozenset().union(*(formula_labels(i) for i in f.items))
     if isinstance(f, MNot):
         return formula_labels(f.item)
     if isinstance(f, Bound):
@@ -282,7 +282,7 @@ def _eval_state(m: Nlmp, phi: StateFormula, memo: _Memo) -> StateSet:
             *(
                 states
                 for mu, states in m.holders[phi.label].items()
-                if all(_bound_holds(mu.value(ext), c) for c, ext in bounds)
+                if all(COMPARE[c.op](mu.value(ext), c.threshold) for c, ext in bounds)
             )
         )
         _assert_measurable(m, result)
@@ -290,10 +290,6 @@ def _eval_state(m: Nlmp, phi: StateFormula, memo: _Memo) -> StateSet:
         raise TypeError(f"not a state formula: {phi!r}")
     memo[id(phi)] = (phi, result)
     return result
-
-
-def _bound_holds(v: Fraction, c: Constraint) -> bool:
-    return COMPARE[c.op](v, c.threshold)
 
 
 def _assert_measurable(m: Nlmp, q: StateSet) -> None:
@@ -405,37 +401,41 @@ def _lf_refinement(m: Nlmp) -> tuple[Partition, dict[tuple[str, str], StateFormu
 
     For each pair of sub-blocks (left, right) of a splitting block, one
     formula is synthesized on left[0] and right[0] and recorded for all
-    of left x right.  It separates them all, by induction on rounds: the
-    family of recorded extensions grows only between rounds, so within a
-    round every family extension is a union of the round's blocks (the
-    atoms of lam), whether a bound holds of a measure depends only on its
-    profile over lam, and all states of one sub-block have equal profile
-    sets.  Two measures with different profiles always have a separator:
-    the family contains the universe, is closed under intersection and
-    generates lam (its indistinguishability classes are the blocks), so
-    by the pi-lambda theorem measures agreeing on it agree on lam.
-    """
-    universe = m.universe
-    top = Top()
-    family: dict[StateSet, StateFormula] = {frozenset(m.states): top}
-    formulas: dict[tuple[str, str], StateFormula] = {}
-    # Synthesized formulas, hash-consed: an equal DiamondMulti is the
-    # same object.  Each constraint is keyed by id(phi): every phi is a
-    # family formula, one object per extension, pinned by this table.
-    interned: dict[tuple, DiamondMulti] = {}
-    # One evaluation memo for all synthesized formulas: each reuses
-    # family formulas, whose extensions are the family's keys.
-    memo: _Memo = {}
+    of left x right.  It separates them all, by induction on rounds.
 
-    def family_add(ext: StateSet, phi: StateFormula) -> None:
-        queue = [(ext, phi)]
-        while queue:
-            e, f = queue.pop()
-            if e in family:
-                continue
-            family[e] = f
-            memo[id(f)] = (f, e)
-            queue.extend((e & e2, And(f, f2)) for e2, f2 in list(family.items()))
+    The generators of a round are the universe and the extensions of the
+    formulas recorded in earlier rounds (the first formula of each
+    extension).  They are unions of the round's blocks (the atoms of
+    lam), and they separate the blocks.  Whether a bound holds of a
+    measure depends only on its profile over lam, and all states of one
+    sub-block have equal profile sets.  Each block B gives one candidate,
+    C(B), the intersection of the generators that contain B.  Two
+    measures with different profiles differ on some candidate: X <= Y iff
+    X lies inside C(Y) is a partial order on the blocks, because the
+    generators separate them, and C(B) is the union of the blocks X <= B.
+    So mu(C(B)) is the sum of mu(X) over X <= B, a unitriangular system
+    whose values on the candidates fix the profile.  The search tries the
+    candidates smallest first, then by the sorted indices of their
+    states.  C(B) is named by the conjunction of the generators that
+    shrink the intersection, taken in that same order.
+    """
+    top = Top()
+    everything = frozenset(m.states)
+    formulas: dict[tuple[str, str], StateFormula] = {}
+
+    @cache
+    def rank(e: StateSet) -> tuple:  # separator order: smallest first
+        return len(e), sorted(map(m.universe.index, e))
+
+    # The generators but the universe, in separator order, and `conj`:
+    # () -> Top, (e,) -> the first formula recorded with extension e, a
+    # longer tuple -> its And.  `conj` pins every constraint formula, so
+    # `interned` (equal DiamondMultis are one object) keys them by id.
+    gens: list[StateSet] = []
+    conj: dict[tuple[StateSet, ...], StateFormula] = {(): top}
+    interned: dict[tuple, DiamondMulti] = {}
+    # One evaluation memo for all synthesized formulas.
+    memo: _Memo = {}
 
     def synthesize(s: str, t: str, label: str, mu: Measure) -> StateFormula:
         # mu leaves s under label and is unmatched in t's row.
@@ -444,11 +444,13 @@ def _lf_refinement(m: Nlmp) -> tuple[Partition, dict[tuple[str, str], StateFormu
         if not opponents:
             bounds[(">", ZERO, id(top))] = (">", ZERO, top)
         for nu in opponents:
-            ext = next((e for e in ordered if mu.value(e) != nu.value(e)), None)
-            if ext is None:
-                raise InternalCheckError("no recorded formula separates two distinct measures")
-            phi = family[ext]
-            a_val, b_val = mu.value(ext), nu.value(ext)
+            for ext in ordered:
+                a_val, b_val = mu.value(ext), nu.value(ext)
+                if a_val != b_val:
+                    break
+            else:
+                raise InternalCheckError("no candidate separates two distinct measures")
+            phi = conj[candidates[ext]]
             op = ">" if a_val > b_val else "<"
             q = (a_val + b_val) / 2
             bounds.setdefault((op, q, id(phi)), (op, q, phi))
@@ -458,9 +460,17 @@ def _lf_refinement(m: Nlmp) -> tuple[Partition, dict[tuple[str, str], StateFormu
         return interned[key]
 
     for lam, key, splits in refinement(m):
-        # The family in separator order: it grows only between rounds.
-        ordered = sorted(family, key=lambda e: (len(e), sorted(universe.index(x) for x in e)))
-        new: list[StateFormula] = []
+        # Each C(B) with the generators that shrink it; B is in g iff x is.
+        candidates: dict[StateSet, tuple[StateSet, ...]] = {}
+        for block in lam.atoms:
+            x, c, used = next(iter(block)), everything, ()
+            for g in gens:
+                if x in g and not c <= g:
+                    c, used = c & g, used + (g,)
+                    if used not in conj:
+                        conj[used] = And(conj[used[:-1]], conj[(g,)])
+            candidates.setdefault(c, used)
+        ordered = sorted(candidates, key=rank)
         for left, right in (pair for subs in splits for pair in combinations(subs, 2)):
             s, t = left[0], right[0]
             for a, hs, ht in zip(m.labels, key(s), key(t)):
@@ -473,7 +483,8 @@ def _lf_refinement(m: Nlmp) -> tuple[Partition, dict[tuple[str, str], StateFormu
                 raise InternalCheckError("split without a hit-class mismatch")
             for s, t in product(left, right):
                 formulas[(s, t)] = formulas[(t, s)] = psi
-            new.append(psi)
-        for psi in new:
-            family_add(_eval_state(m, psi, memo), psi)
+            ext = _eval_state(m, psi, memo)
+            if (ext,) not in conj:
+                conj[(ext,)] = psi
+                insort(gens, ext, key=rank)
     return lam.atoms, formulas

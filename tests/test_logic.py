@@ -44,8 +44,10 @@ from support import (
     rand_any_nlmp,
     rand_lmp,
     rand_measure_formula,
+    rand_partition,
     rand_state_formula,
     rand_threshold,
+    rand_universe,
     rand_valid_nlmp,
     single_bound_separates,
     tree_eval_measure,
@@ -421,6 +423,74 @@ class TestLogicalEquivalence:
                     if s != t and (s, t) not in report.relation:
                         psi = report.formulas[(s, t)]
                         assert satisfies(m, s, psi) != satisfies(m, t, psi)
+
+    def test_synthesis_builds_few_conjunctions_on_a_chain(self, monkeypatch):
+        # A two-label point-mass chain c0 -> c1 -> ... -> c39, each step's
+        # label drawn from random.Random(1) as perfbench's gen.chain draws
+        # it.  Naming each separator candidate by a conjunction of recorded
+        # formulas keeps the And nodes of one run well below n**2; closing
+        # the recorded extensions under intersection built thousands.
+        n = 40
+        rng = random.Random(1)
+        universe = Universe(tuple(f"c{i}" for i in range(n)))
+        sigma = SigmaAlgebra.powerset(universe)
+        rows = {(f"c{i}", rng.choice("ab")): [dirac(sigma, f"c{i + 1}")] for i in range(n - 1)}
+        m = Nlmp(sigma, ("a", "b"), rows)
+        built = []
+        real_init = And.__init__
+
+        def counting_init(self, left, right):
+            built.append(None)
+            real_init(self, left, right)
+
+        monkeypatch.setattr(And, "__init__", counting_init)
+        report = logical_equivalence(m, "Lf")
+        assert len(report.partition) == n
+        assert len(built) <= n * n
+
+
+class TestSeparatorCandidates:
+    def test_measures_with_different_block_profiles_differ_on_some_candidate(self):
+        # The argument synthesis rests on: take a partition into blocks and
+        # a family of unions of blocks that contains the universe and
+        # separates the blocks, and let C(B) be the intersection of the
+        # members that contain the block B.  Then the values on the C(B)
+        # determine a measure's profile over the blocks.  Profiles range
+        # over every split of unit mass into quarters, one measure each.
+        rng = random.Random(523)
+        family_falls_short = 0
+        for _ in range(300):
+            universe = rand_universe(rng, max_states=7)
+            sigma = SigmaAlgebra.powerset(universe)
+            blocks = [frozenset(b) for b in rand_partition(rng, list(universe))]
+            family = {frozenset(universe)}
+            while any(
+                all((a <= g) == (b <= g) for g in family) for a, b in combinations(blocks, 2)
+            ):
+                family.add(frozenset().union(*rng.sample(blocks, rng.randint(1, len(blocks)))))
+            candidates = {frozenset.intersection(*(g for g in family if b <= g)) for b in blocks}
+            measures = []
+            for quarters in _compositions(4, len(blocks)):
+                weights = [F(0)] * len(universe)
+                for b, k in zip(blocks, quarters):
+                    weights[universe.index(rng.choice(sorted(b)))] = F(k, 4)
+                measures.append(Measure(sigma, tuple(weights)))
+            on_candidates = {tuple(mu.value(c) for c in candidates) for mu in measures}
+            assert len(on_candidates) == len(measures)
+            on_family = {tuple(mu.value(g) for g in family) for mu in measures}
+            family_falls_short += len(on_family) < len(measures)
+        # Without the intersections the family alone would not do.
+        assert family_falls_short
+
+
+def _compositions(total: int, parts: int):
+    """Every tuple of `parts` non-negative ints summing to `total`."""
+    if parts == 1:
+        yield (total,)
+        return
+    for k in range(total + 1):
+        for rest in _compositions(total - k, parts - 1):
+            yield (k, *rest)
 
 
 class TestSoundness:
