@@ -28,7 +28,7 @@ ordering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 
 from .errors import InternalCheckError, PreconditionError
 from .measurable import (
@@ -212,10 +212,11 @@ def traditional_signature(m: Nlmp, lam: SigmaAlgebra) -> RowProfiles:
 
     The guard that lam is a sub-sigma-algebra of the model's runs once,
     then ``block[i]`` gives the lam atom of model atom ``i`` and each
-    pool measure costs one pass over its support.  A profile is keyed by
-    its block index when all its mass lies in one block, and otherwise
-    by its ``(block, numerator, denominator)`` triples in block order,
-    which is exact since a Fraction is kept in lowest terms; each key is
+    pool measure costs one pass over its numerators.  A profile is keyed
+    by its block index when all its mass lies in one block, and otherwise
+    by its ``(block, total)`` pairs in block order, each block's integer
+    total divided by the totals' gcd; the reduced totals sum to the
+    reduced denominator, so equal keys mean equal profiles.  Each key is
     interned to a small int.
     """
     if not sigma_is_sub(lam, m.sigma):
@@ -225,15 +226,16 @@ def traditional_signature(m: Nlmp, lam: SigmaAlgebra) -> RowProfiles:
     ids: dict[object, int] = {}
     profiles: dict[Measure, int] = {}
     for mu in m.pool:
-        support = mu.support
-        k = block[support[0][0]]
-        if len(support) > 1:
-            totals: dict[int, Fraction] = {}
-            for i, w in support:
+        nums = mu.nums
+        k = block[nums[0][0]]
+        if len(nums) > 1:
+            totals: dict[int, int] = {}
+            for i, n in nums:
                 j = block[i]
-                totals[j] = totals[j] + w if j in totals else w
+                totals[j] = totals.get(j, 0) + n
             if len(totals) > 1:
-                k = tuple(x for j in sorted(totals) for x in (j, totals[j].numerator, totals[j].denominator))
+                g = gcd(*totals.values())
+                k = tuple(x for j in sorted(totals) for x in (j, totals[j] // g))
         profiles[mu] = ids.setdefault(k, len(ids))
     return RowProfiles(m, profiles)
 

@@ -30,6 +30,7 @@ class Universe:
         if len(set(self.states)) != len(self.states):
             raise DomainError("universe contains duplicate state identifiers")
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(self.states)})
+        object.__setattr__(self, "_state_set", frozenset(self.states))
 
     def __contains__(self, s: str) -> bool:
         return s in self._index
@@ -48,9 +49,9 @@ class Universe:
 
     def check_subset(self, q: Iterable[str]) -> StateSet:
         q = frozenset(q)
-        for s in q:
-            if s not in self._index:
-                raise DomainError(f"state {s!r} is not in the universe")
+        if not q <= self._state_set:
+            s = next(s for s in q if s not in self._index)
+            raise DomainError(f"state {s!r} is not in the universe")
         return q
 
     def sort(self, q: Iterable[str]) -> list[str]:
@@ -80,6 +81,7 @@ class SigmaAlgebra:
             raise DomainError("sigma-algebra atoms must cover the universe")
         object.__setattr__(self, "atoms", _canonical_atoms(self.universe, self.atoms))
         object.__setattr__(self, "_atom_index", {s: i for i, a in enumerate(self.atoms) for s in a})
+        object.__setattr__(self, "_is_powerset", len(self.atoms) == len(self.universe))
 
     @classmethod
     def powerset(cls, universe: Universe) -> "SigmaAlgebra":
@@ -91,7 +93,7 @@ class SigmaAlgebra:
 
     @property
     def is_powerset(self) -> bool:
-        return all(len(a) == 1 for a in self.atoms)
+        return self._is_powerset
 
     def atom_of(self, s: str) -> StateSet:
         return self.atoms[self.atom_index(s)]
@@ -105,6 +107,8 @@ class SigmaAlgebra:
     def is_measurable(self, q: Iterable[str]) -> bool:
         """True iff q is a union of atoms."""
         q = self.universe.check_subset(q)
+        if self._is_powerset:
+            return True
         # Only the atoms q meets can straddle it.
         return all(self.atoms[i] <= q for i in {self._atom_index[s] for s in q})
 

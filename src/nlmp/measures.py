@@ -1,29 +1,34 @@
 """Exact-rational probability measures on a finite sigma-algebra.
 
-A measure is stored as its support: the atoms of non-zero weight, by
-index, with their Fraction weights.  Its behavior on a sub-sigma-algebra
-is captured by its profile there (the vector of values on the coarser
-atoms); two measures agree on every set of the sub-sigma-algebra iff
-their profiles are equal.  The measurable sets of measures used
-elsewhere in the package are never materialized: only their trace on a
-model's finite pool matters, and that trace is always a union of
-profile classes.
+A measure is stored as integers: one positive denominator and the
+numerators of its support, the atoms of non-zero weight by index, with
+the numerators' gcd divided out so that equal measures store equal
+ints.  Every constructor goes through one integer validator; hashing
+and equality compare ints, values and profiles add ints and build one
+Fraction per result entry, and the Fraction views `support` and
+`weights` are built on demand.  A
+measure's behavior on a sub-sigma-algebra is captured by its profile
+there (the vector of values on the coarser atoms); two measures agree
+on every set of the sub-sigma-algebra iff their profiles are equal.
+The measurable sets of measures used elsewhere in the package are
+never materialized: only their trace on a model's finite pool matters,
+and that trace is always a union of profile classes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, PreconditionError
 from .measurable import SigmaAlgebra, StateSet, sigma_is_sub
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 Profile = tuple[Fraction, ...]
 Support = tuple[tuple[int, Fraction], ...]
+Numerators = tuple[tuple[int, int], ...]
 
 
 def _rational_text(q: Fraction) -> str | None:
@@ -40,16 +45,6 @@ def _shown(q: Fraction) -> str:
     return _rational_text(q) or "a rational too long to print"
 
 
-def _exact_sum(weights: Iterable[Fraction]) -> Fraction:
-    """The sum of the weights, added as integers over the lcm of their
-    denominators and reduced once."""
-    weights = tuple(weights)
-    if len(weights) == 1:
-        return weights[0]
-    den = lcm(*[w.denominator for w in weights])
-    return Fraction(sum(w.numerator * (den // w.denominator) for w in weights), den)
-
-
 def _unit_weight(w, state: str | None = None) -> Fraction:
     """w as a Fraction, or DomainError unless 0 <= w <= 1."""
     if type(w) is not Fraction:
@@ -61,51 +56,70 @@ def _unit_weight(w, state: str | None = None) -> Fraction:
     return w
 
 
+def _over_lcm(weights: Iterable[Fraction]) -> tuple[int, list[int]]:
+    """The lcm of the weights' denominators, and each weight's numerator
+    over it."""
+    weights = tuple(weights)
+    den = lcm(*[w.denominator for w in weights])
+    return den, [w.numerator * (den // w.denominator) for w in weights]
+
+
 class Measure:
-    """A probability measure on sigma, stored as its support: the pairs
-    ``(atom index, weight)`` of the atoms of non-zero weight, in atom
-    order.
+    """A probability measure on sigma, stored as ``den``, a positive int,
+    and ``nums``, the pairs ``(atom index, numerator)`` of the atoms of
+    non-zero weight, in atom order: atom ``i`` has weight ``n / den``.
+    The numerators have gcd 1, so equal measures store equal ints.
 
     ``Measure(sigma, weights)`` takes one weight per atom; the other
     constructors (`from_atom_weights`, `from_state_weights`, `dirac`)
     cost time in the support, not in the number of atoms.  All of them
-    go through one validator.  Measures are immutable and equal when
-    their sigma-algebras and supports are; the hash is computed once,
-    from the support, since pools, rows and hit preimages put the same
-    measures into sets over and over.
+    go through one integer validator.  Measures are immutable and equal
+    when their sigma-algebras and numerators are; the hash is computed
+    once, from the numerators, since pools, rows and hit preimages put
+    the same measures into sets over and over.
     """
 
-    __slots__ = ("sigma", "support", "_hash")
+    __slots__ = ("sigma", "den", "nums", "_hash")
 
     sigma: SigmaAlgebra
-    support: Support
+    den: int
+    nums: Numerators
 
     def __init__(self, sigma: SigmaAlgebra, weights: Sequence[Fraction]):
         if len(weights) != len(sigma.atoms):
             raise DomainError("need exactly one weight per atom")
-        self._settle(sigma, enumerate(weights))
+        den, nums = _over_lcm(_unit_weight(w) for w in weights)
+        self._settle(sigma, den, enumerate(nums))
 
     @classmethod
-    def _of(cls, sigma: SigmaAlgebra, items: Iterable[tuple[int, Fraction]]) -> "Measure":
-        """The measure with the given (atom index, weight) pairs, in
-        atom order; zero weights are dropped."""
+    def _of(cls, sigma: SigmaAlgebra, den: int, items: Iterable[tuple[int, int]]) -> "Measure":
+        """The measure with the given (atom index, numerator) pairs over
+        den, in atom order; zero numerators are dropped."""
         mu = object.__new__(cls)
-        mu._settle(sigma, items)
+        mu._settle(sigma, den, items)
         return mu
 
-    def _settle(self, sigma: SigmaAlgebra, items: Iterable[tuple[int, Fraction]]) -> None:
-        support = []
-        for i, w in items:
-            w = _unit_weight(w)
-            if w:
-                support.append((i, w))
-        support = tuple(support)
-        total = _exact_sum(w for _, w in support)
-        if total != ONE:
-            raise DomainError(f"atom weights sum to {_shown(total)}, expected 1")
+    def _settle(self, sigma: SigmaAlgebra, den: int, items: Iterable[tuple[int, int]]) -> None:
+        # The integer validator: each weight in [0, 1] and the weights
+        # summing to 1, that is, the numerators to den.
+        nums = []
+        for i, n in items:
+            if n < 0 or n > den:
+                raise DomainError(f"atom weight {_shown(Fraction(n, den))} outside [0, 1]")
+            if n:
+                nums.append((i, n))
+        total = sum(n for _, n in nums)
+        if total != den:
+            raise DomainError(f"atom weights sum to {_shown(Fraction(total, den))}, expected 1")
+        g = gcd(*[n for _, n in nums])  # divides their sum, den
+        if g > 1:
+            nums = [(i, n // g) for i, n in nums]
+            den //= g
+        nums = tuple(nums)
         object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "_hash", hash(support))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "_hash", hash(nums))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Measure is immutable: cannot set {name!r}")
@@ -116,9 +130,10 @@ class Measure:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Measure):
             return NotImplemented
+        # den is the sum of the numerators.
         return (
             self._hash == other._hash
-            and self.support == other.support
+            and self.nums == other.nums
             and (self.sigma is other.sigma or self.sigma == other.sigma)
         )
 
@@ -126,12 +141,19 @@ class Measure:
         return self._hash
 
     def __repr__(self) -> str:
-        return f"Measure(sigma={self.sigma!r}, support={self.support!r})"
+        return f"Measure(sigma={self.sigma!r}, den={self.den!r}, nums={self.nums!r})"
 
     def __reduce__(self):
         # Unpickling re-runs the validator, which computes the hash in
         # the unpickling process.
-        return (Measure._of, (self.sigma, self.support))
+        return (Measure._of, (self.sigma, self.den, self.nums))
+
+    @property
+    def support(self) -> Support:
+        """The pairs ``(atom index, weight)`` of the atoms of non-zero
+        weight, in atom order."""
+        den = self.den
+        return tuple((i, Fraction(n, den)) for i, n in self.nums)
 
     @property
     def weights(self) -> tuple[Fraction, ...]:
@@ -149,19 +171,24 @@ class Measure:
             if i is None or sigma.atoms[i] != a:
                 raise DomainError(f"{sorted(a)} is not an atom")
             by_index[i] = w
-        return cls._of(sigma, sorted(by_index.items()))
+        items = sorted(by_index.items())
+        den, nums = _over_lcm(_unit_weight(w) for _, w in items)
+        return cls._of(sigma, den, zip([i for i, _ in items], nums))
 
     @classmethod
     def from_state_weights(cls, sigma: SigmaAlgebra, by_state: Mapping[str, Fraction]) -> "Measure":
         """Weights given on states are accumulated into their atoms; a
         measure on a coarse sigma-algebra cannot see finer detail.  Each
         state weight must lie in [0, 1] on its own."""
-        totals: dict[int, Fraction] = {}
+        indexed = []
         for s, w in by_state.items():
             w = _unit_weight(w, s)
-            i = sigma.atom_index(s)
-            totals[i] = totals[i] + w if i in totals else w
-        return cls._of(sigma, sorted(totals.items()))
+            indexed.append((sigma.atom_index(s), w))
+        den, nums = _over_lcm(w for _, w in indexed)
+        totals: dict[int, int] = {}
+        for (i, _), n in zip(indexed, nums):
+            totals[i] = totals.get(i, 0) + n
+        return cls._of(sigma, den, sorted(totals.items()))
 
     def value(self, q: Iterable[str]) -> Fraction:
         """Measure of a measurable set: the sum of its atoms' weights."""
@@ -169,22 +196,22 @@ class Measure:
         if not self.sigma.is_measurable(q):  # also rejects states outside the universe
             raise DomainError(f"set {sorted(q)} is not measurable")
         atoms = self.sigma.atoms
-        return sum((w for i, w in self.support if atoms[i] <= q), ZERO)
+        return Fraction(sum(n for i, n in self.nums if atoms[i] <= q), self.den)
 
     @property
     def dirac_atom(self) -> StateSet | None:
         """The single atom carrying weight 1, if any: a point mass has
         exactly one atom of non-zero weight."""
-        return self.sigma.atoms[self.support[0][0]] if len(self.support) == 1 else None
+        return self.sigma.atoms[self.nums[0][0]] if len(self.nums) == 1 else None
 
     @property
     def is_dirac(self) -> bool:
-        return len(self.support) == 1
+        return len(self.nums) == 1
 
 
 def dirac(sigma: SigmaAlgebra, s: str) -> Measure:
     """Point mass at s: value 1 on exactly the measurable sets containing s."""
-    return Measure._of(sigma, ((sigma.atom_index(s), ONE),))
+    return Measure._of(sigma, 1, ((sigma.atom_index(s), 1),))
 
 
 def profile(mu: Measure, lam: SigmaAlgebra) -> Profile:
@@ -196,12 +223,15 @@ def profile(mu: Measure, lam: SigmaAlgebra) -> Profile:
     if not sigma_is_sub(lam, mu.sigma):
         raise PreconditionError("profile requires a sub-sigma-algebra of the measure's")
     # Each atom of mu's sigma-algebra lies inside exactly one atom of lam.
-    totals = [ZERO] * len(lam.atoms)
-    atoms = mu.sigma.atoms
-    for i, w in mu.support:
-        j = lam.atom_index(next(iter(atoms[i])))
-        totals[j] = totals[j] + w if totals[j] else w
-    return tuple(totals)
+    index, atoms = lam._atom_index, mu.sigma.atoms
+    totals: dict[int, int] = {}
+    for i, n in mu.nums:
+        j = index[next(iter(atoms[i]))]
+        totals[j] = totals.get(j, 0) + n
+    dense = [ZERO] * len(lam.atoms)
+    for j, n in totals.items():
+        dense[j] = Fraction(n, mu.den)
+    return tuple(dense)
 
 
 def trace_classes(pool: Sequence[Measure], lam: SigmaAlgebra) -> tuple[tuple[Measure, ...], ...]:
@@ -210,9 +240,15 @@ def trace_classes(pool: Sequence[Measure], lam: SigmaAlgebra) -> tuple[tuple[Mea
     The unions of these classes are exactly the traces on the pool of
     the measurable sets of measures generated by lam (see the design
     notes in the README); everything that quantifies over such sets can
-    therefore quantify over unions of classes instead.
+    therefore quantify over unions of classes instead.  A class is keyed
+    by its profile's non-zero entries, the lam atoms that hold some of
+    the measure's support, so the key costs time in the support.
     """
-    groups: dict[Profile, list[Measure]] = {}
+    groups: dict[tuple, list[Measure]] = {}
+    index = lam._atom_index
     for mu in pool:
-        groups.setdefault(profile(mu, lam), []).append(mu)
+        values = profile(mu, lam)
+        atoms = mu.sigma.atoms
+        blocks = sorted({index[next(iter(atoms[i]))] for i, _ in mu.nums})
+        groups.setdefault(tuple((j, values[j]) for j in blocks), []).append(mu)
     return tuple(tuple(g) for g in groups.values())

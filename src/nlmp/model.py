@@ -13,6 +13,7 @@ check each class on its own.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, PreconditionError
@@ -25,9 +26,19 @@ Row = tuple[Measure, ...]
 def _canonical_row(measures: Iterable[Measure]) -> Row:
     # Ordered as the dense weight tuples would be: at the first atom
     # where two measures differ, the one without weight there has its
-    # next support entry at a later atom, hence a smaller -index.
-    uniq = {mu: None for mu in measures}
-    return tuple(sorted(uniq, key=lambda mu: tuple((-i, w) for i, w in mu.support)))
+    # next support entry at a later atom, hence a smaller -index.  The
+    # weights are compared as numerators over the row's common
+    # denominator.
+    uniq = tuple({mu: None for mu in measures})
+    if len(uniq) < 2:
+        return uniq
+    den = lcm(*[mu.den for mu in uniq])
+
+    def key(mu: Measure) -> tuple:
+        scale = den // mu.den
+        return tuple((-i, n * scale) for i, n in mu.nums)
+
+    return tuple(sorted(uniq, key=key))
 
 
 class Nlmp:

@@ -31,6 +31,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import DomainError, ModelSyntaxError
 from .logic import (
@@ -46,7 +47,7 @@ from .logic import (
     Top,
 )
 from .measurable import SigmaAlgebra, Universe, sigma_generate
-from .measures import Measure, _exact_sum, _rational_text, _shown, dirac
+from .measures import Measure, _shown, dirac
 from .model import Lmp, Nlmp, lmp_embed
 
 # hashlib loads OpenSSL (several MiB of resident memory) just for the
@@ -89,14 +90,16 @@ def _numeral(digits: str, line: int | None, column: int | None = None) -> int:
 _RATIONAL = re.compile(r"(\d+)(?:/(\d+))?")
 
 
-def _parse_rational(text: str, line_no: int) -> Fraction:
+def _parse_rational(text: str, line_no: int) -> tuple[int, int]:
+    """The numerator and the positive denominator the text writes, as
+    written (not reduced)."""
     m = _RATIONAL.fullmatch(text)
     if not m:
         raise ModelSyntaxError(f"expected a rational number, got {text!r}", line_no)
     num, den = _numeral(m.group(1), line_no), _numeral(m.group(2) or "1", line_no)
     if den == 0:
         raise ModelSyntaxError("zero denominator", line_no)
-    return Fraction(num, den)
+    return num, den
 
 
 def parse_model(text: str) -> ModelDocument:
@@ -161,8 +164,9 @@ def parse_model(text: str) -> ModelDocument:
 
     rows: dict[tuple[str, str], list[Measure]] = {}
     label_set = set(labels)
-    # Weight text -> Fraction: models repeat a few weights on many lines.
-    rationals: dict[str, Fraction] = {}
+    # Weight text -> (numerator, denominator): models repeat a few
+    # weights on many lines.
+    rationals: dict[str, tuple[int, int]] = {}
     for line_no, rest in trans_lines:
         s, a, mu = _parse_trans(rest, universe, sigma, label_set, rationals, line_no)
         rows.setdefault((s, a), []).append(mu)
@@ -216,7 +220,7 @@ def _parse_trans(
     universe: Universe,
     sigma: SigmaAlgebra,
     labels: set[str],
-    rationals: dict[str, Fraction],
+    rationals: dict[str, tuple[int, int]],
     line_no: int,
 ) -> tuple[str, str, Measure]:
     if len(tokens) < 3:
@@ -234,7 +238,7 @@ def _parse_trans(
         if target not in universe:
             raise ModelSyntaxError(f"unknown state {target!r}", line_no)
         return s, a, dirac(sigma, target)
-    weights: dict[str, Fraction] = {}
+    weights: dict[str, tuple[int, int]] = {}
     for item in body:
         if ":" not in item:
             raise ModelSyntaxError(f"expected 'state:weight', got {item!r}", line_no)
@@ -247,20 +251,29 @@ def _parse_trans(
         if q is None:
             q = rationals[w] = _parse_rational(w, line_no)
         weights[target] = q
-    total = _exact_sum(weights.values())
-    if total != 1:
-        raise ModelSyntaxError(f"weights sum to {_shown(total)}, expected 1", line_no)
-    try:
-        mu = Measure.from_state_weights(sigma, weights)
-    except DomainError as exc:
-        raise ModelSyntaxError(str(exc), line_no) from exc
-    # An atom's weight sums its states' weights, and serialize_model
-    # prints it.  Its numerator and denominator have at most as many
-    # digits as the line's denominators together, so only a line longer
-    # than the int-string limit (0: none) can hold one that does not print.
+    # One integer pass: the states' numerators over the line's lcm,
+    # accumulated into their atoms.  The weights are non-negative, so
+    # once they sum to 1 every weight and atom total lies in [0, 1].
+    den = lcm(*[d for _, d in weights.values()])
+    totals: dict[int, int] = {}
+    atom_index = sigma._atom_index
+    for target, (n, d) in weights.items():
+        i = atom_index[target]
+        totals[i] = totals.get(i, 0) + n * (den // d)
+    total = sum(totals.values())
+    if total != den:
+        raise ModelSyntaxError(f"weights sum to {_shown(Fraction(total, den))}, expected 1", line_no)
+    mu = Measure._of(sigma, den, sorted(totals.items()))
+    # serialize_model prints each atom's weight.  Its numerator and
+    # denominator have at most as many digits as the line's
+    # denominators together, so only a line longer than the int-string
+    # limit (0: none) can hold one that does not print.
     limit = sys.get_int_max_str_digits()
-    if limit and sum(map(len, body)) > limit and any(_rational_text(w) is None for _, w in mu.support):
-        raise ModelSyntaxError("an atom's accumulated weight is too long to print", line_no)
+    if limit and sum(map(len, body)) > limit:
+        try:
+            _measure_text(mu)
+        except ValueError:
+            raise ModelSyntaxError("an atom's accumulated weight is too long to print", line_no) from None
     return s, a, mu
 
 
@@ -272,8 +285,14 @@ def _measure_text(mu: Measure) -> str:
     atom = mu.dirac_atom
     if atom is not None:
         return "-> " + min(atom, key=mu.sigma.universe.index)
-    atoms, index = mu.sigma.atoms, mu.sigma.universe.index
-    return " ".join(f"{min(atoms[i], key=index)}:{w}" for i, w in mu.support)
+    # Past the int-string limit the f-string raises ValueError, as str()
+    # does.  Each weight lies strictly between 0 and 1.
+    atoms, index, den = mu.sigma.atoms, mu.sigma.universe.index, mu.den
+    parts = []
+    for i, n in mu.nums:
+        g = gcd(n, den)
+        parts.append(f"{min(atoms[i], key=index)}:{n // g}/{den // g}")
+    return " ".join(parts)
 
 
 def serialize_model(doc: ModelDocument) -> str:

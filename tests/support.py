@@ -142,15 +142,19 @@ def rand_sigma(rng: random.Random, universe: Universe, coarse: bool) -> SigmaAlg
     return SigmaAlgebra(universe, tuple(frozenset(b) for b in blocks))
 
 
-def rand_measure(rng: random.Random, sigma: SigmaAlgebra, max_weight: int = 4) -> Measure:
-    n = len(sigma.atoms)
+def rand_weights(rng: random.Random, n: int, max_weight: int = 4) -> tuple[Fraction, ...]:
+    """n Fraction weights summing to 1, on a random non-empty support."""
     support = rng.sample(range(n), rng.randint(1, n))
     raw = [rng.randint(1, max_weight) for _ in support]
     total = sum(raw)
     weights = [F(0)] * n
     for i, w in zip(support, raw):
         weights[i] = F(w, total)
-    return Measure(sigma, tuple(weights))
+    return tuple(weights)
+
+
+def rand_measure(rng: random.Random, sigma: SigmaAlgebra, max_weight: int = 4) -> Measure:
+    return Measure(sigma, rand_weights(rng, len(sigma.atoms), max_weight))
 
 
 def rand_valid_nlmp(
@@ -664,6 +668,15 @@ def dense_profile(mu: Measure, lam: SigmaAlgebra) -> tuple[Fraction, ...]:
         sum((w for a, w in zip(mu.sigma.atoms, mu.weights) if a <= b), F(0))
         for b in lam.atoms
     )
+
+
+def dense_trace_classes(pool, lam: SigmaAlgebra) -> tuple[tuple[Measure, ...], ...]:
+    """trace_classes by grouping the pool on whole dense profiles, in
+    first-seen order."""
+    groups: dict[tuple[Fraction, ...], list[Measure]] = {}
+    for mu in pool:
+        groups.setdefault(dense_profile(mu, lam), []).append(mu)
+    return tuple(tuple(g) for g in groups.values())
 
 
 def build_pool(measures) -> tuple[Measure, ...]:

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
@@ -15,16 +16,17 @@ from nlmp import (
     SigmaAlgebra,
     Universe,
     dirac,
+    parse_model,
     profile,
     sigma_of_relation,
     trace_classes,
 )
-from nlmp.measures import _exact_sum
 from support import (
     BoundSpec,
     all_atoms_is_measurable,
     build_pool,
     dense_profile,
+    dense_trace_classes,
     dense_value,
     in_delta_set,
     measurable_sets,
@@ -34,6 +36,7 @@ from support import (
     rand_measure,
     rand_partition,
     rand_symmetric_relation,
+    rand_weights,
     rand_universe,
     rand_valid_nlmp,
     subalgebras,
@@ -441,11 +444,43 @@ class TestConstruction:
             Measure(xy, (F(1, 10**4400), F(1, 3)))
 
     def test_exact_sum_is_the_fraction_sum(self):
+        # The validator adds integer numerators over one denominator; it
+        # accepts exactly the weights whose Fraction sum is 1 and names
+        # that sum otherwise.  States of one atom share their numerators.
         rng = random.Random(4100)
+        sig = SigmaAlgebra(
+            Universe(tuple("abcdef")), (frozenset("ab"), frozenset("c"), frozenset("def"))
+        )
         for _ in range(300):
             ws = [F(rng.randint(0, 30), rng.randint(1, 30)) for _ in range(rng.randint(0, 6))]
-            total = _exact_sum(ws)
-            assert type(total) is F and total == sum(ws, F(0))
+            total = sum(ws, F(0))
+            if total and rng.random() < 0.5:
+                ws, total = [w / total for w in ws], F(1)
+            by_state = dict(zip("abcdef", ws))
+            den = rng.randint(1, 30)
+            nums = [rng.randint(0, den) for _ in sig.atoms]
+            nums[-1] = max(0, den - sum(nums[:-1])) if rng.random() < 0.5 else nums[-1]
+            by_atom = [sum((w for x, w in by_state.items() if x in a), F(0)) for a in sig.atoms]
+            if any(w > 1 for w in ws):
+                with pytest.raises(DomainError, match="^state '.' weight .* outside"):
+                    Measure.from_state_weights(sig, by_state)
+            elif any(w > 1 for w in by_atom):
+                with pytest.raises(DomainError, match="^atom weight .* outside"):
+                    Measure.from_state_weights(sig, by_state)
+            elif total != 1:
+                with pytest.raises(DomainError, match=f"^atom weights sum to {total}, expected 1$"):
+                    Measure.from_state_weights(sig, by_state)
+            else:
+                mu = Measure.from_state_weights(sig, by_state)
+                assert mu.weights == tuple(by_atom)
+                assert sum(n for _, n in mu.nums) == mu.den
+            int_total = F(sum(nums), den)
+            if int_total != 1:
+                with pytest.raises(DomainError, match=f"^atom weights sum to {int_total}, expected 1$"):
+                    Measure._of(sig, den, enumerate(nums))
+            else:
+                mu = Measure._of(sig, den, enumerate(nums))
+                assert mu.weights == tuple(F(n, den) for n in nums)
 
     def test_measures_are_immutable(self, xyz):
         mu = dirac(xyz, "x")
@@ -505,18 +540,71 @@ class TestSparseForm:
                 mu.weights for mu in expected
             ]
 
+    def test_every_route_stores_the_reduced_integers_of_the_fraction_oracle(self):
+        # 300 measures, each built by every constructor, pickle and the
+        # parser (weights written unreduced, states sharing atoms): all
+        # store one (den, nums), the oracle's weights over their lcm.
+        rng = random.Random(2401)
+        for i in range(300):
+            universe = rand_universe(rng, max_states=6)
+            sig = SigmaAlgebra(
+                universe, tuple(frozenset(b) for b in rand_partition(rng, list(universe)))
+            ) if i % 2 else SigmaAlgebra.powerset(universe)
+            dense = rand_weights(rng, len(sig.atoms))  # the Fraction oracle
+            den = lcm(*[w.denominator for w in dense])
+            nums = tuple((k, w.numerator * (den // w.denominator)) for k, w in enumerate(dense) if w)
+            by_state = random_state_split(rng, Measure(sig, dense))
+            text = "\n".join([
+                "states " + " ".join(universe.states),
+                "labels a",
+                "sigma gen " + " ".join("{" + " ".join(sorted(a)) + "}" for a in sig.atoms),
+                f"trans {universe.states[0]} a "
+                + " ".join(f"{s}:{w.numerator * k}/{w.denominator * k}"
+                           for s, w in by_state.items() for k in [rng.randint(1, 3)]),
+            ])
+            forms = [
+                Measure(sig, dense),
+                Measure(sig, tuple(str(w) for w in dense)),
+                Measure.from_atom_weights(sig, {sig.atoms[k]: w for k, w in enumerate(dense) if w}),
+                Measure.from_state_weights(sig, by_state),
+                parse_model(text).nlmp.row(universe.states[0], "a")[0],
+            ]
+            forms.append(pickle.loads(pickle.dumps(forms[-1])))
+            if len(nums) == 1:
+                forms.append(dirac(sig, rng.choice(sorted(sig.atoms[nums[0][0]]))))
+            lam = rand_coarsening(rng, sig)
+            for mu in forms:
+                assert (mu.den, mu.nums) == (den, nums) and hash(mu) == hash(forms[0])
+                assert mu == forms[0] and mu.sigma == sig
+                assert mu.weights == dense
+                assert mu.support == tuple((k, w) for k, w in enumerate(dense) if w)
+                assert profile(mu, lam) == dense_profile(mu, lam)
+                for q in measurable_sets(sig):
+                    assert mu.value(q) == dense_value(mu, q) == measure_eval(mu, q)
+
+    def test_trace_classes_group_as_dense_profiles(self):
+        rng = random.Random(2402)
+        for i in range(300):
+            m = rand_valid_nlmp(rng, max_states=6, coarse=i % 2 == 1)
+            for lam in (m.sigma, rand_coarsening(rng, m.sigma)):
+                assert trace_classes(m.pool, lam) == dense_trace_classes(m.pool, lam)
+
     def test_point_masses_on_many_atoms_store_only_their_support(self):
+        # Stored: the denominator and one tuple of (atom index,
+        # numerator) pairs, as long as the support.
         sig = SigmaAlgebra.powerset(Universe(tuple(f"s{i}" for i in range(10_000))))
         measures = {
-            ((7_777, F(1)),): dirac(sig, "s7777"),
-            ((3, F(1, 3)), (9_000, F(2, 3))): Measure.from_state_weights(
+            (1, ((7_777, 1),)): dirac(sig, "s7777"),
+            (3, ((3, 1), (9_000, 2))): Measure.from_state_weights(
                 sig, {"s9000": F(2, 3), "s3": F(1, 3)}
             ),
-            ((42, F(1)),): Measure.from_atom_weights(sig, {frozenset({"s42"}): F(1)}),
+            (1, ((42, 1),)): Measure.from_atom_weights(sig, {frozenset({"s42"}): F(1)}),
         }
-        for support, mu in measures.items():
+        for (den, nums), mu in measures.items():
             assert not hasattr(mu, "__dict__")
-            assert mu.sigma is sig and mu.support == support
+            assert mu.sigma is sig and mu.den == den and mu.nums == nums
             stored = [getattr(mu, name) for name in type(mu).__slots__]
-            assert [x for x in stored if isinstance(x, tuple)] == [support]
+            assert [x for x in stored if isinstance(x, tuple)] == [nums]
+            assert len(nums) == len(mu.support)
+            assert mu.support == tuple((i, F(n, den)) for i, n in nums)
             assert len(mu.weights) == 10_000 and sum(mu.weights) == 1

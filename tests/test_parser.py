@@ -59,6 +59,11 @@ class TestModelParsing:
         text = "states s x y\nlabels a\ntrans s a x:1/2 y:1/3\n"
         with pytest.raises(ModelSyntaxError, match="5/6"):
             parse_model(text)
+        # Over 1 where the states share an atom: the line's sum is named
+        # at its line, before any atom weight is checked.
+        text = "states s x y\nlabels a\nsigma gen {x y} {s}\ntrans s a x:2/3 y:2/4\n"
+        with pytest.raises(ModelSyntaxError, match=r"^weights sum to 7/6, expected 1 at line 4$"):
+            parse_model(text)
 
     def test_unknown_state_and_label_rejected(self):
         with pytest.raises(ModelSyntaxError, match="unknown state"):
