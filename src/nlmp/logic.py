@@ -11,16 +11,18 @@ weaker on nondeterministic models.
 
 Synthesis walks the bisimulation refinement: whenever a block splits,
 each pair of its sub-blocks gets one formula, which separates every
-state of one from every state of the other.  On two representatives,
-one unmatched transition measure is told apart from every measure on
-the other side by a candidate set of the round: for a block B, C(B) is
-the intersection of the extensions of earlier formulas that contain B,
-named by their conjunction.  The values of a measure on the candidates
-form a unitriangular system in its masses on the blocks, so two
-measures with different profiles differ on some C(B).  Each difference
-gives a bound with a rational midpoint threshold, and the bounds are
-packed into one multi-constraint diamond.  Every synthesized formula is
-re-checked by the evaluator before it is handed out.
+state of one from every state of the other.  The formulas are kept per
+split, not per pair of states, and each split is verified once.  On two
+representatives, one unmatched transition measure is told apart from
+every measure on the other side by a candidate set of the round: for a
+block B, C(B) is the intersection of the extensions of earlier formulas
+that contain B, named by their conjunction.  The values of a measure on
+the candidates form a unitriangular system in its masses on the blocks,
+so two measures with different profiles differ on some C(B).  Each
+difference gives a bound with a rational midpoint threshold, and the
+bounds are packed into one multi-constraint diamond.  Every synthesized
+formula is re-checked by the evaluator, against every state of its
+split, before it is handed out.
 """
 
 from __future__ import annotations
@@ -30,16 +32,18 @@ from bisect import insort
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from typing import ClassVar
 
-from .errors import DomainError, InternalCheckError, PreconditionError, UnsupportedModelError
-from .bisim import refinement, smallest_stable_sigma
+from .errors import DomainError, InternalCheckError, UnsupportedModelError
+from .bisim import largest_traditional, refinement, smallest_stable_sigma
 from .measurable import Relation, StateSet
 from .measures import Measure, ZERO, _rational_text
-from .model import Nlmp, hit_preimage, nlmp_validate
+from .model import Nlmp, hit_preimage
 
 Partition = tuple[StateSet, ...]
+# A pair of sub-blocks of one split block, each in universe order.
+Split = tuple[tuple[str, ...], tuple[str, ...]]
 
 
 # ---------------------------------------------------------------------------
@@ -332,10 +336,26 @@ def satisfies(m: Nlmp, s: str, phi: StateFormula) -> bool:
 
 @dataclass(frozen=True)
 class EquivalenceReport:
+    """The equivalence a fragment induces and, for "Lf", one formula per
+    split of the refinement: ``formulas[(left, right)]`` holds at every
+    state of one sub-block and at no state of the other."""
+
     fragment: str  # "L" | "Lf"
     relation: Relation
     partition: Partition
-    formulas: dict[tuple[str, str], StateFormula]
+    formulas: dict[Split, StateFormula]
+
+    def formula(self, s: str, t: str) -> StateFormula | None:
+        """The formula of the one split that separates s and t, found in
+        one pass over the splits; None when s and t are related.  Raises
+        KeyError on an unrelated pair when there are no formulas (the "L"
+        fragment)."""
+        if (s, t) in self.relation:
+            return None
+        for (left, right), psi in self.formulas.items():
+            if s in left and t in right or t in left and s in right:
+                return psi
+        raise KeyError((s, t))
 
 
 def logical_equivalence(m: Nlmp, fragment: str = "Lf") -> EquivalenceReport:
@@ -344,30 +364,35 @@ def logical_equivalence(m: Nlmp, fragment: str = "Lf") -> EquivalenceReport:
     fragment="L" (the full logic, with measure-level negation and
     disjunction) coincides with event bisimilarity: it is computed as
     the inseparability relation of the smallest stable sigma-algebra,
-    and no per-pair formulas are produced.
+    and no formulas are produced.
 
     fragment="Lf" (the finitary sublogic built from the multi-constraint
-    diamond) runs the bisimulation refinement and synthesizes a
-    distinguishing formula for every pair of states it separates.
+    diamond) takes its relation and partition from largest_traditional,
+    which reads the same cached refinement, and synthesizes one
+    distinguishing formula per split of that refinement.  Each split is
+    verified once: the formula's extension must contain one sub-block
+    and miss the other, which says that it separates every pair of
+    states across the split.
     """
     if fragment == "L":
         rep = smallest_stable_sigma(m)
         return EquivalenceReport("L", rep.relation, rep.partition, {})
     if fragment != "Lf":
         raise ValueError(f"unknown fragment {fragment!r}")
-    if not nlmp_validate(m).valid:
-        raise PreconditionError("model fails measurability validation")
-    partition, formulas = _lf_refinement(m)
-    relation = Relation.from_partition(m.universe, partition)
-    # Verify every pair against a memo of its own, not the one synthesis
-    # filled: pairs share interned formulas, so each distinct node is
-    # evaluated once however many pairs it separates.
+    rep = largest_traditional(m)
+    formulas = _lf_refinement(m)
+    # Verify against a memo of its own, not the one synthesis filled:
+    # splits share interned formulas, so each distinct node is evaluated
+    # once however many splits it explains.  psi separates every pair of
+    # left x right iff one sub-block lies inside ext and the other outside.
     memo: _Memo = {}
-    for (s, t), psi in formulas.items():
+    for (left, right), psi in formulas.items():
         ext = _eval_state(m, psi, memo)
-        if (s in ext) == (t in ext):
+        inner, outer = (left, right) if left[0] in ext else (right, left)
+        if not (ext.issuperset(inner) and ext.isdisjoint(outer)):
+            s, t = next((s, t) for s in left for t in right if (s in ext) == (t in ext))
             raise InternalCheckError(f"synthesized formula fails to separate {s!r} and {t!r}")
-    return EquivalenceReport("Lf", relation, partition, formulas)
+    return EquivalenceReport("Lf", rep.relation, rep.partition, formulas)
 
 
 def distinguish(m: Nlmp, s: str, t: str) -> StateFormula | None:
@@ -387,21 +412,19 @@ def distinguish(m: Nlmp, s: str, t: str) -> StateFormula | None:
         raise UnsupportedModelError(
             "distinguishing formulas are only synthesized on full powerset models"
         )
-    report = logical_equivalence(m, "Lf")
-    if (s, t) in report.relation:
-        return None
-    psi = report.formulas[(s, t)]
-    if satisfies(m, s, psi) == satisfies(m, t, psi):
+    psi = logical_equivalence(m, "Lf").formula(s, t)
+    if psi is not None and satisfies(m, s, psi) == satisfies(m, t, psi):
         raise InternalCheckError("distinguishing formula failed re-verification")
     return psi
 
 
-def _lf_refinement(m: Nlmp) -> tuple[Partition, dict[tuple[str, str], StateFormula]]:
+def _lf_refinement(m: Nlmp) -> dict[Split, StateFormula]:
     """Partition refinement with formula synthesis, one formula per split.
 
     For each pair of sub-blocks (left, right) of a splitting block, one
-    formula is synthesized on left[0] and right[0] and recorded for all
-    of left x right.  It separates them all, by induction on rounds.
+    formula is synthesized on left[0] and right[0] and recorded once, as
+    ``formulas[(left, right)]``.  It separates every state of left from
+    every state of right, by induction on rounds.
 
     The generators of a round are the universe and the extensions of the
     formulas recorded in earlier rounds (the first formula of each
@@ -421,7 +444,7 @@ def _lf_refinement(m: Nlmp) -> tuple[Partition, dict[tuple[str, str], StateFormu
     """
     top = Top()
     everything = frozenset(m.states)
-    formulas: dict[tuple[str, str], StateFormula] = {}
+    formulas: dict[Split, StateFormula] = {}
 
     @cache
     def rank(e: StateSet) -> tuple:  # separator order: smallest first
@@ -437,8 +460,8 @@ def _lf_refinement(m: Nlmp) -> tuple[Partition, dict[tuple[str, str], StateFormu
     # One evaluation memo for all synthesized formulas.
     memo: _Memo = {}
 
-    def synthesize(s: str, t: str, label: str, mu: Measure) -> StateFormula:
-        # mu leaves s under label and is unmatched in t's row.
+    def synthesize(t: str, label: str, mu: Measure) -> StateFormula:
+        # mu is a measure under label that is unmatched in t's row.
         opponents = m.row(t, label)
         bounds: dict[tuple, tuple] = {}
         if not opponents:
@@ -477,14 +500,12 @@ def _lf_refinement(m: Nlmp) -> tuple[Partition, dict[tuple[str, str], StateFormu
                 if hs != ht:
                     x, y, only = (s, t, hs - ht) if hs - ht else (t, s, ht - hs)
                     mu = next(mu for mu in m.row(x, a) if key.profiles[mu] in only)
-                    psi = synthesize(x, y, a, mu)
+                    formulas[(left, right)] = psi = synthesize(y, a, mu)
                     break
             else:
                 raise InternalCheckError("split without a hit-class mismatch")
-            for s, t in product(left, right):
-                formulas[(s, t)] = formulas[(t, s)] = psi
             ext = _eval_state(m, psi, memo)
             if (ext,) not in conj:
                 conj[(ext,)] = psi
                 insort(gens, ext, key=rank)
-    return lam.atoms, formulas
+    return formulas

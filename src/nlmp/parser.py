@@ -2,8 +2,9 @@
 
 Model files (.nlmp), line oriented, `#` comments:
 
-    nlmp                        optional header (default); `lmp` switches to
-                                exactly one measure per state and label
+    nlmp                        optional header (default), before any other
+                                directive; `lmp` switches to exactly one
+                                measure per state and label
     states s t x                state identifiers, in display order
     labels a b                  transition labels
     sigma powerset              default when omitted
@@ -109,16 +110,13 @@ def parse_model(text: str) -> ModelDocument:
     sigma: SigmaAlgebra | None = None
     trans_lines: list[tuple[int, list[str]]] = []
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        tokens = _LINE_TOKEN.findall(line)
-        if not tokens:
-            continue
-        head, rest = tokens[0], tokens[1:]
+    lines = (_LINE_TOKEN.findall(raw.split("#", 1)[0]) for raw in text.splitlines())
+    directives = [(line_no, tokens) for line_no, tokens in enumerate(lines, start=1) if tokens]
+    for i, (line_no, (head, *rest)) in enumerate(directives):
         if head in ("nlmp", "lmp"):
             if rest:
                 raise ModelSyntaxError(f"unexpected tokens after {head!r} header", line_no)
-            if universe is not None or trans_lines:
+            if i:
                 raise ModelSyntaxError("header must come first", line_no)
             kind = head
         elif head == "states":

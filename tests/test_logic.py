@@ -277,10 +277,10 @@ class TestLogicalEquivalence:
         m = two_bounds_model()
         report = logical_equivalence(m, "Lf")
         assert sorted(sorted(b) for b in report.partition) == [["s"], ["t"], ["x"], ["y"], ["z"]]
-        psi = report.formulas[("s", "t")]
+        psi = report.formula("s", "t")
         assert satisfies(m, "s", psi) != satisfies(m, "t", psi)
         for s, t in combinations(m.states, 2):
-            psi = report.formulas[(s, t)]
+            psi = report.formula(s, t)
             assert satisfies(m, s, psi) != satisfies(m, t, psi)
 
     def test_full_logic_fragment_matches_event_bisimilarity(self):
@@ -312,7 +312,7 @@ class TestLogicalEquivalence:
             assert report.relation.pairs == largest_traditional(m).relation.pairs
 
     def test_each_unordered_pair_is_verified_once(self, monkeypatch):
-        # One logical_equivalence call verifies every pair with one memo:
+        # One logical_equivalence call verifies every split with one memo:
         # each distinct formula node is evaluated at most once, so its
         # measure values stay within one pass over the distinct nodes and
         # below what two satisfies calls per unordered pair took.
@@ -357,10 +357,11 @@ class TestLogicalEquivalence:
             )
             assert verification <= one_pass
             calls.clear()
-            pairs = {frozenset(pair): psi for pair, psi in report.formulas.items()}
-            for pair, psi in pairs.items():
-                for s in pair:
-                    satisfies(m, s, psi)
+            pairs = [(s, t) for s, t in combinations(m.states, 2) if (s, t) not in report.relation]
+            for s, t in pairs:
+                psi = report.formula(s, t)
+                satisfies(m, s, psi)
+                satisfies(m, t, psi)
             if len(pairs) > 1:
                 assert verification < len(calls)
                 compared += 1
@@ -383,22 +384,24 @@ class TestLogicalEquivalence:
         rng = random.Random(520)
         for i in range(200):
             m = rand_valid_nlmp(rng, coarse=i % 2 == 0)
-            formulas = logical_equivalence(m, "Lf").formulas
-            for _, _, splits in refinement(m):
-                for subs in splits:
+            report = logical_equivalence(m, "Lf")
+            splits = 0
+            for _, _, blocks in refinement(m):
+                for subs in blocks:
                     for left, right in combinations(subs, 2):
+                        splits += 1
                         pairs = [(s, t) for s in left for t in right]
                         pairs += [(t, s) for s, t in pairs]
-                        assert len({id(formulas[p]) for p in pairs}) == 1
+                        assert {id(report.formula(*p)) for p in pairs} == {id(report.formulas[(left, right)])}
+            assert len(report.formulas) == splits
 
     def test_shared_formula_that_fails_one_pair_is_an_internal_error(self, monkeypatch):
         # TWO_BOUNDS holds at s only: it separates s from t, not t from x
         import nlmp.logic
 
         m = two_bounds_model()
-        partition = tuple(frozenset([s]) for s in m.states)
-        formulas = {pair: TWO_BOUNDS for pair in (("s", "t"), ("t", "s"), ("t", "x"), ("x", "t"))}
-        monkeypatch.setattr(nlmp.logic, "_lf_refinement", lambda m: (partition, formulas))
+        formulas = {(("s",), ("t",)): TWO_BOUNDS, (("t",), ("x",)): TWO_BOUNDS}
+        monkeypatch.setattr(nlmp.logic, "_lf_refinement", lambda m: formulas)
         with pytest.raises(InternalCheckError, match="'t' and 'x'"):
             logical_equivalence(m, "Lf")
 
@@ -406,11 +409,21 @@ class TestLogicalEquivalence:
         import nlmp.logic
 
         m = two_bounds_model()
-        partition = tuple(frozenset([s]) for s in m.states)
-        monkeypatch.setattr(
-            nlmp.logic, "_lf_refinement", lambda m: (partition, {("s", "t"): Top(), ("t", "s"): Top()})
-        )
-        with pytest.raises(InternalCheckError):
+        monkeypatch.setattr(nlmp.logic, "_lf_refinement", lambda m: {(("s",), ("t",)): Top()})
+        with pytest.raises(InternalCheckError, match="'s' and 't'"):
+            logical_equivalence(m, "Lf")
+
+    def test_formula_that_separates_the_representatives_only_is_an_internal_error(self, monkeypatch):
+        # TWO_BOUNDS holds at s only: across the split {s, x} | {t} it
+        # separates s from t but not x from t, so a check of left[0] and
+        # right[0] alone would pass it
+        import nlmp.logic
+
+        m = two_bounds_model()
+        assert satisfies(m, "s", TWO_BOUNDS)
+        assert not satisfies(m, "x", TWO_BOUNDS) and not satisfies(m, "t", TWO_BOUNDS)
+        monkeypatch.setattr(nlmp.logic, "_lf_refinement", lambda m: {(("s", "x"), ("t",)): TWO_BOUNDS})
+        with pytest.raises(InternalCheckError, match="'x' and 't'"):
             logical_equivalence(m, "Lf")
 
     def test_every_separated_pair_carries_a_verified_formula(self):
@@ -420,8 +433,9 @@ class TestLogicalEquivalence:
             report = logical_equivalence(m, "Lf")
             for s in m.states:
                 for t in m.states:
-                    if s != t and (s, t) not in report.relation:
-                        psi = report.formulas[(s, t)]
+                    psi = report.formula(s, t)
+                    assert (psi is None) == ((s, t) in report.relation)
+                    if psi is not None:
                         assert satisfies(m, s, psi) != satisfies(m, t, psi)
 
     def test_synthesis_builds_few_conjunctions_on_a_chain(self, monkeypatch):

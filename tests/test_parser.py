@@ -94,6 +94,21 @@ class TestModelParsing:
         with pytest.raises(ModelSyntaxError, match="unclosed"):
             parse_model("states s t\nlabels a\nsigma gen {s\n")
 
+    def test_header_must_be_the_first_directive(self):
+        # comments and blank lines may precede it; any directive may not
+        assert parse_model("# an lmp\n\nlmp\nstates s\nlabels a\ntrans s a -> s\n").kind == "lmp"
+        cases = [
+            ("states s\nlmp\nlabels a\n", 2),
+            ("labels a\nlmp\nstates s\ntrans s a -> s\n", 2),
+            ("states s\nlabels a\n# late\nnlmp\n", 4),
+            ("lmp\nnlmp\nstates s\nlabels a\n", 2),
+            ("nlmp\nnlmp\nstates s\nlabels a\n", 2),
+            ("nlmp\nlmp\nstates s\nlabels a\ntrans s a -> s\n", 2),
+        ]
+        for text, line_no in cases:
+            with pytest.raises(ModelSyntaxError, match=f"^header must come first at line {line_no}$"):
+                parse_model(text)
+
     def test_weights_accumulate_within_atoms(self):
         text = (
             "states s t x\nlabels a\nsigma gen {s t} {x}\n"
