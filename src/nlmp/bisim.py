@@ -17,7 +17,11 @@ membership in their hit preimages, carry the same information, so the
 state and event signatures would split every block identically
 (`tests/support.py` keeps them as oracles).  Refinement from the total
 relation (the trivial sigma-algebra) shrinks toward the greatest
-bisimilarity (grows toward the smallest stable sigma-algebra).  A round
+bisimilarity (grows toward the smallest stable sigma-algebra).  On a
+finite model each bisimilarity is the inseparability relation of the
+fixpoint's sigma-algebra, so a report keeps that sigma-algebra: its
+atoms are the blocks and its atom index maps each state to its block;
+the pair set is built only when ``relation`` is read.  A round
 compares profiles by small-int ids, one pass over each pool measure's
 support; the dense `profile` and `trace_classes` serve the independent
 checkers and validation.
@@ -93,11 +97,26 @@ class CheckResult:
         return self.holds
 
 
+class Blocks:
+    """A bisimilarity held as the fixpoint sigma-algebra ``lam``; two
+    states are related iff they share a lam atom."""
+
+    lam: SigmaAlgebra
+
+    @property
+    def partition(self) -> Partition:
+        return self.lam.atoms
+
+    @property
+    def relation(self) -> Relation:
+        """The related pairs, built anew on each read."""
+        return relation_of_sigma(self.lam)
+
+
 @dataclass(frozen=True)
-class BisimReport:
+class BisimReport(Blocks):
     kind: str  # "traditional" | "state" | "event"
-    relation: Relation
-    partition: Partition
+    lam: SigmaAlgebra
     trace: tuple[Partition, ...]
     sigma: SigmaAlgebra | None = None
 
@@ -279,15 +298,7 @@ def _fixpoint(kind: str, m: Nlmp) -> BisimReport:
     _require_valid(m)
     rounds = [lam for lam, _, _ in refinement(m)]
     lam = rounds[-1]
-    if m._bisimilarity is None:
-        m._bisimilarity = relation_of_sigma(lam)
-    return BisimReport(
-        kind,
-        m._bisimilarity,
-        lam.atoms,
-        tuple(r.atoms for r in rounds),
-        sigma=lam if kind == "event" else None,
-    )
+    return BisimReport(kind, lam, tuple(r.atoms for r in rounds), sigma=lam if kind == "event" else None)
 
 
 def largest_traditional(m: Nlmp) -> BisimReport:
@@ -330,16 +341,20 @@ def compare_bisims(m: Nlmp) -> ComparisonReport:
     must coincide on full powerset models; a violation of either is an
     implementation bug and raises InternalCheckError.  On coarse
     sigma-algebras, equality of state and event bisimilarity is reported
-    but never asserted.
+    but never asserted.  Both are decided on the partitions, never on
+    pair sets: one relation lies in another iff the other's blocks are
+    measurable in its sigma-algebra, and two are equal iff their
+    canonically ordered partitions are.  The three fixpoints read one
+    refinement, so both checks hold by construction.
     """
     rt = largest_traditional(m)
     rs = largest_state(m)
     re = smallest_stable_sigma(m)
-    chain = rt.relation <= rs.relation and rs.relation <= re.relation
+    chain = sigma_is_sub(rs.lam, rt.lam) and sigma_is_sub(re.lam, rs.lam)
     if not chain:
         raise InternalCheckError("bisimilarity inclusion chain violated")
-    t_eq_s = rt.relation.pairs == rs.relation.pairs
-    s_eq_e = rs.relation.pairs == re.relation.pairs
+    t_eq_s = rt.partition == rs.partition
+    s_eq_e = rs.partition == re.partition
     powerset = m.sigma.is_powerset
     if powerset and not (t_eq_s and s_eq_e):
         raise InternalCheckError("bisimilarities differ on a full powerset model")

@@ -36,12 +36,11 @@ from itertools import combinations
 from typing import ClassVar
 
 from .errors import DomainError, InternalCheckError, UnsupportedModelError
-from .bisim import largest_traditional, refinement, smallest_stable_sigma
-from .measurable import Relation, StateSet
+from .bisim import Blocks, largest_traditional, refinement, smallest_stable_sigma
+from .measurable import SigmaAlgebra, StateSet
 from .measures import Measure, ZERO, _rational_text
 from .model import Nlmp, hit_preimage
 
-Partition = tuple[StateSet, ...]
 # A pair of sub-blocks of one split block, each in universe order.
 Split = tuple[tuple[str, ...], tuple[str, ...]]
 
@@ -335,22 +334,23 @@ def satisfies(m: Nlmp, s: str, phi: StateFormula) -> bool:
 
 
 @dataclass(frozen=True)
-class EquivalenceReport:
-    """The equivalence a fragment induces and, for "Lf", one formula per
-    split of the refinement: ``formulas[(left, right)]`` holds at every
-    state of one sub-block and at no state of the other."""
+class EquivalenceReport(Blocks):
+    """The equivalence a fragment induces, as the fixpoint sigma-algebra
+    ``lam`` of the bisimilarity it coincides with (its atoms are the
+    classes), and, for "Lf", one formula per split of the refinement:
+    ``formulas[(left, right)]`` holds at every state of one sub-block and
+    at no state of the other."""
 
     fragment: str  # "L" | "Lf"
-    relation: Relation
-    partition: Partition
+    lam: SigmaAlgebra
     formulas: dict[Split, StateFormula]
 
     def formula(self, s: str, t: str) -> StateFormula | None:
         """The formula of the one split that separates s and t, found in
-        one pass over the splits; None when s and t are related.  Raises
-        KeyError on an unrelated pair when there are no formulas (the "L"
-        fragment)."""
-        if (s, t) in self.relation:
+        one pass over the splits; None when s and t lie in one block.
+        Raises KeyError on an unrelated pair when there are no formulas
+        (the "L" fragment)."""
+        if self.lam.atom_index(s) == self.lam.atom_index(t):
             return None
         for (left, right), psi in self.formulas.items():
             if s in left and t in right or t in left and s in right:
@@ -362,12 +362,12 @@ def logical_equivalence(m: Nlmp, fragment: str = "Lf") -> EquivalenceReport:
     """States indistinguishable by the chosen fragment.
 
     fragment="L" (the full logic, with measure-level negation and
-    disjunction) coincides with event bisimilarity: it is computed as
-    the inseparability relation of the smallest stable sigma-algebra,
-    and no formulas are produced.
+    disjunction) coincides with event bisimilarity: it is the
+    inseparability relation of the smallest stable sigma-algebra, and no
+    formulas are produced.
 
     fragment="Lf" (the finitary sublogic built from the multi-constraint
-    diamond) takes its relation and partition from largest_traditional,
+    diamond) takes its sigma-algebra from largest_traditional,
     which reads the same cached refinement, and synthesizes one
     distinguishing formula per split of that refinement.  Each split is
     verified once: the formula's extension must contain one sub-block
@@ -376,7 +376,7 @@ def logical_equivalence(m: Nlmp, fragment: str = "Lf") -> EquivalenceReport:
     """
     if fragment == "L":
         rep = smallest_stable_sigma(m)
-        return EquivalenceReport("L", rep.relation, rep.partition, {})
+        return EquivalenceReport("L", rep.lam, {})
     if fragment != "Lf":
         raise ValueError(f"unknown fragment {fragment!r}")
     rep = largest_traditional(m)
@@ -392,7 +392,7 @@ def logical_equivalence(m: Nlmp, fragment: str = "Lf") -> EquivalenceReport:
         if not (ext.issuperset(inner) and ext.isdisjoint(outer)):
             s, t = next((s, t) for s in left for t in right if (s in ext) == (t in ext))
             raise InternalCheckError(f"synthesized formula fails to separate {s!r} and {t!r}")
-    return EquivalenceReport("Lf", rep.relation, rep.partition, formulas)
+    return EquivalenceReport("Lf", rep.lam, formulas)
 
 
 def distinguish(m: Nlmp, s: str, t: str) -> StateFormula | None:

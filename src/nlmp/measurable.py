@@ -192,13 +192,19 @@ def sigma_generate(universe: Universe, generators: Iterable[Iterable[str]]) -> S
 
     Two states end up in the same atom exactly when no generator
     separates them; closure under complement and union then falls out of
-    the atom representation.
+    the atom representation.  A state's signature is the list of indices
+    of the generators holding it, built in one pass over each
+    generator's members, so the cost is linear in the generators' total
+    size, not in states times generators.
     """
     gens = [universe.check_subset(g) for g in generators]
-    signature: dict[tuple[bool, ...], set[str]] = {}
-    for s in universe:
-        sig = tuple(s in g for g in gens)
-        signature.setdefault(sig, set()).add(s)
+    members: dict[str, list[int]] = {s: [] for s in universe}
+    for i, g in enumerate(gens):
+        for s in g:
+            members[s].append(i)
+    signature: dict[tuple[int, ...], set[str]] = {}
+    for s, sig in members.items():
+        signature.setdefault(tuple(sig), set()).add(s)
     return SigmaAlgebra(universe, tuple(frozenset(b) for b in signature.values()))
 
 

@@ -17,7 +17,7 @@ from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, PreconditionError
-from .measurable import Relation, SigmaAlgebra, StateSet, Universe
+from .measurable import SigmaAlgebra, StateSet, Universe
 from .measures import Measure, trace_classes
 
 Row = tuple[Measure, ...]
@@ -85,7 +85,6 @@ class Nlmp:
         self.holders = {a: {mu: frozenset(h) for mu, h in by_mu.items()} for a, by_mu in holders.items()}
         self._validation: ValidationReport | None = None
         self._refinement: tuple | None = None  # nlmp.bisim.refinement
-        self._bisimilarity: Relation | None = None  # nlmp.bisim._fixpoint
 
     @property
     def universe(self) -> Universe:

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 
@@ -12,6 +13,7 @@ from nlmp import (
     Universe,
     Measure,
     compare_bisims,
+    corpus_dir,
     dirac,
     is_event_bisim,
     is_state_bisim,
@@ -20,8 +22,10 @@ from nlmp import (
     largest_traditional,
     lmp_embed,
     logical_equivalence,
+    nlmp_validate,
     np_state_check,
     np_traditional_check,
+    parse_model,
     profile,
     relation_of_sigma,
     sigma_of_relation,
@@ -48,6 +52,7 @@ from support import (
     uniform_rows_model,
     union,
 )
+from test_golden import GOLDEN, run_case
 
 
 def sym_with_identity(universe, *pairs):
@@ -267,21 +272,27 @@ class TestCompare:
         assert comparison.all_equal
         assert comparison.traditional.partition == (frozenset({"only"}),)
 
-    def test_one_relation_serves_every_fixpoint(self, monkeypatch):
-        real = nlmp.bisim.relation_of_sigma
-        calls = []
+    def test_cli_reports_never_build_a_pair_set(self, monkeypatch):
+        # Every fixpoint keeps its sigma-algebra: `bisim --kind all` and
+        # `distinguish` print their pinned reports without building the
+        # related pairs, and the three fixpoints share one partition.
+        def refuse(*args):
+            raise AssertionError("a pair set was built")
 
-        def counting(lam):
-            calls.append(lam)
-            return real(lam)
-
-        monkeypatch.setattr(nlmp.bisim, "relation_of_sigma", counting)
-        m = two_bounds_model()
-        comparison = compare_bisims(m)
-        assert comparison.traditional.relation is comparison.state.relation
-        assert comparison.state.relation is comparison.event.relation
-        assert largest_state(m).relation is comparison.state.relation
-        assert len(calls) == 1
+        monkeypatch.setattr(Relation, "from_partition", refuse)
+        golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        cases = [key for key in golden if key.split()[0] in ("bisim", "distinguish")]
+        assert any(key.endswith("--kind all") for key in cases)
+        assert any(key.startswith("distinguish") for key in cases)
+        for key in cases:
+            assert run_case(key.split()) == golden[key], key
+        for path in sorted(corpus_dir().glob("*.nlmp")):
+            m = parse_model(path.read_text(encoding="utf-8")).nlmp
+            if not nlmp_validate(m).valid:
+                continue
+            comparison = compare_bisims(m)
+            assert comparison.traditional.partition is comparison.state.partition
+            assert comparison.state.partition is comparison.event.partition
 
     def test_invalid_model_rejected(self):
         u = Universe(("s", "t", "x"))

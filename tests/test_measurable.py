@@ -68,10 +68,16 @@ class TestSigmaGenerate:
         rng = random.Random(101)
         for _ in range(150):
             universe = rand_universe(rng)
-            gens = [
-                frozenset(s for s in universe if rng.random() < 0.5)
-                for _ in range(rng.randint(0, 3))
-            ]
+            # up to 8 generators: random halves, some empty, some repeats
+            gens = []
+            for _ in range(rng.randint(0, 8)):
+                r = rng.random()
+                if gens and r < 0.2:
+                    gens.append(rng.choice(gens))
+                elif r < 0.3:
+                    gens.append(frozenset())
+                else:
+                    gens.append(frozenset(s for s in universe if rng.random() < 0.5))
             sig = sigma_generate(universe, gens)
             family = closure_family(universe, gens)
             assert frozenset(sig.atoms) == family_atoms(family, universe)
@@ -89,6 +95,9 @@ class TestSigmaGenerate:
     def test_generator_outside_universe_rejected(self):
         with pytest.raises(DomainError):
             sigma_generate(u("1", "2"), [frozenset({"1", "9"})])
+        # the first generator that leaves the universe is the one named
+        with pytest.raises(DomainError, match="'8'"):
+            sigma_generate(u("1", "2"), [frozenset({"1"}), frozenset({"8"}), frozenset({"9"})])
 
 
 class TestIsMeasurable:
