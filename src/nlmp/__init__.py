@@ -57,7 +57,6 @@ from .logic import (
     AtLeast,
     AtMost,
     Bound,
-    Constraint,
     Diamond,
     DiamondMulti,
     EquivalenceReport,

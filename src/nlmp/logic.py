@@ -78,37 +78,25 @@ class Diamond(StateFormula):
     body: MeasureFormula
 
 
-# The comparison of every probability bound (a Bound's or a
-# Constraint's op), keyed by its concrete syntax.
+# The comparison of every probability bound, keyed by its op, which is
+# its concrete syntax.
 COMPARE = {">=": operator.ge, ">": operator.gt, "<": operator.lt, "<=": operator.le}
 
 
 @dataclass(frozen=True)
-class Constraint:
-    """One probability bound of a multi-constraint diamond."""
-
-    op: str  # ">" | "<"
-    threshold: Fraction
-    phi: StateFormula
-
-    def __post_init__(self):
-        if self.op not in (">", "<"):
-            raise DomainError(f"constraint operator must be > or <, got {self.op!r}")
-        object.__setattr__(self, "threshold", Fraction(self.threshold))
-        if not 0 <= self.threshold <= 1:
-            raise DomainError(f"constraint threshold {self.threshold} outside [0, 1]")
-
-
-@dataclass(frozen=True)
 class DiamondMulti(StateFormula):
-    """All listed bounds must hold for a single transition measure."""
+    """All listed bounds, each a GreaterThan or a LessThan, must hold
+    for a single transition measure."""
 
     label: str
-    constraints: tuple[Constraint, ...]
+    constraints: tuple[Bound, ...]
 
     def __post_init__(self):
         if not self.constraints:
             raise DomainError("multi-constraint diamond needs at least one constraint")
+        for c in self.constraints:
+            if not isinstance(c, (GreaterThan, LessThan)):
+                raise DomainError(f"constraint operator must be > or <, got {getattr(c, 'op', c)!r}")
 
 
 @dataclass(frozen=True)
@@ -119,13 +107,6 @@ class MOr(MeasureFormula):
 @dataclass(frozen=True)
 class MNot(MeasureFormula):
     item: MeasureFormula
-
-
-def _check_threshold(q: Fraction) -> Fraction:
-    q = Fraction(q)
-    if not 0 <= q <= 1:
-        raise DomainError(f"threshold {q} outside [0, 1]")
-    return q
 
 
 @dataclass(frozen=True)
@@ -140,7 +121,10 @@ class Bound(MeasureFormula):
     op: ClassVar[str]
 
     def __post_init__(self):
-        object.__setattr__(self, "q", _check_threshold(self.q))
+        q = Fraction(self.q)
+        if not 0 <= q <= 1:
+            raise DomainError(f"threshold {q} outside [0, 1]")
+        object.__setattr__(self, "q", q)
 
 
 class AtLeast(Bound):
@@ -192,7 +176,7 @@ def formula_to_text(f: StateFormula | MeasureFormula) -> str:
         return f"<{f.label}> {formula_to_text(f.body)}"
     if isinstance(f, DiamondMulti):
         parts = ", ".join(
-            f"{c.op}{_threshold_text(c.threshold)} {formula_to_text(c.phi)}" for c in f.constraints
+            f"{c.op}{_threshold_text(c.q)} {formula_to_text(c.phi)}" for c in f.constraints
         )
         return f"<{f.label}>[ {parts} ]"
     if isinstance(f, MOr):
@@ -285,7 +269,7 @@ def _eval_state(m: Nlmp, phi: StateFormula, memo: _Memo) -> StateSet:
             *(
                 states
                 for mu, states in m.holders[phi.label].items()
-                if all(COMPARE[c.op](mu.value(ext), c.threshold) for c, ext in bounds)
+                if all(COMPARE[c.op](mu.value(ext), c.q) for c, ext in bounds)
             )
         )
         _assert_measurable(m, result)
@@ -463,9 +447,9 @@ def _lf_refinement(m: Nlmp) -> dict[Split, StateFormula]:
     def synthesize(t: str, label: str, mu: Measure) -> StateFormula:
         # mu is a measure under label that is unmatched in t's row.
         opponents = m.row(t, label)
-        bounds: dict[tuple, tuple] = {}
+        bounds: dict[tuple, StateFormula] = {}  # (op, q, id(phi)) -> phi
         if not opponents:
-            bounds[(">", ZERO, id(top))] = (">", ZERO, top)
+            bounds[(">", ZERO, id(top))] = top
         for nu in opponents:
             for ext in ordered:
                 a_val, b_val = mu.value(ext), nu.value(ext)
@@ -476,10 +460,11 @@ def _lf_refinement(m: Nlmp) -> dict[Split, StateFormula]:
             phi = conj[candidates[ext]]
             op = ">" if a_val > b_val else "<"
             q = (a_val + b_val) / 2
-            bounds.setdefault((op, q, id(phi)), (op, q, phi))
+            bounds[(op, q, id(phi))] = phi
         key = (label, tuple(bounds))
         if key not in interned:
-            interned[key] = DiamondMulti(label, tuple(Constraint(*b) for b in bounds.values()))
+            items = tuple(BOUNDS[op](phi, q) for (op, q, _), phi in bounds.items())
+            interned[key] = DiamondMulti(label, items)
         return interned[key]
 
     for lam, key, splits in refinement(m):

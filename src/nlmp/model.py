@@ -1,5 +1,6 @@
 """Finite nondeterministic labeled Markov processes and their
-deterministic (single-kernel) special case.
+deterministic (single-kernel) special case, the subclass whose rows are
+singletons.
 
 A model maps each (state, label) to a finite set of probability
 measures on its own sigma-algebra.  Validity means measurability of the
@@ -120,9 +121,9 @@ class Nlmp:
     __hash__ = None
 
 
-class Lmp:
-    """The deterministic special case: exactly one kernel measure per
-    (state, label)."""
+class Lmp(Nlmp):
+    """The deterministic special case: the Nlmp whose every row is a
+    single kernel measure, one per (state, label)."""
 
     def __init__(
         self,
@@ -130,46 +131,14 @@ class Lmp:
         labels: Sequence[str],
         kernels: Mapping[tuple[str, str], Measure],
     ):
-        self.sigma = sigma
-        self.labels = tuple(labels)
-        if len(set(self.labels)) != len(self.labels):
-            raise DomainError("duplicate labels")
         for s in sigma.universe:
-            for a in self.labels:
+            for a in labels:
                 if (s, a) not in kernels:
                     raise DomainError(f"missing kernel for ({s!r}, {a!r}): kernels must be total")
-        self._kernels: dict[tuple[str, str], Measure] = {}
-        for (s, a), mu in kernels.items():
-            if s not in sigma.universe or a not in self.labels:
-                raise DomainError(f"unknown state or label in kernel ({s!r}, {a!r})")
-            if mu.sigma != sigma:
-                raise DomainError(f"kernel at ({s!r}, {a!r}) is not over the model's sigma-algebra")
-            self._kernels[(s, a)] = mu
-
-    @property
-    def universe(self) -> Universe:
-        return self.sigma.universe
-
-    @property
-    def states(self) -> tuple[str, ...]:
-        return self.universe.states
+        super().__init__(sigma, labels, {key: (mu,) for key, mu in kernels.items()})
 
     def kernel(self, s: str, a: str) -> Measure:
-        if s not in self.universe:
-            raise DomainError(f"unknown state {s!r}")
-        if a not in self.labels:
-            raise DomainError(f"unknown label {a!r}")
-        return self._kernels[(s, a)]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Lmp)
-            and self.sigma == other.sigma
-            and self.labels == other.labels
-            and self._kernels == other._kernels
-        )
-
-    __hash__ = None
+        return self.row(s, a)[0]
 
 
 @dataclass(frozen=True)
@@ -245,10 +214,11 @@ def lmp_validate(l: Lmp) -> ValidationReport:
     """
     findings: list[Finding] = []
     for a in l.labels:
+        kernels = [(s, l.kernel(s, a)) for s in l.states]
         for q in l.sigma.atoms:
             by_value: dict = {}
-            for s in l.states:
-                by_value.setdefault(l.kernel(s, a).value(q), set()).add(s)
+            for s, mu in kernels:
+                by_value.setdefault(mu.value(q), set()).add(s)
             for v, level in sorted(by_value.items()):
                 if not l.sigma.is_measurable(level):
                     findings.append(
@@ -263,7 +233,8 @@ def lmp_validate(l: Lmp) -> ValidationReport:
 
 
 def lmp_embed(l: Lmp, validate: bool = True) -> Nlmp:
-    """Wrap each kernel into a singleton transition set.
+    """The deterministic model as a nondeterministic one: l itself,
+    whose rows already are the singletons of its kernels.
 
     The embedding preserves validation verdicts in both directions, so
     callers that need that equivalence on invalid inputs can pass
@@ -271,10 +242,7 @@ def lmp_embed(l: Lmp, validate: bool = True) -> Nlmp:
     """
     if validate and not lmp_validate(l).valid:
         raise PreconditionError("cannot embed an invalid deterministic model")
-    transitions = {
-        (s, a): (l.kernel(s, a),) for s in l.states for a in l.labels
-    }
-    return Nlmp(l.sigma, l.labels, transitions)
+    return l
 
 
 def is_non_probabilistic(m: Nlmp) -> bool:

@@ -38,7 +38,7 @@ from .errors import DomainError, ModelSyntaxError
 from .logic import (
     BOUNDS,
     And,
-    Constraint,
+    Bound,
     Diamond,
     DiamondMulti,
     MNot,
@@ -49,7 +49,7 @@ from .logic import (
 )
 from .measurable import SigmaAlgebra, Universe, sigma_generate
 from .measures import Measure, _shown, dirac
-from .model import Lmp, Nlmp, lmp_embed
+from .model import Lmp, Nlmp
 
 # hashlib loads OpenSSL (several MiB of resident memory) just for the
 # report digest; the builtin SHA-256 gives the same bytes.
@@ -186,7 +186,7 @@ def parse_model(text: str) -> ModelDocument:
                         f"deterministic model is missing the transition for ({s}, {a})"
                     )
         lmp = Lmp(sigma, labels, kernels)
-        return ModelDocument("lmp", lmp_embed(lmp, validate=False), lmp)
+        return ModelDocument("lmp", lmp, lmp)
     nlmp = Nlmp(sigma, labels, {k: tuple(v) for k, v in rows.items()})
     return ModelDocument("nlmp", nlmp, None)
 
@@ -305,8 +305,8 @@ def serialize_model(doc: ModelDocument) -> str:
             "{" + " ".join(model.universe.sort(a)) + "}" for a in model.sigma.atoms
         )
         lines.append(f"sigma gen {blocks}")
-    # The embedding of an lmp document holds exactly its kernels, as
-    # singleton rows in the same state x label order.
+    # An lmp document's model holds exactly its kernels, as singleton
+    # rows in state x label order.
     for (s, a), row in model.transition_items():
         for mu in row:
             lines.append(f"trans {s} {a} {_measure_text(mu)}")
@@ -333,16 +333,8 @@ def _tokenize_formula(text: str) -> list[tuple[str, str, int]]:
                 raise ModelSyntaxError(f"unexpected character {rest[0]!r}", None, column)
             break
         pos = m.end()
-        if m.group("or"):
-            tokens.append(("or", "\\/", m.start("or") + 1))
-        elif m.group("cmp"):
-            tokens.append(("cmp", m.group("cmp"), m.start("cmp") + 1))
-        elif m.group("sym"):
-            tokens.append(("sym", m.group("sym"), m.start("sym") + 1))
-        elif m.group("int"):
-            tokens.append(("int", m.group("int"), m.start("int") + 1))
-        else:
-            tokens.append(("ident", m.group("ident"), m.start("ident") + 1))
+        kind = m.lastgroup  # the group names are the token kinds
+        tokens.append((kind, m.group(kind), m.start(kind) + 1))
     return tokens
 
 
@@ -450,13 +442,12 @@ class _FormulaParser:
         self.expect("]")
         return DiamondMulti(label, tuple(constraints))
 
-    def constraint(self) -> Constraint:
+    def constraint(self) -> Bound:
         tok = self.take()
         if tok[1] not in (">", "<"):
             raise ModelSyntaxError("constraint must start with > or <", None, tok[2])
         q = self.rational()
-        phi = self.state_formula()
-        return Constraint(tok[1], q, phi)
+        return BOUNDS[tok[1]](self.state_formula(), q)
 
     # measure level ----------------------------------------------------------
 

@@ -15,7 +15,6 @@ from nlmp import (
     AtLeast,
     AtMost,
     CheckResult,
-    Constraint,
     Diamond,
     DiamondMulti,
     DomainError,
@@ -39,6 +38,7 @@ from nlmp import (
     trace_classes,
 )
 from nlmp.bisim import DiamondWitness
+from nlmp.logic import BOUNDS
 from nlmp.model import Finding
 
 F = Fraction
@@ -245,10 +245,13 @@ def rand_state_formula(rng: random.Random, labels: tuple[str, ...], depth: int):
         )
     if kind == "diamond":
         return Diamond(rng.choice(labels), rand_measure_formula(rng, labels, depth - 1))
-    constraints = tuple(
-        Constraint(rng.choice("><"), rand_threshold(rng), rand_state_formula(rng, labels, depth - 1))
-        for _ in range(rng.randint(1, 2))
-    )
+
+    def rand_constraint():
+        # Op, threshold, then sub-formula: the order the seeded tests' data was drawn in.
+        op, q = rng.choice("><"), rand_threshold(rng)
+        return BOUNDS[op](rand_state_formula(rng, labels, depth - 1), q)
+
+    constraints = tuple(rand_constraint() for _ in range(rng.randint(1, 2)))
     return DiamondMulti(rng.choice(labels), constraints)
 
 
@@ -788,7 +791,7 @@ def tree_eval_state(m: Nlmp, phi) -> frozenset[str]:
             for s in m.states
             if any(
                 all(
-                    dense_value(mu, ext) > c.threshold if c.op == ">" else dense_value(mu, ext) < c.threshold
+                    dense_value(mu, ext) > c.q if c.op == ">" else dense_value(mu, ext) < c.q
                     for c, ext in bounds
                 )
                 for mu in m.row(s, phi.label)
@@ -824,11 +827,7 @@ def tree_eval_measure(m: Nlmp, psi) -> frozenset[Measure]:
 def expand_multi(phi: DiamondMulti) -> Diamond:
     """The multi-constraint diamond as a plain diamond over a measure
     level conjunction (made of negation and disjunction)."""
-    bounds = [
-        GreaterThan(c.phi, c.threshold) if c.op == ">" else LessThan(c.phi, c.threshold)
-        for c in phi.constraints
-    ]
-    return Diamond(phi.label, MNot(MOr(tuple(MNot(b) for b in bounds))))
+    return Diamond(phi.label, MNot(MOr(tuple(MNot(c) for c in phi.constraints))))
 
 
 def expand_greater(m: Nlmp, phi, q: Fraction) -> MOr:

@@ -259,6 +259,12 @@ class TestInputBoundary:
         assert report is None
         assert err == f"error: {message}\n"
 
+    def test_multi_bound_threshold_outside_the_unit_interval_is_a_usage_error(self, capsys):
+        code, report, err = run(capsys, "check", corpus("two_bounds_needed.nlmp"), "<a>[ >2 T ]")
+        assert code == 1
+        assert report is None
+        assert err == "error: threshold 2 outside [0, 1]\n"
+
     def test_3000_conjuncts_are_a_usage_error(self, capsys):
         formula = " & ".join(["T"] * 3000)
         code, report, err = run(capsys, "check", corpus("uniform_rows.nlmp"), formula)

@@ -10,7 +10,6 @@ from nlmp import (
     AtLeast,
     AtMost,
     Bound,
-    Constraint,
     Diamond,
     DiamondMulti,
     DomainError,
@@ -58,10 +57,11 @@ from support import (
 )
 from nlmp import lmp_embed
 from nlmp.bisim import refinement
+from nlmp.logic import BOUNDS
 
 PHI_X = Diamond("b", AtLeast(Top(), F(1)))
 TWO_BOUNDS = DiamondMulti(
-    "a", (Constraint(">", F(1, 4), PHI_X), Constraint("<", F(3, 4), PHI_X))
+    "a", (GreaterThan(PHI_X, F(1, 4)), LessThan(PHI_X, F(3, 4)))
 )
 
 
@@ -148,7 +148,7 @@ class TestMemoisedEvaluation:
             m = rand_valid_nlmp(rng, coarse=i % 2 == 1)
             phi = rand_state_formula(rng, m.labels, 2)
             a, q = rng.choice(m.labels), rand_threshold(rng)
-            shared = And(phi, DiamondMulti(a, (Constraint(">", q, phi), Constraint("<", q, phi))))
+            shared = And(phi, DiamondMulti(a, (GreaterThan(phi, q), LessThan(phi, q))))
             bound = AtLeast(shared, q)
             shared = And(shared, Diamond(a, MOr((bound, MNot(bound), bound))))
             assert eval_state(m, shared) == tree_eval_state(m, shared)
@@ -192,7 +192,7 @@ class TestMemoisedEvaluation:
         calls = []
         real = Measure.value
         monkeypatch.setattr(Measure, "value", lambda mu, q: calls.append(mu) or real(mu, q))
-        phi = DiamondMulti("a", (Constraint(">", F(1, 4), Top()), Constraint(">", F(1, 2), Top())))
+        phi = DiamondMulti("a", (GreaterThan(Top(), F(1, 4)), GreaterThan(Top(), F(1, 2))))
         assert eval_state(m, phi) == frozenset(m.states)
         assert len(calls) == 2  # one value per bound, for the one distinct measure
 
@@ -222,7 +222,7 @@ class TestSugarCoherence:
             if not isinstance(phi, DiamondMulti):
                 phi = DiamondMulti(
                     rng.choice(m.labels),
-                    (Constraint(rng.choice("><"), F(rng.randint(0, 2), 2), phi),),
+                    (BOUNDS[rng.choice("><")](phi, F(rng.randint(0, 2), 2)),),
                 )
             assert eval_state(m, phi) == eval_state(m, expand_multi(phi))
 
@@ -270,6 +270,15 @@ class TestBounds:
         for cls in self.KINDS:
             with pytest.raises(DomainError):
                 cls(Top(), F(3, 2))
+
+    def test_multi_bound_modality_takes_strict_bounds_only(self):
+        for cls in (AtLeast, AtMost):
+            with pytest.raises(DomainError, match="constraint operator must be > or <"):
+                DiamondMulti("a", (cls(Top(), 1),))
+            with pytest.raises(DomainError):
+                DiamondMulti("a", (GreaterThan(Top(), F(1, 2)), cls(Top(), 1)))
+        with pytest.raises(DomainError, match="at least one constraint"):
+            DiamondMulti("a", ())
 
 
 class TestLogicalEquivalence:
@@ -555,7 +564,7 @@ class TestDistinguish:
     def test_different_enabledness_yields_enabling_probe(self):
         m = np_reach_model(False)
         psi = distinguish(m, "u", "v")
-        assert psi == DiamondMulti("b", (Constraint(">", F(0), Top()),))
+        assert psi == DiamondMulti("b", (GreaterThan(Top(), F(0)),))
 
     def test_result_is_verified_and_in_the_sublogic(self):
         rng = random.Random(511)

@@ -91,9 +91,19 @@ class TestLmpEmbed:
         u = Universe(("s", "t"))
         sig = SigmaAlgebra.powerset(u)
         kernels = {(w, "a"): dirac(sig, "t") for w in u}
-        m = lmp_embed(Lmp(sig, ("a",), kernels))
+        l = Lmp(sig, ("a",), kernels)
+        m = lmp_embed(l)
+        assert m is l and isinstance(m, Nlmp)
         assert m.row("s", "a") == (dirac(sig, "t"),)
         assert all(len(m.row(s, "a")) == 1 for s in u)
+
+    def test_equals_the_nlmp_with_the_same_rows(self):
+        rng = random.Random(307)
+        for _ in range(50):
+            l = rand_lmp(rng, coarse=rng.random() < 0.5, per_state=rng.random() < 0.5)
+            rows = {(s, a): (l.kernel(s, a),) for s in l.states for a in l.labels}
+            assert l == Nlmp(l.sigma, l.labels, rows)
+            assert Nlmp(l.sigma, l.labels, rows) == l
 
     def test_embedding_preserves_validation_verdicts(self):
         rng = random.Random(303)
@@ -114,7 +124,7 @@ class TestLmpEmbed:
                 break
         with pytest.raises(PreconditionError):
             lmp_embed(l)
-        assert lmp_embed(l, validate=False) is not None
+        assert lmp_embed(l, validate=False) is l
 
 
 class TestLmpValidateAtoms:

@@ -8,7 +8,6 @@ from nlmp import (
     And,
     AtLeast,
     AtMost,
-    Constraint,
     Diamond,
     DiamondMulti,
     DomainError,
@@ -18,6 +17,7 @@ from nlmp import (
     MOr,
     ModelDocument,
     ModelSyntaxError,
+    Nlmp,
     Top,
     corpus_dir,
     dirac,
@@ -133,7 +133,7 @@ class TestModelParsing:
             parse_model(base + "trans s a -> t\ntrans s a -> s\ntrans t a -> t\n")
         doc = parse_model(base + "trans s a -> t\ntrans t a -> t\n")
         assert doc.kind == "lmp"
-        assert doc.lmp is not None
+        assert doc.lmp is doc.nlmp and isinstance(doc.lmp, Nlmp)
         assert len(doc.nlmp.row("s", "a")) == 1
 
 
@@ -174,7 +174,7 @@ class TestFormulaParsing:
         assert parse_state_formula("T & T") == And(Top(), Top())
         assert parse_state_formula("<a> [T]>=1/2") == Diamond("a", AtLeast(Top(), F(1, 2)))
         assert parse_state_formula("<a>[ >1/4 T , <3/4 T ]") == DiamondMulti(
-            "a", (Constraint(">", F(1, 4), Top()), Constraint("<", F(3, 4), Top()))
+            "a", (GreaterThan(Top(), F(1, 4)), LessThan(Top(), F(3, 4)))
         )
         assert parse_measure_formula("[T]>=1/2 \\/ ![T]>1/2") == MOr(
             (AtLeast(Top(), F(1, 2)), MNot(GreaterThan(Top(), F(1, 2))))
@@ -210,7 +210,7 @@ class TestFormulaParsing:
         phi = parse_state_formula("<a>[ >1/4 <b>[T]>=1 , <3/4 <b>[T]>=1 ]")
         sub = Diamond("b", AtLeast(Top(), F(1)))
         assert phi == DiamondMulti(
-            "a", (Constraint(">", F(1, 4), sub), Constraint("<", F(3, 4), sub))
+            "a", (GreaterThan(sub, F(1, 4)), LessThan(sub, F(3, 4)))
         )
 
     def test_syntax_errors(self):
