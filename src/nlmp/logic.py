@@ -23,6 +23,11 @@ difference gives a bound with a rational midpoint threshold, and the
 bounds are packed into one multi-constraint diamond.  Every synthesized
 formula is re-checked by the evaluator, against every state of its
 split, before it is handed out.
+
+A round's formulas read only those of earlier rounds, so synthesis runs
+lazily, split by split.  ``logical_equivalence`` reads every split;
+``distinguish`` stops at the round that separates its pair, verifies
+that one split, and synthesizes nothing for a bisimilar pair.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
 from itertools import combinations
-from typing import ClassVar
+from typing import ClassVar, Iterator
 
 from .errors import DomainError, InternalCheckError, UnsupportedModelError
 from .bisim import Blocks, largest_traditional, refinement, smallest_stable_sigma
@@ -367,21 +372,23 @@ def logical_equivalence(m: Nlmp, fragment: str = "Lf") -> EquivalenceReport:
     formulas = _lf_refinement(m)
     # Verify against a memo of its own, not the one synthesis filled:
     # splits share interned formulas, so each distinct node is evaluated
-    # once however many splits it explains.  psi separates every pair of
-    # left x right iff one sub-block lies inside ext and the other outside.
+    # once however many splits it explains.
     memo: _Memo = {}
-    for (left, right), psi in formulas.items():
-        ext = _eval_state(m, psi, memo)
-        inner, outer = (left, right) if left[0] in ext else (right, left)
-        if not (ext.issuperset(inner) and ext.isdisjoint(outer)):
-            s, t = next((s, t) for s in left for t in right if (s in ext) == (t in ext))
-            raise InternalCheckError(f"synthesized formula fails to separate {s!r} and {t!r}")
+    for split, psi in formulas.items():
+        _verify_split(m, split, psi, memo)
     return EquivalenceReport("Lf", rep.lam, formulas)
 
 
 def distinguish(m: Nlmp, s: str, t: str) -> StateFormula | None:
     """A verified formula of the finitary sublogic separating s and t,
     or None when the two states are bisimilar.
+
+    Synthesis stops at the round that separates s and t: the formula of
+    their split depends only on the splits of earlier rounds and on its
+    own, so it is the one ``logical_equivalence(m, "Lf")`` records for
+    them.  It is verified against the whole split, one sub-block inside
+    its extension and the other outside.  A bisimilar pair synthesizes
+    nothing.
 
     Only full powerset models are supported: on them the sublogic is
     known to pin down bisimilarity exactly, while on coarser
@@ -396,19 +403,44 @@ def distinguish(m: Nlmp, s: str, t: str) -> StateFormula | None:
         raise UnsupportedModelError(
             "distinguishing formulas are only synthesized on full powerset models"
         )
-    psi = logical_equivalence(m, "Lf").formula(s, t)
-    if psi is not None and satisfies(m, s, psi) == satisfies(m, t, psi):
-        raise InternalCheckError("distinguishing formula failed re-verification")
-    return psi
+    lam = largest_traditional(m).lam
+    if lam.atom_index(s) == lam.atom_index(t):
+        return None
+    for (left, right), psi in _lf_splits(m):
+        if s in left and t in right or t in left and s in right:
+            _verify_split(m, (left, right), psi, {})
+            return psi
+    raise InternalCheckError(f"no split separates {s!r} and {t!r}")
+
+
+def _verify_split(m: Nlmp, split: Split, psi: StateFormula, memo: _Memo) -> None:
+    """Check that psi separates every pair of left x right: one sub-block
+    lies inside its extension and the other outside, which costs
+    O(|left| + |right|) once the extension is known."""
+    left, right = split
+    ext = _eval_state(m, psi, memo)
+    inner, outer = (left, right) if left[0] in ext else (right, left)
+    if not (ext.issuperset(inner) and ext.isdisjoint(outer)):
+        s, t = next((s, t) for s in left for t in right if (s in ext) == (t in ext))
+        raise InternalCheckError(f"synthesized formula fails to separate {s!r} and {t!r}")
 
 
 def _lf_refinement(m: Nlmp) -> dict[Split, StateFormula]:
-    """Partition refinement with formula synthesis, one formula per split.
+    """Every split of the refinement with its formula."""
+    return dict(_lf_splits(m))
+
+
+def _lf_splits(m: Nlmp) -> Iterator[tuple[Split, StateFormula]]:
+    """Partition refinement with formula synthesis, one formula per split,
+    yielded round by round as it is synthesized.
 
     For each pair of sub-blocks (left, right) of a splitting block, one
-    formula is synthesized on left[0] and right[0] and recorded once, as
-    ``formulas[(left, right)]``.  It separates every state of left from
-    every state of right, by induction on rounds.
+    formula is synthesized on left[0] and right[0] and yielded once, as
+    ``((left, right), formula)``.  It separates every state of left from
+    every state of right, by induction on rounds.  A round reads only
+    the formulas of earlier rounds, so a caller that stops reading at
+    some split has every formula up to it, and no later round is
+    synthesized.
 
     The generators of a round are the universe and the extensions of the
     formulas recorded in earlier rounds (the first formula of each
@@ -428,7 +460,6 @@ def _lf_refinement(m: Nlmp) -> dict[Split, StateFormula]:
     """
     top = Top()
     everything = frozenset(m.states)
-    formulas: dict[Split, StateFormula] = {}
 
     @cache
     def rank(e: StateSet) -> tuple:  # separator order: smallest first
@@ -485,12 +516,12 @@ def _lf_refinement(m: Nlmp) -> dict[Split, StateFormula]:
                 if hs != ht:
                     x, y, only = (s, t, hs - ht) if hs - ht else (t, s, ht - hs)
                     mu = next(mu for mu in m.row(x, a) if key.profiles[mu] in only)
-                    formulas[(left, right)] = psi = synthesize(y, a, mu)
+                    psi = synthesize(y, a, mu)
                     break
             else:
                 raise InternalCheckError("split without a hit-class mismatch")
+            yield (left, right), psi
             ext = _eval_state(m, psi, memo)
             if (ext,) not in conj:
                 conj[(ext,)] = psi
                 insort(gens, ext, key=rank)
-    return formulas

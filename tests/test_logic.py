@@ -448,17 +448,11 @@ class TestLogicalEquivalence:
                         assert satisfies(m, s, psi) != satisfies(m, t, psi)
 
     def test_synthesis_builds_few_conjunctions_on_a_chain(self, monkeypatch):
-        # A two-label point-mass chain c0 -> c1 -> ... -> c39, each step's
-        # label drawn from random.Random(1) as perfbench's gen.chain draws
-        # it.  Naming each separator candidate by a conjunction of recorded
+        # Naming each separator candidate by a conjunction of recorded
         # formulas keeps the And nodes of one run well below n**2; closing
         # the recorded extensions under intersection built thousands.
         n = 40
-        rng = random.Random(1)
-        universe = Universe(tuple(f"c{i}" for i in range(n)))
-        sigma = SigmaAlgebra.powerset(universe)
-        rows = {(f"c{i}", rng.choice("ab")): [dirac(sigma, f"c{i + 1}")] for i in range(n - 1)}
-        m = Nlmp(sigma, ("a", "b"), rows)
+        m = _two_label_chain(n)
         built = []
         real_init = And.__init__
 
@@ -470,6 +464,16 @@ class TestLogicalEquivalence:
         report = logical_equivalence(m, "Lf")
         assert len(report.partition) == n
         assert len(built) <= n * n
+
+
+def _two_label_chain(n: int) -> Nlmp:
+    """A two-label point-mass chain c0 -> c1 -> ... -> c(n-1), each step's
+    label drawn from random.Random(1) as perfbench's gen.chain draws it."""
+    rng = random.Random(1)
+    universe = Universe(tuple(f"c{i}" for i in range(n)))
+    sigma = SigmaAlgebra.powerset(universe)
+    rows = {(f"c{i}", rng.choice("ab")): [dirac(sigma, f"c{i + 1}")] for i in range(n - 1)}
+    return Nlmp(sigma, ("a", "b"), rows)
 
 
 class TestSeparatorCandidates:
@@ -583,6 +587,62 @@ class TestDistinguish:
                         assert satisfies(m, s, psi) != satisfies(m, t, psi)
                         assert _in_sublogic(psi)
         assert checked > 50
+
+    def test_agrees_with_the_full_table(self):
+        # Stopping at the pair's round gives the formula the whole
+        # refinement records for the pair, and None on the same pairs.
+        rng = random.Random(528)
+        models = [two_bounds_model()] + [rand_valid_nlmp(rng, coarse=False) for _ in range(60)]
+        separated = 0
+        for m in models:
+            report = logical_equivalence(m, "Lf")
+            for s in m.states:
+                for t in m.states:
+                    psi, expected = distinguish(m, s, t), report.formula(s, t)
+                    if expected is None:
+                        assert psi is None
+                    else:
+                        separated += 1
+                        assert formula_to_text(psi) == formula_to_text(expected)
+        assert separated > 100
+
+    def test_stops_at_the_pairs_round(self, monkeypatch):
+        # The last two states of the chain separate in the first round,
+        # so distinguish builds fewer multi-bound modalities than the
+        # whole refinement does.
+        m = _two_label_chain(40)
+        built = []
+        real_post_init = DiamondMulti.__post_init__
+
+        def counting_post_init(self):
+            built.append(None)
+            real_post_init(self)
+
+        monkeypatch.setattr(DiamondMulti, "__post_init__", counting_post_init)
+        assert distinguish(m, "c38", "c39") is not None
+        pair = len(built)
+        built.clear()
+        logical_equivalence(m, "Lf")
+        assert 0 < pair < len(built)
+
+    def test_bisimilar_pair_synthesizes_nothing(self, monkeypatch):
+        m = np_reach_model(True)
+        calls = []
+        real_value = Measure.value
+        monkeypatch.setattr(Measure, "value", lambda mu, q: calls.append(mu) or real_value(mu, q))
+        assert distinguish(m, "s", "t") is None
+        assert calls == []
+
+    def test_formula_that_separates_the_representatives_only_is_an_internal_error(self, monkeypatch):
+        # TWO_BOUNDS holds at s only: across the split {s, x} | {t} it
+        # separates s from t but not x from t, so a check of the pair
+        # alone would pass it
+        import nlmp.logic
+
+        m = two_bounds_model()
+        monkeypatch.setattr(nlmp.logic, "_lf_splits", lambda m: iter([((("s", "x"), ("t",)), TWO_BOUNDS)]))
+        with pytest.raises(InternalCheckError, match="'x' and 't'"):
+            distinguish(m, "s", "t")
 
     def test_coarse_sigma_algebra_refused(self):
         u = Universe(("s", "t", "x"))
