@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from typing import Iterator
 
 from .errors import InternalCheckError, PreconditionError
 from .measurable import (
@@ -259,7 +260,54 @@ def traditional_signature(m: Nlmp, lam: SigmaAlgebra) -> RowProfiles:
     return RowProfiles(m, profiles)
 
 
-def refinement(m: Nlmp) -> tuple[tuple[SigmaAlgebra, RowProfiles, tuple], ...]:
+Round = tuple[SigmaAlgebra, RowProfiles, tuple]
+
+
+def _round(m: Nlmp, lam: SigmaAlgebra) -> Round:
+    key = traditional_signature(m, lam)
+    splits = []
+    for block in lam.atoms:
+        groups: dict[tuple, list[str]] = {}
+        for s in m.universe.sort(block):
+            groups.setdefault(key(s), []).append(s)
+        splits.append(tuple(map(tuple, groups.values())))
+    return lam, key, tuple(splits)
+
+
+def _round_source(m: Nlmp) -> Iterator[Round]:
+    lam = SigmaAlgebra.trivial(m.universe)
+    while True:
+        lam, key, splits = _round(m, lam)
+        yield lam, key, splits
+        if all(len(subs) == 1 for subs in splits):
+            return
+        lam = SigmaAlgebra(m.universe, tuple(frozenset(b) for subs in splits for b in subs))
+
+
+def refinement_rounds(m: Nlmp) -> Iterator[Round]:
+    """The rounds of `refinement`, in order, each computed when it is
+    first read.
+
+    The rounds computed so far are kept on the model object, with the
+    generator of the rest, so each round is computed once however many
+    readers it has, and a reader that stops at round k leaves every
+    later round uncomputed.
+    """
+    done = m._rounds
+    i = 0
+    while True:
+        if i == len(done):
+            if m._round_source is None:
+                m._round_source = _round_source(m)
+            nxt = next(m._round_source, None)
+            if nxt is None:
+                return
+            done.append(nxt)
+        yield done[i]
+        i += 1
+
+
+def refinement(m: Nlmp) -> tuple[Round, ...]:
     """Partition refinement from the total partition, one round at a time.
 
     Each round takes lam to be the sigma-algebra whose atoms are the
@@ -268,29 +316,17 @@ def refinement(m: Nlmp) -> tuple[tuple[SigmaAlgebra, RowProfiles, tuple], ...]:
     records ``(lam, key, sub-blocks per block)``.  A round costs one
     sub-sigma-algebra check, one pass over each pool measure's support
     and one key of small ints per state.  The last round is the
-    first in which no block splits; its lam is the fixpoint.  The rounds
-    are computed once per model object and kept on it.
+    first in which no block splits; its lam is the fixpoint.  This is
+    `refinement_rounds` drained: the tuple is built once per model
+    object and kept on it, and only the rounds no reader has asked for
+    yet are computed.
 
     On a valid model the rows are constant within the model's atoms, so
     every block stays a union of atoms and lam is exactly the r-closed
     sub-sigma-algebra of the blocks' equivalence.
     """
     if m._refinement is None:
-        rounds = []
-        lam = SigmaAlgebra.trivial(m.universe)
-        while True:
-            key = traditional_signature(m, lam)
-            splits = []
-            for block in lam.atoms:
-                groups: dict[tuple, list[str]] = {}
-                for s in m.universe.sort(block):
-                    groups.setdefault(key(s), []).append(s)
-                splits.append(tuple(map(tuple, groups.values())))
-            rounds.append((lam, key, tuple(splits)))
-            if all(len(subs) == 1 for subs in splits):
-                break
-            lam = SigmaAlgebra(m.universe, tuple(frozenset(b) for subs in splits for b in subs))
-        m._refinement = tuple(rounds)
+        m._refinement = tuple(refinement_rounds(m))
     return m._refinement
 
 

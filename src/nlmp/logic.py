@@ -24,10 +24,12 @@ bounds are packed into one multi-constraint diamond.  Every synthesized
 formula is re-checked by the evaluator, against every state of its
 split, before it is handed out.
 
-A round's formulas read only those of earlier rounds, so synthesis runs
-lazily, split by split.  ``logical_equivalence`` reads every split;
-``distinguish`` stops at the round that separates its pair, verifies
-that one split, and synthesizes nothing for a bisimilar pair.
+A round's formulas read only those of earlier rounds, and the
+refinement itself yields its rounds on demand, so synthesis runs lazily,
+split by split.  ``logical_equivalence`` reads every split;
+``distinguish`` computes the refinement only up to the round that
+separates its pair, synthesizes up to that pair's split, verifies that
+one split, and synthesizes nothing for a bisimilar pair.
 """
 
 from __future__ import annotations
@@ -40,11 +42,11 @@ from fractions import Fraction
 from itertools import combinations
 from typing import ClassVar, Iterator
 
-from .errors import DomainError, InternalCheckError, UnsupportedModelError
-from .bisim import Blocks, largest_traditional, refinement, smallest_stable_sigma
+from .errors import DomainError, InternalCheckError, PreconditionError, UnsupportedModelError
+from .bisim import Blocks, largest_traditional, refinement_rounds, smallest_stable_sigma
 from .measurable import SigmaAlgebra, StateSet
 from .measures import Measure, ZERO, _rational_text
-from .model import Nlmp, hit_preimage
+from .model import Nlmp, hit_preimage, nlmp_validate
 
 # A pair of sub-blocks of one split block, each in universe order.
 Split = tuple[tuple[str, ...], tuple[str, ...]]
@@ -383,12 +385,15 @@ def distinguish(m: Nlmp, s: str, t: str) -> StateFormula | None:
     """A verified formula of the finitary sublogic separating s and t,
     or None when the two states are bisimilar.
 
-    Synthesis stops at the round that separates s and t: the formula of
-    their split depends only on the splits of earlier rounds and on its
-    own, so it is the one ``logical_equivalence(m, "Lf")`` records for
-    them.  It is verified against the whole split, one sub-block inside
-    its extension and the other outside.  A bisimilar pair synthesizes
-    nothing.
+    The refinement rounds are read until the first whose key tells s
+    and t apart; no later round is computed.  A pair that no round
+    tells apart, up to and including the fixpoint round, is bisimilar
+    and synthesizes nothing.  Synthesis then stops at the split that
+    separates s and t: its formula depends only on the splits of
+    earlier rounds and on its own, so it is the one
+    ``logical_equivalence(m, "Lf")`` records for them.  It is verified
+    against the whole split, one sub-block inside its extension and the
+    other outside.
 
     Only full powerset models are supported: on them the sublogic is
     known to pin down bisimilarity exactly, while on coarser
@@ -403,8 +408,10 @@ def distinguish(m: Nlmp, s: str, t: str) -> StateFormula | None:
         raise UnsupportedModelError(
             "distinguishing formulas are only synthesized on full powerset models"
         )
-    lam = largest_traditional(m).lam
-    if lam.atom_index(s) == lam.atom_index(t):
+    if not nlmp_validate(m).valid:
+        raise PreconditionError("model fails measurability validation")
+    # s and t share a block until the first round whose key differs on them.
+    if all(key(s) == key(t) for _, key, _ in refinement_rounds(m)):
         return None
     for (left, right), psi in _lf_splits(m):
         if s in left and t in right or t in left and s in right:
@@ -440,7 +447,7 @@ def _lf_splits(m: Nlmp) -> Iterator[tuple[Split, StateFormula]]:
     every state of right, by induction on rounds.  A round reads only
     the formulas of earlier rounds, so a caller that stops reading at
     some split has every formula up to it, and no later round is
-    synthesized.
+    synthesized, or computed unless another reader asked for it.
 
     The generators of a round are the universe and the extensions of the
     formulas recorded in earlier rounds (the first formula of each
@@ -498,7 +505,7 @@ def _lf_splits(m: Nlmp) -> Iterator[tuple[Split, StateFormula]]:
             interned[key] = DiamondMulti(label, items)
         return interned[key]
 
-    for lam, key, splits in refinement(m):
+    for lam, key, splits in refinement_rounds(m):
         # Each C(B) with the generators that shrink it; B is in g iff x is.
         candidates: dict[StateSet, tuple[StateSet, ...]] = {}
         for block in lam.atoms:

@@ -58,8 +58,14 @@ class Universe:
         return sorted(q, key=self.index)
 
 
-def _canonical_atoms(universe: Universe, atoms: Iterable[frozenset[str]]) -> tuple[StateSet, ...]:
-    return tuple(sorted((frozenset(a) for a in atoms), key=lambda a: min(universe.index(s) for s in a)))
+def _canonical_atoms(
+    universe: Universe, atoms: Iterable[frozenset[str]]
+) -> tuple[tuple[StateSet, ...], tuple[str, ...]]:
+    """The atoms ordered by their least states, and those least states.
+    The atoms are disjoint, so no two share a least state."""
+    index = universe._index.__getitem__
+    keyed = sorted((min(map(index, a)), a) for a in map(frozenset, atoms))
+    return tuple(a for _, a in keyed), tuple(universe.states[i] for i, _ in keyed)
 
 
 @dataclass(frozen=True)
@@ -79,7 +85,10 @@ class SigmaAlgebra:
             seen |= a
         if seen != set(self.universe.states):
             raise DomainError("sigma-algebra atoms must cover the universe")
-        object.__setattr__(self, "atoms", _canonical_atoms(self.universe, self.atoms))
+        atoms, names = _canonical_atoms(self.universe, self.atoms)
+        object.__setattr__(self, "atoms", atoms)
+        # Each atom's least state, the name model text gives the atom.
+        object.__setattr__(self, "_atom_names", names)
         object.__setattr__(self, "_atom_index", {s: i for i, a in enumerate(self.atoms) for s in a})
         object.__setattr__(self, "_is_powerset", len(self.atoms) == len(self.universe))
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DomainError, PreconditionError
 from .measurable import SigmaAlgebra, StateSet, Universe
@@ -85,7 +85,11 @@ class Nlmp:
         self.pool_set = frozenset(pool)
         self.holders = {a: {mu: frozenset(h) for mu, h in by_mu.items()} for a, by_mu in holders.items()}
         self._validation: ValidationReport | None = None
-        self._refinement: tuple | None = None  # nlmp.bisim.refinement
+        # nlmp.bisim.refinement: the rounds read so far, the generator of
+        # the rest, and the drained tuple once every round is read.
+        self._rounds: list = []
+        self._round_source: Iterator | None = None
+        self._refinement: tuple | None = None
 
     @property
     def universe(self) -> Universe:
@@ -173,8 +177,10 @@ def nlmp_validate(m: Nlmp) -> ValidationReport:
     preimage of a union is the union of the hit preimages and measurable
     sets are closed under union, checking the single classes decides all
     unions.  Each failing class is reported with its preimage as the
-    witness.  The report is computed once per model object and kept on
-    it.
+    witness.  On the powerset sigma-algebra every state set is
+    measurable, so no class can fail and none is walked; a coarser
+    model walks every class.  The report is computed once per model
+    object and kept on it.
     """
     if m._validation is None:
         m._validation = _nlmp_findings(m)
@@ -182,6 +188,8 @@ def nlmp_validate(m: Nlmp) -> ValidationReport:
 
 
 def _nlmp_findings(m: Nlmp) -> ValidationReport:
+    if m.sigma.is_powerset:
+        return ValidationReport()
     findings: list[Finding] = []
     classes = trace_classes(m.pool, m.sigma)
     for a in m.labels:

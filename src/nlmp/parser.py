@@ -280,16 +280,17 @@ def _parse_trans(
 
 
 def _measure_text(mu: Measure) -> str:
-    atom = mu.dirac_atom
-    if atom is not None:
-        return "-> " + min(atom, key=mu.sigma.universe.index)
+    # Each atom is named by its least state.
+    names = mu.sigma._atom_names
+    if mu.is_dirac:
+        return "-> " + names[mu.nums[0][0]]
     # Past the int-string limit the f-string raises ValueError, as str()
     # does.  Each weight lies strictly between 0 and 1.
-    atoms, index, den = mu.sigma.atoms, mu.sigma.universe.index, mu.den
+    den = mu.den
     parts = []
     for i, n in mu.nums:
         g = gcd(n, den)
-        parts.append(f"{min(atoms[i], key=index)}:{n // g}/{den // g}")
+        parts.append(f"{names[i]}:{n // g}/{den // g}")
     return " ".join(parts)
 
 

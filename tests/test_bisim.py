@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
 
@@ -349,11 +350,15 @@ class TestRefinement:
         monkeypatch.setattr(nlmp.bisim, "profile", forbidden)
         monkeypatch.setattr(nlmp.bisim, "trace_classes", forbidden)
         monkeypatch.setattr(nlmp.bisim, "hit_preimage", forbidden)
-        for m in models:
+        for i, m in enumerate(models):
             calls.clear()
+            # a partial read first: the rounds it reads are computed once
+            read = len(list(islice(nlmp.bisim.refinement_rounds(m), 1 + i % 2)))
+            assert len(calls) == read
             comparison = compare_bisims(m)
             rounds = len(comparison.traditional.trace)
             assert len(calls) == rounds
+            assert tuple(nlmp.bisim.refinement_rounds(m)) == nlmp.bisim.refinement(m)
             assert len(comparison.state.trace) == len(comparison.event.trace) == rounds
             cached = nlmp.bisim.refinement(m)
             largest_traditional(m)

@@ -11,7 +11,6 @@ from nlmp import (
     parse_model,
     parse_state_formula,
     satisfies,
-    trace_classes,
 )
 from nlmp import parser
 from nlmp.cli import main
@@ -302,13 +301,12 @@ class TestBisimCommand:
         import nlmp.model
 
         calls = []
-        real = nlmp.model.hit_preimage
-        monkeypatch.setattr(nlmp.model, "hit_preimage", lambda m, a, xi: calls.append(a) or real(m, a, xi))
+        real = nlmp.model._nlmp_findings
+        monkeypatch.setattr(nlmp.model, "_nlmp_findings", lambda m: calls.append(m) or real(m))
         code, _, _ = run(capsys, "bisim", corpus(name), "--kind", "all")
         assert code == 0
-        m = parse_model((corpus_dir() / name).read_text(encoding="utf-8")).nlmp
-        # one validation: one hit preimage per label and pool profile class
-        assert len(calls) == len(m.labels) * len(trace_classes(m.pool, m.sigma))
+        # the command and the three fixpoints share one validation body
+        assert len(calls) == 1
 
     def test_lmp_file_partitions_are_total(self, capsys):
         # every state carries a full kernel for every label, so the

@@ -24,6 +24,7 @@ from nlmp import (
     Top,
     Universe,
     UnsupportedModelError,
+    compare_bisims,
     dirac,
     distinguish,
     eval_measure,
@@ -624,6 +625,25 @@ class TestDistinguish:
         built.clear()
         logical_equivalence(m, "Lf")
         assert 0 < pair < len(built)
+
+    def test_computes_no_round_after_the_pairs(self, monkeypatch):
+        # c38 and c39 separate in round 0, c20 and c21 in round 3 of 11:
+        # distinguish computes the rounds up to the separating one, and a
+        # later fixpoint on the same model computes only the rest.
+        import nlmp.bisim
+
+        real = nlmp.bisim.traditional_signature
+        calls = []
+        monkeypatch.setattr(nlmp.bisim, "traditional_signature", lambda m, lam: calls.append(lam) or real(m, lam))
+        for s, t in [("c38", "c39"), ("c20", "c21")]:
+            twin = _two_label_chain(40)
+            k = next(i for i, (_, key, _) in enumerate(nlmp.bisim.refinement(twin)) if key(s) != key(t))
+            m = _two_label_chain(40)
+            calls.clear()
+            assert distinguish(m, s, t) is not None
+            assert len(calls) == k + 1
+            trace = compare_bisims(m).traditional.trace
+            assert len(calls) == len(trace) > k + 1
 
     def test_bisimilar_pair_synthesizes_nothing(self, monkeypatch):
         m = np_reach_model(True)

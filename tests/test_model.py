@@ -67,6 +67,30 @@ class TestValidate:
         sig = SigmaAlgebra.trivial(u)
         assert nlmp_validate(Nlmp(sig, ("a",), {})).valid
 
+    def test_findings_match_the_class_walk_oracle(self, monkeypatch):
+        # The library walks the pool's profile classes on coarse models
+        # only: on the powerset every state set is measurable, so the
+        # walk, kept as the class_findings oracle, finds nothing there.
+        import nlmp.model
+
+        walks = []
+        real = nlmp.model.trace_classes
+        monkeypatch.setattr(nlmp.model, "trace_classes", lambda pool, lam: walks.append(lam) or real(pool, lam))
+        rng = random.Random(308)
+        powerset = invalid = 0
+        for i in range(300):
+            if i % 3 == 0:
+                m = rand_any_nlmp(rng)
+            else:
+                m = rand_valid_nlmp(rng, coarse=i % 2 == 1, dirac_only=i % 4 == 1)
+            walks.clear()
+            report = nlmp_validate(m)
+            assert report.findings == class_findings(m)
+            assert len(walks) == (not m.sigma.is_powerset)
+            powerset += m.sigma.is_powerset
+            invalid += not report.valid
+        assert 150 < powerset < 250 and invalid > 20
+
     def test_agrees_with_row_constancy_oracle(self):
         # on a finite model, measurability holds exactly when rows are
         # constant within sigma-algebra atoms
