@@ -45,7 +45,7 @@ from .measurable import (
     sigma_of_relation,
 )
 from .measures import Measure, profile, trace_classes
-from .model import Nlmp, diamond, hit_preimage, is_non_probabilistic, nlmp_validate
+from .model import Nlmp, Row, diamond, hit_preimage, is_non_probabilistic, nlmp_validate
 
 Partition = tuple[StateSet, ...]
 
@@ -212,18 +212,29 @@ def is_event_bisim(m: Nlmp, lam: SigmaAlgebra) -> CheckResult:
     return CheckResult(True)
 
 
+def _state_rows(m: Nlmp) -> dict[str, tuple[Row, ...]]:
+    """Each state's rows, one per label in label order, read from the
+    model once and kept on it beside the refinement rounds."""
+    if m._state_rows is None:
+        rows = m._rows
+        m._state_rows = {s: tuple([rows.get((s, a), ()) for a in m.labels]) for s in m.states}
+    return m._state_rows
+
+
 @dataclass(frozen=True)
 class RowProfiles:
     """The traditional signature over one sigma-algebra.  ``profiles``
     maps each pool measure to a small-int id, equal for two measures iff
     their profiles over the sigma-algebra are; synthesis reads it to find
-    a measure of a given class."""
+    a measure of a given class, and ``rows`` holds each state's rows,
+    one per label."""
 
-    m: Nlmp
+    rows: dict[str, tuple[Row, ...]]
     profiles: dict[Measure, int]
 
     def __call__(self, s: str) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(self.profiles[mu] for mu in self.m.row(s, a)) for a in self.m.labels)
+        ids = self.profiles.__getitem__
+        return tuple([frozenset(map(ids, row)) for row in self.rows[s]])
 
 
 def traditional_signature(m: Nlmp, lam: SigmaAlgebra) -> RowProfiles:
@@ -231,18 +242,19 @@ def traditional_signature(m: Nlmp, lam: SigmaAlgebra) -> RowProfiles:
     keep the same key iff their rows match measure against measure.
 
     The guard that lam is a sub-sigma-algebra of the model's runs once,
-    then ``block[i]`` gives the lam atom of model atom ``i`` and each
-    pool measure costs one pass over its numerators.  A profile is keyed
-    by its block index when all its mass lies in one block, and otherwise
-    by its ``(block, total)`` pairs in block order, each block's integer
-    total divided by the totals' gcd; the reduced totals sum to the
-    reduced denominator, so equal keys mean equal profiles.  Each key is
-    interned to a small int.
+    then ``block[i]`` gives the lam atom of model atom ``i`` (read off
+    the atom's name) and each pool measure costs one pass over its
+    numerators.  A profile is keyed by its block index when all its mass
+    lies in one block, and otherwise by its ``(block, total)`` pairs in
+    block order, each block's integer total divided by the totals' gcd;
+    the reduced totals sum to the reduced denominator, so equal keys
+    mean equal profiles.  Each key is interned to a small int.  A
+    state's key reads its rows from the model's per-state row table,
+    never through `Nlmp.row`.
     """
     if not sigma_is_sub(lam, m.sigma):
         raise PreconditionError("profile requires a sub-sigma-algebra of the measure's")
-    index = lam._atom_index
-    block = [index[next(iter(a))] for a in m.sigma.atoms]
+    block = list(map(lam._atom_index.__getitem__, m.sigma._atom_names))
     ids: dict[object, int] = {}
     profiles: dict[Measure, int] = {}
     for mu in m.pool:
@@ -257,31 +269,46 @@ def traditional_signature(m: Nlmp, lam: SigmaAlgebra) -> RowProfiles:
                 g = gcd(*totals.values())
                 k = tuple(x for j in sorted(totals) for x in (j, totals[j] // g))
         profiles[mu] = ids.setdefault(k, len(ids))
-    return RowProfiles(m, profiles)
+    return RowProfiles(_state_rows(m), profiles)
 
 
 Round = tuple[SigmaAlgebra, RowProfiles, tuple]
 
 
-def _round(m: Nlmp, lam: SigmaAlgebra) -> Round:
-    key = traditional_signature(m, lam)
-    splits = []
-    for block in lam.atoms:
-        groups: dict[tuple, list[str]] = {}
-        for s in m.universe.sort(block):
-            groups.setdefault(key(s), []).append(s)
-        splits.append(tuple(map(tuple, groups.values())))
-    return lam, key, tuple(splits)
-
-
 def _round_source(m: Nlmp) -> Iterator[Round]:
+    # ``blocks`` holds the current blocks as universe-ordered tuples, in
+    # the order of lam's atoms, so no round sorts a block.  A singleton
+    # cannot split and none of its states is keyed; a block that does not
+    # split keeps its lam atom in the next lam.
+    rows_of = _state_rows(m)
     lam = SigmaAlgebra.trivial(m.universe)
+    blocks: list[tuple[str, ...]] = [m.states]
     while True:
-        lam, key, splits = _round(m, lam)
-        yield lam, key, splits
-        if all(len(subs) == 1 for subs in splits):
+        key = traditional_signature(m, lam)
+        ids = key.profiles.__getitem__
+        splits = []
+        atoms: list[StateSet] = []
+        for block, atom in zip(blocks, lam.atoms):
+            if len(block) > 1:
+                groups: dict[tuple, list[str]] = {}
+                for s in block:
+                    groups.setdefault(tuple([frozenset(map(ids, row)) for row in rows_of[s]]), []).append(s)
+                if len(groups) > 1:
+                    subs = tuple(map(tuple, groups.values()))
+                    splits.append(subs)
+                    atoms += map(frozenset, subs)
+                    continue
+            splits.append((block,))
+            atoms.append(atom)
+        yield lam, key, tuple(splits)
+        if len(atoms) == len(blocks):
             return
-        lam = SigmaAlgebra(m.universe, tuple(frozenset(b) for subs in splits for b in subs))
+        lam = SigmaAlgebra(m.universe, tuple(atoms))
+        index = lam._atom_index
+        blocks = [()] * len(lam.atoms)
+        for subs in splits:
+            for b in subs:
+                blocks[index[b[0]]] = b
 
 
 def refinement_rounds(m: Nlmp) -> Iterator[Round]:
@@ -314,8 +341,13 @@ def refinement(m: Nlmp) -> tuple[Round, ...]:
     current blocks, splits every block by ``key = traditional_signature(m,
     lam)`` (states in universe order, sub-blocks in first-seen order) and
     records ``(lam, key, sub-blocks per block)``.  A round costs one
-    sub-sigma-algebra check, one pass over each pool measure's support
-    and one key of small ints per state.  The last round is the
+    sub-sigma-algebra check (immediate on a powerset model), one pass over
+    each pool measure's support, and one key of small ints per state of
+    a block of two or more: the blocks are carried from round to round
+    as universe-ordered tuples, so no block is sorted, a singleton is
+    recorded as its own one sub-block without keying its state, and
+    each state's rows are read from a table built once per model, not
+    through `Nlmp.row`.  The last round is the
     first in which no block splits; its lam is the fixpoint.  This is
     `refinement_rounds` drained: the tuple is built once per model
     object and kept on it, and only the rounds no reader has asked for

@@ -51,6 +51,12 @@ from .model import Nlmp, hit_preimage, nlmp_validate
 # A pair of sub-blocks of one split block, each in universe order.
 Split = tuple[tuple[str, ...], tuple[str, ...]]
 
+# The deepest formula, in `_dag_depth` nodes, that `distinguish`
+# verifies and hands out.  The evaluator and the renderer recurse about
+# once per node of a path, so this stays clear of Python's default
+# recursion limit of 1000 frames.
+MAX_DISTINGUISH_DEPTH = 700
+
 
 # ---------------------------------------------------------------------------
 # Abstract syntax
@@ -204,6 +210,44 @@ def formula_to_text(f: StateFormula | MeasureFormula) -> str:
     if isinstance(f, Bound):
         return f"[{formula_to_text(f.phi)}]{f.op}{_threshold_text(f.q)}"
     raise TypeError(f"not a formula: {f!r}")
+
+
+def _subformulas(f: StateFormula | MeasureFormula) -> tuple:
+    if isinstance(f, And):
+        return f.left, f.right
+    if isinstance(f, Diamond):
+        return (f.body,)
+    if isinstance(f, DiamondMulti):
+        return f.constraints
+    if isinstance(f, MOr):
+        return f.items
+    if isinstance(f, MNot):
+        return (f.item,)
+    if isinstance(f, Bound):
+        return (f.phi,)
+    return ()
+
+
+def _dag_depth(f: StateFormula | MeasureFormula) -> int:
+    """The number of nodes on the longest path down the formula DAG,
+    state and measure nodes alike.  It is computed without recursion,
+    each shared node once, so it is defined on formulas too deep for the
+    recursive evaluator and renderer."""
+    depth: dict[int, int] = {}
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        if id(g) in depth:
+            stack.pop()
+            continue
+        subs = _subformulas(g)
+        todo = [h for h in subs if id(h) not in depth]
+        if todo:
+            stack += todo
+        else:
+            stack.pop()
+            depth[id(g)] = 1 + max([depth[id(h)] for h in subs], default=0)
+    return depth[id(f)]
 
 
 def formula_labels(f: StateFormula | MeasureFormula) -> frozenset[str]:
@@ -393,7 +437,9 @@ def distinguish(m: Nlmp, s: str, t: str) -> StateFormula | None:
     earlier rounds and on its own, so it is the one
     ``logical_equivalence(m, "Lf")`` records for them.  It is verified
     against the whole split, one sub-block inside its extension and the
-    other outside.
+    other outside.  A formula more than ``MAX_DISTINGUISH_DEPTH``
+    subformulas deep is refused with UnsupportedModelError before it is
+    verified, since the recursive evaluator could not walk it.
 
     Only full powerset models are supported: on them the sublogic is
     known to pin down bisimilarity exactly, while on coarser
@@ -415,6 +461,10 @@ def distinguish(m: Nlmp, s: str, t: str) -> StateFormula | None:
         return None
     for (left, right), psi in _lf_splits(m):
         if s in left and t in right or t in left and s in right:
+            if _dag_depth(psi) > MAX_DISTINGUISH_DEPTH:
+                raise UnsupportedModelError(
+                    f"the distinguishing formula is more than {MAX_DISTINGUISH_DEPTH} subformulas deep"
+                )
             _verify_split(m, (left, right), psi, {})
             return psi
     raise InternalCheckError(f"no split separates {s!r} and {t!r}")
@@ -482,9 +532,8 @@ def _lf_splits(m: Nlmp) -> Iterator[tuple[Split, StateFormula]]:
     # One evaluation memo for all synthesized formulas.
     memo: _Memo = {}
 
-    def synthesize(t: str, label: str, mu: Measure) -> StateFormula:
-        # mu is a measure under label that is unmatched in t's row.
-        opponents = m.row(t, label)
+    def synthesize(opponents: tuple[Measure, ...], label: str, mu: Measure) -> StateFormula:
+        # mu is a measure under label that is unmatched in the row opponents.
         bounds: dict[tuple, StateFormula] = {}  # (op, q, id(phi)) -> phi
         if not opponents:
             bounds[(">", ZERO, id(top))] = top
@@ -519,11 +568,11 @@ def _lf_splits(m: Nlmp) -> Iterator[tuple[Split, StateFormula]]:
         ordered = sorted(candidates, key=rank)
         for left, right in (pair for subs in splits for pair in combinations(subs, 2)):
             s, t = left[0], right[0]
-            for a, hs, ht in zip(m.labels, key(s), key(t)):
+            for i, (hs, ht) in enumerate(zip(key(s), key(t))):
                 if hs != ht:
                     x, y, only = (s, t, hs - ht) if hs - ht else (t, s, ht - hs)
-                    mu = next(mu for mu in m.row(x, a) if key.profiles[mu] in only)
-                    psi = synthesize(y, a, mu)
+                    mu = next(mu for mu in key.rows[x][i] if key.profiles[mu] in only)
+                    psi = synthesize(key.rows[y][i], m.labels[i], mu)
                     break
             else:
                 raise InternalCheckError("split without a hit-class mismatch")

@@ -260,6 +260,8 @@ def sigma_is_sub(lam: SigmaAlgebra, sigma: SigmaAlgebra) -> bool:
         return True
     if lam.universe != sigma.universe:
         raise DomainError("sigma-algebras live on different universes")
+    if sigma._is_powerset:
+        return True  # every state set is sigma-measurable
     # The lam atoms partition the universe, so an atom of sigma lies in
     # some lam atom iff it lies in the one holding any of its states.
     return all(a <= lam.atoms[lam.atom_index(next(iter(a)))] for a in sigma.atoms)

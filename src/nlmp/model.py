@@ -85,8 +85,10 @@ class Nlmp:
         self.pool_set = frozenset(pool)
         self.holders = {a: {mu: frozenset(h) for mu, h in by_mu.items()} for a, by_mu in holders.items()}
         self._validation: ValidationReport | None = None
-        # nlmp.bisim.refinement: the rounds read so far, the generator of
-        # the rest, and the drained tuple once every round is read.
+        # nlmp.bisim.refinement: each state's rows, one per label, the
+        # rounds read so far, the generator of the rest, and the drained
+        # tuple once every round is read.
+        self._state_rows: dict | None = None
         self._rounds: list = []
         self._round_source: Iterator | None = None
         self._refinement: tuple | None = None

@@ -7,6 +7,7 @@ import pytest
 
 import nlmp.bisim
 from nlmp import (
+    DiamondMulti,
     Nlmp,
     PreconditionError,
     Relation,
@@ -16,6 +17,7 @@ from nlmp import (
     compare_bisims,
     corpus_dir,
     dirac,
+    distinguish,
     is_event_bisim,
     is_state_bisim,
     is_traditional_bisim,
@@ -66,6 +68,32 @@ def sym_with_identity(universe, *pairs):
 
 def blocks(partition):
     return sorted(sorted(b) for b in partition)
+
+
+def point_chain(steps, rng=None) -> Nlmp:
+    """The powerset point-mass chain c0 -> c1 -> ... -> cn, step i under
+    label steps[i]; with rng, about a third of the states also get a
+    half-and-half measure on their successor and a random state, so
+    blocks split unevenly."""
+    universe = Universe(tuple(f"c{i}" for i in range(len(steps) + 1)))
+    sigma = SigmaAlgebra.powerset(universe)
+    rows = {}
+    for i, a in enumerate(steps):
+        row = [dirac(sigma, f"c{i + 1}")]
+        if rng is not None and rng.random() < 0.3:
+            other = rng.choice(universe.states)
+            if other != f"c{i + 1}":
+                row.append(Measure.from_state_weights(sigma, {f"c{i + 1}": F(1, 2), other: F(1, 2)}))
+        rows[(f"c{i}", a)] = row
+    return Nlmp(sigma, tuple(sorted(set(steps))), rows)
+
+
+def outcome(f, *args):
+    """f's result, or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
 
 
 class TestTraditionalCheck:
@@ -320,6 +348,45 @@ class TestRefinement:
             assert refinement_under(m, profile_signature) == kept
             assert refinement_under(m, state_signature) == kept
             assert refinement_under(m, event_signature) == kept
+
+    def test_long_refinements_match_the_oracle(self):
+        # Many rounds, so most blocks are carried over from earlier rounds
+        # and most are singletons by the end: the one-label chain of 40
+        # states splits off one state per round and has 40 rounds.
+        one_label = point_chain(["a"] * 39)
+        rng = random.Random(1704)
+        models = [one_label]
+        for _ in range(40):
+            n = rng.randint(10, 30)
+            models.append(point_chain([rng.choice("ab") for _ in range(n - 1)], rng))
+        for m in models:
+            kept = [
+                (lam.atoms, [[list(b) for b in subs] for subs in splits])
+                for lam, _, splits in nlmp.bisim.refinement(m)
+            ]
+            assert refinement_under(m, profile_signature) == kept
+        assert len(nlmp.bisim.refinement(one_label)) == 40
+        assert max(len(nlmp.bisim.refinement(m)) for m in models[1:]) > 6
+
+    def test_no_round_reads_a_row_through_the_model(self, monkeypatch):
+        # The rounds and synthesis read each state's rows from one table
+        # built per model, never through Nlmp.row.
+        def build(i):
+            return rand_valid_nlmp(random.Random(i), coarse=i % 2 == 1, dirac_only=i % 3 == 0)
+
+        def results(m):
+            return compare_bisims(m), [outcome(distinguish, m, s, t) for s in m.states for t in m.states]
+
+        seeds = range(1705, 1765)
+        expected = [results(build(i)) for i in seeds]
+
+        def forbidden(*args):
+            raise AssertionError("a row was read through Nlmp.row")
+
+        monkeypatch.setattr(Nlmp, "row", forbidden)
+        for i, want in zip(seeds, expected):
+            assert results(build(i)) == want
+        assert any(isinstance(f, DiamondMulti) for _, formulas in expected for f in formulas)
 
     def test_one_refinement_serves_every_fixpoint(self, monkeypatch):
         rng = random.Random(1702)

@@ -427,6 +427,25 @@ class TestDistinguishDepth:
             "formula nests deeper than 100 levels at column 1011",
         }
 
+    def test_formula_too_deep_to_verify_is_unsupported(self, capsys, monkeypatch):
+        # A formula thousands of levels deep, built directly, stands in for
+        # the one the one-label chain of 600 states synthesizes: the command
+        # exits 6 with one line instead of overflowing the stack.
+        import nlmp.logic
+        from nlmp import DiamondMulti, GreaterThan, Top
+
+        deep = Top()
+        for _ in range(3000):
+            deep = DiamondMulti("a", (GreaterThan(deep, 0),))
+        monkeypatch.setattr(nlmp.logic, "_lf_splits", lambda m: iter([((("s",), ("t",)), deep)]))
+        code, report, err = run(capsys, "distinguish", corpus("two_bounds_needed.nlmp"), "s", "t")
+        assert code == 6
+        assert err == ""
+        assert report["result"] == {
+            "supported": False,
+            "reason": "the distinguishing formula is more than 700 subformulas deep",
+        }
+
     def test_depth_limit_decides_what_is_printed(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "chain6.nlmp"
         path.write_text(chain_model(6))

@@ -664,6 +664,35 @@ class TestDistinguish:
         with pytest.raises(InternalCheckError, match="'x' and 't'"):
             distinguish(m, "s", "t")
 
+    def test_formula_deeper_than_the_cap_is_unsupported(self, monkeypatch):
+        # Five thousand nested modalities: the evaluator would overflow the
+        # stack on a fresh memo, so the depth is bounded before verification.
+        import nlmp.logic
+
+        deep = Top()
+        for _ in range(5000):
+            deep = DiamondMulti("a", (GreaterThan(deep, F(1, 2)),))
+        assert nlmp.logic._dag_depth(deep) == 10001
+        m = two_bounds_model()
+        split = (("s", "x"), ("t",))
+        monkeypatch.setattr(nlmp.logic, "_lf_splits", lambda m: iter([(split, deep)]))
+        with pytest.raises(UnsupportedModelError, match="more than 700 subformulas deep"):
+            distinguish(m, "s", "t")
+
+    def test_formula_at_the_cap_is_verified(self, monkeypatch):
+        # The depth of a shared DAG counts each node once: a chain of
+        # conjunctions of a node with itself is as deep as it is long.
+        import nlmp.logic
+
+        shallow = TWO_BOUNDS
+        while nlmp.logic._dag_depth(shallow) < nlmp.logic.MAX_DISTINGUISH_DEPTH:
+            shallow = And(shallow, shallow)
+        assert nlmp.logic._dag_depth(shallow) == nlmp.logic.MAX_DISTINGUISH_DEPTH
+        m = two_bounds_model()
+        split = (("s",), ("t",))
+        monkeypatch.setattr(nlmp.logic, "_lf_splits", lambda m: iter([(split, shallow)]))
+        assert distinguish(m, "s", "t") is shallow
+
     def test_coarse_sigma_algebra_refused(self):
         u = Universe(("s", "t", "x"))
         sig = SigmaAlgebra(u, (frozenset({"s", "t"}), frozenset({"x"})))

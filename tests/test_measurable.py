@@ -20,6 +20,7 @@ from support import (
     family_atoms,
     is_r_closed,
     measurable_family,
+    measurable_sets,
     quadratic_sigma_is_sub,
     rand_coarsening,
     rand_partition,
@@ -247,6 +248,19 @@ class TestSigmaIsSub:
             assert sigma_is_sub(coarser, sig)
             for lam, big in ((coarser, sig), (sig, coarser), (other, sig), (sig, other)):
                 assert sigma_is_sub(lam, big) == quadratic_sigma_is_sub(lam, big)
+
+    def test_every_sigma_algebra_is_sub_of_the_powerset(self):
+        # The powerset answer is True without a walk; brute force agrees:
+        # every lam-measurable set is measurable in the powerset.
+        rng = random.Random(602)
+        for _ in range(200):
+            universe = rand_universe(rng, max_states=7)
+            lam = SigmaAlgebra(universe, tuple(frozenset(b) for b in rand_partition(rng, list(universe))))
+            powerset = SigmaAlgebra.powerset(universe)
+            brute = all(all_atoms_is_measurable(powerset, q) for q in measurable_sets(lam))
+            assert brute and sigma_is_sub(lam, powerset) is True
+            with pytest.raises(DomainError):
+                sigma_is_sub(lam, SigmaAlgebra.powerset(Universe(universe.states + ("extra",))))
 
 
 class TestIndices:
