@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
 from itertools import combinations
-from typing import ClassVar, Iterator
+from typing import Callable, ClassVar, Iterator
 
 from .errors import DomainError, InternalCheckError, PreconditionError, UnsupportedModelError
 from .bisim import Blocks, largest_traditional, refinement_rounds, smallest_stable_sigma
@@ -50,12 +50,6 @@ from .model import Nlmp, hit_preimage, nlmp_validate
 
 # A pair of sub-blocks of one split block, each in universe order.
 Split = tuple[tuple[str, ...], tuple[str, ...]]
-
-# The deepest formula, in `_dag_depth` nodes, that `distinguish`
-# verifies and hands out.  The evaluator and the renderer recurse about
-# once per node of a path, so this stays clear of Python's default
-# recursion limit of 1000 frames.
-MAX_DISTINGUISH_DEPTH = 700
 
 
 # ---------------------------------------------------------------------------
@@ -178,94 +172,114 @@ def _threshold_text(q: Fraction) -> str:
 
 
 def formula_to_text(f: StateFormula | MeasureFormula) -> str:
+    """The concrete syntax of f, its DAG written out as a tree.  The text
+    is built from a stack of pieces, not by recursion, so no depth is too
+    deep for it."""
+    out, stack = [], [f]
+    while stack:
+        piece = stack.pop()
+        if isinstance(piece, str):
+            out.append(piece)
+        else:
+            stack += reversed(_pieces(piece))
+    return "".join(out)
+
+
+def _pieces(f: StateFormula | MeasureFormula) -> list:
+    """The text of f as strings and subformulas, each subformula to be
+    written in its place."""
     if isinstance(f, Top):
-        return "T"
+        return ["T"]
     if isinstance(f, And):
-        right = formula_to_text(f.right)
-        if isinstance(f.right, And):
-            right = f"({right})"
-        return f"{formula_to_text(f.left)} & {right}"
+        right = ["(", f.right, ")"] if isinstance(f.right, And) else [f.right]
+        return [f.left, " & ", *right]
     if isinstance(f, Diamond):
-        return f"<{f.label}> {formula_to_text(f.body)}"
+        return [f"<{f.label}> ", f.body]
     if isinstance(f, DiamondMulti):
-        parts = ", ".join(
-            f"{c.op}{_threshold_text(c.q)} {formula_to_text(c.phi)}" for c in f.constraints
-        )
-        return f"<{f.label}>[ {parts} ]"
+        pieces: list = []
+        for c in f.constraints:
+            pieces += [", ", f"{c.op}{_threshold_text(c.q)} ", c.phi]
+        return [f"<{f.label}>[ ", *pieces[1:], " ]"]
     if isinstance(f, MOr):
         if not f.items:
-            return "![T]>=0"  # empty disjunction: the empty set of measures
+            return ["![T]>=0"]  # empty disjunction: the empty set of measures
         if len(f.items) == 1:
-            return formula_to_text(f.items[0])
-        parts = [
-            f"({formula_to_text(i)})" if isinstance(i, MOr) else formula_to_text(i)
-            for i in f.items
-        ]
-        return " \\/ ".join(parts)
+            return [f.items[0]]
+        pieces = []
+        for item in f.items:
+            pieces += [" \\/ ", "(", item, ")"] if isinstance(item, MOr) else [" \\/ ", item]
+        return pieces[1:]
     if isinstance(f, MNot):
-        inner = formula_to_text(f.item)
-        if isinstance(f.item, MOr):
-            inner = f"({inner})"
-        return f"!{inner}"
+        return ["!(", f.item, ")"] if isinstance(f.item, MOr) else ["!", f.item]
     if isinstance(f, Bound):
-        return f"[{formula_to_text(f.phi)}]{f.op}{_threshold_text(f.q)}"
+        return ["[", f.phi, f"]{f.op}{_threshold_text(f.q)}"]
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _subformulas(f: StateFormula | MeasureFormula) -> tuple:
+# ---------------------------------------------------------------------------
+# The walk over a formula DAG
+
+
+def _subformulas(f: StateFormula | MeasureFormula) -> tuple[tuple, type]:
+    """The subformulas of f, left to right, and the level they must have.
+    A multi-constraint diamond's are its constraint formulas, not its
+    bounds: each bound is tested on the label's holder measures, never
+    on the whole pool."""
     if isinstance(f, And):
-        return f.left, f.right
+        return (f.left, f.right), StateFormula
     if isinstance(f, Diamond):
-        return (f.body,)
+        return (f.body,), MeasureFormula
     if isinstance(f, DiamondMulti):
-        return f.constraints
+        return tuple(c.phi for c in f.constraints), StateFormula
     if isinstance(f, MOr):
-        return f.items
+        return f.items, MeasureFormula
     if isinstance(f, MNot):
-        return (f.item,)
+        return (f.item,), MeasureFormula
     if isinstance(f, Bound):
-        return (f.phi,)
-    return ()
+        return (f.phi,), StateFormula
+    return (), StateFormula
 
 
-def _dag_depth(f: StateFormula | MeasureFormula) -> int:
-    """The number of nodes on the longest path down the formula DAG,
-    state and measure nodes alike.  It is computed without recursion,
-    each shared node once, so it is defined on formulas too deep for the
-    recursive evaluator and renderer."""
-    depth: dict[int, int] = {}
-    stack = [f]
+# A formula is a DAG: synthesized formulas share their subformulas.  A
+# memo maps id(node) to (node, value) for one walk, or for several over
+# one model, so each distinct node is visited once; holding the node
+# keeps its id from being reused while the memo lives.
+_Memo = dict[int, tuple[object, object]]
+
+
+def _walk(root, level: type, memo: _Memo, leave: Callable, enter: Callable | None = None) -> None:
+    """Walk the formula DAG below root depth first, with an explicit
+    stack in place of recursion, so no depth is too deep for it.
+
+    Each node not yet in memo is entered (``enter(node)``, when given),
+    its subformulas are walked left to right, and then
+    ``memo[id(node)] = (node, leave(node))``: leave reads the values of
+    the subformulas from memo.  Every node must be an instance of the
+    level its parent's slot asks for, level itself for root; a node in
+    the wrong place raises TypeError when it is reached.
+    """
+    stack: list = [(root, level)]
     while stack:
-        g = stack[-1]
-        if id(g) in depth:
-            stack.pop()
-            continue
-        subs = _subformulas(g)
-        todo = [h for h in subs if id(h) not in depth]
-        if todo:
-            stack += todo
-        else:
-            stack.pop()
-            depth[id(g)] = 1 + max([depth[id(h)] for h in subs], default=0)
-    return depth[id(f)]
+        f, want = stack.pop()
+        if want is None:
+            memo[id(f)] = (f, leave(f))
+        elif not isinstance(f, want):
+            raise TypeError(f"not a {want.__name__}: {type(f).__name__}")
+        elif id(f) not in memo:
+            if enter is not None:
+                enter(f)
+            subs, sub_level = _subformulas(f)
+            stack.append((f, None))
+            for g in reversed(subs):
+                stack.append((g, sub_level))
 
 
 def formula_labels(f: StateFormula | MeasureFormula) -> frozenset[str]:
-    if isinstance(f, (Top,)):
-        return frozenset()
-    if isinstance(f, And):
-        return formula_labels(f.left) | formula_labels(f.right)
-    if isinstance(f, Diamond):
-        return frozenset([f.label]) | formula_labels(f.body)
-    if isinstance(f, DiamondMulti):
-        return frozenset([f.label]).union(*(formula_labels(c.phi) for c in f.constraints))
-    if isinstance(f, MOr):
-        return frozenset().union(*(formula_labels(i) for i in f.items))
-    if isinstance(f, MNot):
-        return formula_labels(f.item)
-    if isinstance(f, Bound):
-        return formula_labels(f.phi)
-    raise TypeError(f"not a formula: {f!r}")
+    """The labels of f's modalities."""
+    memo: _Memo = {}
+    level = MeasureFormula if isinstance(f, MeasureFormula) else StateFormula
+    _walk(f, level, memo, lambda g: None)
+    return frozenset(g.label for g, _ in memo.values() if isinstance(g, (Diamond, DiamondMulti)))
 
 
 # ---------------------------------------------------------------------------
@@ -275,11 +289,13 @@ def formula_labels(f: StateFormula | MeasureFormula) -> frozenset[str]:
 def eval_state(m: Nlmp, phi: StateFormula) -> StateSet:
     """The set of states satisfying phi.
 
-    The result is always measurable in the model's sigma-algebra; this
-    is asserted after every modality, and can only fail when the model
-    itself fails validation.
+    phi is walked as a DAG, each distinct node once and without
+    recursion, so its depth is bounded by memory only; a subformula at
+    the wrong level raises TypeError.  The result is always measurable
+    in the model's sigma-algebra; this is asserted after every modality,
+    and can only fail when the model itself fails validation.
     """
-    return _eval_state(m, phi, {})
+    return _evaluate(m, phi, StateFormula, {})
 
 
 def eval_measure(m: Nlmp, psi: MeasureFormula) -> frozenset[Measure]:
@@ -289,44 +305,52 @@ def eval_measure(m: Nlmp, psi: MeasureFormula) -> frozenset[Measure]:
     denoted measure set on the model's finitely many transition
     measures is ever needed.
     """
-    return _eval_measure(m, psi, {})
+    return _evaluate(m, psi, MeasureFormula, {})
 
 
-# A formula is a DAG: synthesized formulas share their subformulas.  The
-# memo maps id(node) to (node, denotation) for one evaluation, so each
-# distinct node is evaluated once; holding the node keeps its id from
-# being reused while the memo lives.
-_Memo = dict[int, tuple[object, frozenset]]
+def _evaluate(m: Nlmp, f: StateFormula | MeasureFormula, level: type, memo: _Memo) -> frozenset:
+    """The denotation of f, a formula of the given level; memo holds the
+    denotations of the nodes already evaluated on m and receives the new
+    ones."""
+
+    def enter(g) -> None:
+        # On entry, before its constraints: of two faults in one formula,
+        # the one a tree walk meets first is reported.
+        if isinstance(g, DiamondMulti) and g.label not in m.labels:
+            raise DomainError(f"unknown label {g.label!r}")
+
+    _walk(f, level, memo, lambda g: _denote(m, g, memo), enter)
+    return memo[id(f)][1]
 
 
-def _eval_state(m: Nlmp, phi: StateFormula, memo: _Memo) -> StateSet:
-    hit = memo.get(id(phi))
-    if hit is not None:
-        return hit[1]
-    if isinstance(phi, Top):
-        result = frozenset(m.states)
-    elif isinstance(phi, And):
-        result = _eval_state(m, phi.left, memo) & _eval_state(m, phi.right, memo)
-    elif isinstance(phi, Diamond):
-        xi = _eval_measure(m, phi.body, memo)
-        result = hit_preimage(m, phi.label, xi)
-        _assert_measurable(m, result)
-    elif isinstance(phi, DiamondMulti):
-        if phi.label not in m.labels:
-            raise DomainError(f"unknown label {phi.label!r}")
-        bounds = [(c, _eval_state(m, c.phi, memo)) for c in phi.constraints]
+def _denote(m: Nlmp, f: StateFormula | MeasureFormula, memo: _Memo) -> frozenset:
+    """The denotation of f, given those of its subformulas in memo."""
+    if isinstance(f, Top):
+        return frozenset(m.states)
+    if isinstance(f, And):
+        return memo[id(f.left)][1] & memo[id(f.right)][1]
+    if isinstance(f, MOr):
+        return frozenset().union(*(memo[id(g)][1] for g in f.items))
+    if isinstance(f, MNot):
+        return m.pool_set - memo[id(f.item)][1]
+    if isinstance(f, Bound):
+        ext, compare = memo[id(f.phi)][1], COMPARE[f.op]
+        return frozenset(mu for mu in m.pool if compare(mu.value(ext), f.q))
+    if isinstance(f, Diamond):
+        result = hit_preimage(m, f.label, memo[id(f.body)][1])
+    elif isinstance(f, DiamondMulti):
+        bounds = [(c, memo[id(c.phi)][1]) for c in f.constraints]
         # Each distinct measure of the label's rows is tested once.
         result = frozenset().union(
             *(
                 states
-                for mu, states in m.holders[phi.label].items()
+                for mu, states in m.holders[f.label].items()
                 if all(COMPARE[c.op](mu.value(ext), c.q) for c, ext in bounds)
             )
         )
-        _assert_measurable(m, result)
     else:
-        raise TypeError(f"not a state formula: {phi!r}")
-    memo[id(phi)] = (phi, result)
+        raise TypeError(f"not a formula: {type(f).__name__}")
+    _assert_measurable(m, result)
     return result
 
 
@@ -336,26 +360,6 @@ def _assert_measurable(m: Nlmp, q: StateSet) -> None:
             "formula denotes a non-measurable state set; the model does not "
             "pass measurability validation"
         )
-
-
-def _eval_measure(m: Nlmp, psi: MeasureFormula, memo: _Memo) -> frozenset[Measure]:
-    hit = memo.get(id(psi))
-    if hit is not None:
-        return hit[1]
-    if isinstance(psi, MOr):
-        result: frozenset[Measure] = frozenset()
-        for item in psi.items:
-            result |= _eval_measure(m, item, memo)
-    elif isinstance(psi, MNot):
-        result = m.pool_set - _eval_measure(m, psi.item, memo)
-    elif isinstance(psi, Bound):
-        ext = _eval_state(m, psi.phi, memo)
-        compare = COMPARE[psi.op]
-        result = frozenset(mu for mu in m.pool if compare(mu.value(ext), psi.q))
-    else:
-        raise TypeError(f"not a measure formula: {psi!r}")
-    memo[id(psi)] = (psi, result)
-    return result
 
 
 def satisfies(m: Nlmp, s: str, phi: StateFormula) -> bool:
@@ -415,7 +419,7 @@ def logical_equivalence(m: Nlmp, fragment: str = "Lf") -> EquivalenceReport:
     if fragment != "Lf":
         raise ValueError(f"unknown fragment {fragment!r}")
     rep = largest_traditional(m)
-    formulas = _lf_refinement(m)
+    formulas = dict(_lf_splits(m))
     # Verify against a memo of its own, not the one synthesis filled:
     # splits share interned formulas, so each distinct node is evaluated
     # once however many splits it explains.
@@ -437,9 +441,9 @@ def distinguish(m: Nlmp, s: str, t: str) -> StateFormula | None:
     earlier rounds and on its own, so it is the one
     ``logical_equivalence(m, "Lf")`` records for them.  It is verified
     against the whole split, one sub-block inside its extension and the
-    other outside.  A formula more than ``MAX_DISTINGUISH_DEPTH``
-    subformulas deep is refused with UnsupportedModelError before it is
-    verified, since the recursive evaluator could not walk it.
+    other outside.  The formula's modal depth grows with the pair's
+    round, and no depth is refused: the evaluator walks the formula
+    without recursion.
 
     Only full powerset models are supported: on them the sublogic is
     known to pin down bisimilarity exactly, while on coarser
@@ -461,10 +465,6 @@ def distinguish(m: Nlmp, s: str, t: str) -> StateFormula | None:
         return None
     for (left, right), psi in _lf_splits(m):
         if s in left and t in right or t in left and s in right:
-            if _dag_depth(psi) > MAX_DISTINGUISH_DEPTH:
-                raise UnsupportedModelError(
-                    f"the distinguishing formula is more than {MAX_DISTINGUISH_DEPTH} subformulas deep"
-                )
             _verify_split(m, (left, right), psi, {})
             return psi
     raise InternalCheckError(f"no split separates {s!r} and {t!r}")
@@ -475,16 +475,11 @@ def _verify_split(m: Nlmp, split: Split, psi: StateFormula, memo: _Memo) -> None
     lies inside its extension and the other outside, which costs
     O(|left| + |right|) once the extension is known."""
     left, right = split
-    ext = _eval_state(m, psi, memo)
+    ext = _evaluate(m, psi, StateFormula, memo)
     inner, outer = (left, right) if left[0] in ext else (right, left)
     if not (ext.issuperset(inner) and ext.isdisjoint(outer)):
         s, t = next((s, t) for s in left for t in right if (s in ext) == (t in ext))
         raise InternalCheckError(f"synthesized formula fails to separate {s!r} and {t!r}")
-
-
-def _lf_refinement(m: Nlmp) -> dict[Split, StateFormula]:
-    """Every split of the refinement with its formula."""
-    return dict(_lf_splits(m))
 
 
 def _lf_splits(m: Nlmp) -> Iterator[tuple[Split, StateFormula]]:
@@ -577,7 +572,7 @@ def _lf_splits(m: Nlmp) -> Iterator[tuple[Split, StateFormula]]:
             else:
                 raise InternalCheckError("split without a hit-class mismatch")
             yield (left, right), psi
-            ext = _eval_state(m, psi, memo)
+            ext = _evaluate(m, psi, StateFormula, memo)
             if (ext,) not in conj:
                 conj[(ext,)] = psi
                 insort(gens, ext, key=rank)

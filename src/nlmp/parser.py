@@ -64,9 +64,18 @@ except ImportError:
 
 @dataclass
 class ModelDocument:
-    kind: str  # "nlmp" | "lmp"
+    """A parsed model.  Its kind and its deterministic view follow from
+    the model's class, so they cannot disagree with it."""
+
     nlmp: Nlmp
-    lmp: Lmp | None
+
+    @property
+    def kind(self) -> str:
+        return "lmp" if isinstance(self.nlmp, Lmp) else "nlmp"
+
+    @property
+    def lmp(self) -> Lmp | None:
+        return self.nlmp if isinstance(self.nlmp, Lmp) else None
 
     @property
     def digest(self) -> str:
@@ -185,10 +194,8 @@ def parse_model(text: str) -> ModelDocument:
                     raise ModelSyntaxError(
                         f"deterministic model is missing the transition for ({s}, {a})"
                     )
-        lmp = Lmp(sigma, labels, kernels)
-        return ModelDocument("lmp", lmp, lmp)
-    nlmp = Nlmp(sigma, labels, {k: tuple(v) for k, v in rows.items()})
-    return ModelDocument("nlmp", nlmp, None)
+        return ModelDocument(Lmp(sigma, labels, kernels))
+    return ModelDocument(Nlmp(sigma, labels, {k: tuple(v) for k, v in rows.items()}))
 
 
 def _parse_generators(tokens: list[str], line_no: int) -> list[list[str]]:
@@ -341,8 +348,9 @@ def _tokenize_formula(text: str) -> list[tuple[str, str, int]]:
 
 # Deepest nesting of modalities, negations and parentheses accepted in
 # a formula, where each `&` of a chain also counts as one level: `&`
-# nests to the left, so the parser, the renderer and the evaluator
-# recurse once per level and once per conjunct.
+# nests to the left, so the parser recurses once per level and once per
+# conjunct.  The parser is the only recursive walk over formulas: the
+# renderer and the evaluator take any depth.
 MAX_FORMULA_DEPTH = 100
 
 

@@ -427,23 +427,28 @@ class TestDistinguishDepth:
             "formula nests deeper than 100 levels at column 1011",
         }
 
-    def test_formula_too_deep_to_verify_is_unsupported(self, capsys, monkeypatch):
-        # A formula thousands of levels deep, built directly, stands in for
-        # the one the one-label chain of 600 states synthesizes: the command
-        # exits 6 with one line instead of overflowing the stack.
-        import nlmp.logic
-        from nlmp import DiamondMulti, GreaterThan, Top
+    def test_separating_formula_thousands_deep_is_refused_by_the_parser(self, capsys, monkeypatch):
+        # A separating formula thousands of levels deep, built directly,
+        # stands in for the one the one-label chain of thousands of states
+        # synthesizes: it is verified and rendered, and the command exits
+        # 6 with one line because the parser would not read it back.
+        from fractions import Fraction as F
 
-        deep = Top()
+        import nlmp.logic
+        from nlmp import DiamondMulti, GreaterThan, LessThan, Top
+
+        chain = Top()  # holds at x alone, which steps under b to itself
         for _ in range(3000):
-            deep = DiamondMulti("a", (GreaterThan(deep, 0),))
+            chain = DiamondMulti("b", (GreaterThan(chain, 0),))
+        deep = DiamondMulti("a", (GreaterThan(chain, F(1, 4)), LessThan(chain, F(3, 4))))
         monkeypatch.setattr(nlmp.logic, "_lf_splits", lambda m: iter([((("s",), ("t",)), deep)]))
         code, report, err = run(capsys, "distinguish", corpus("two_bounds_needed.nlmp"), "s", "t")
         assert code == 6
         assert err == ""
         assert report["result"] == {
             "supported": False,
-            "reason": "the distinguishing formula is more than 700 subformulas deep",
+            "reason": "the distinguishing formula does not parse back: "
+            "formula nests deeper than 100 levels at column 811",
         }
 
     def test_depth_limit_decides_what_is_printed(self, tmp_path, capsys, monkeypatch):

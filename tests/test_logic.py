@@ -1,4 +1,6 @@
 import random
+import re
+import sys
 import time
 from fractions import Fraction as F
 from itertools import combinations
@@ -58,12 +60,21 @@ from support import (
 )
 from nlmp import lmp_embed
 from nlmp.bisim import refinement
-from nlmp.logic import BOUNDS
+from nlmp.logic import BOUNDS, formula_labels
 
 PHI_X = Diamond("b", AtLeast(Top(), F(1)))
 TWO_BOUNDS = DiamondMulti(
     "a", (GreaterThan(PHI_X, F(1, 4)), LessThan(PHI_X, F(3, 4)))
 )
+
+
+@pytest.fixture
+def default_recursion_limit():
+    """Python's default recursion limit for the test, whatever the runner set."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(limit)
 
 
 class TestEvalState:
@@ -196,6 +207,77 @@ class TestMemoisedEvaluation:
         phi = DiamondMulti("a", (GreaterThan(Top(), F(1, 4)), GreaterThan(Top(), F(1, 2))))
         assert eval_state(m, phi) == frozenset(m.states)
         assert len(calls) == 2  # one value per bound, for the one distinct measure
+
+
+def _modality_chain(n: int):
+    """n modalities deep, each a step under b, so it holds at x alone in
+    two_bounds_model; and its text."""
+    phi, opens, closes = Top(), [], []
+    for i in range(n):
+        if i % 3 == 0:
+            phi = Diamond("b", AtLeast(phi, F(1)))
+            opens.append("<b> [")
+            closes.append("]>=1")
+        elif i % 3 == 1:
+            phi = DiamondMulti("b", (GreaterThan(phi, F(1, 2)),))
+            opens.append("<b>[ >1/2 ")
+            closes.append(" ]")
+        else:
+            phi = Diamond("b", MNot(MOr((LessThan(phi, F(1)),))))
+            opens.append("<b> !([")
+            closes.append("]<1)")
+    return phi, "".join(reversed(opens)) + "T" + "".join(closes)
+
+
+class TestDeepFormulas:
+    """Every walk over a formula is free of recursion: none of them is
+    bounded by the interpreter's stack."""
+
+    def test_modality_chain_ten_thousand_deep(self, default_recursion_limit):
+        phi, text = _modality_chain(10_000)
+        m = two_bounds_model()
+        mu1, _, _ = two_bounds_measures(m)
+        assert eval_state(m, phi) == frozenset({"x"})
+        assert eval_measure(m, AtLeast(phi, F(1))) == frozenset({mu1})
+        assert formula_labels(phi) == frozenset({"b"})
+        assert formula_to_text(phi) == text
+
+    def test_shared_and_dag_five_thousand_deep(self, default_recursion_limit):
+        m = two_bounds_model()
+        mu1, _, mu3 = two_bounds_measures(m)
+        doubled = TWO_BOUNDS
+        for _ in range(5000):
+            doubled = And(doubled, doubled)  # 2^5000 leaves as a tree
+        assert eval_state(m, doubled) == frozenset({"s"})
+        assert eval_measure(m, AtLeast(doubled, F(0))) == frozenset(m.pool)
+        assert formula_labels(doubled) == frozenset({"a", "b"})
+        # right-nested, one leaf under every level: the text is linear
+        nested = And(PHI_X, PHI_X)
+        for _ in range(4999):
+            nested = And(PHI_X, nested)
+        assert eval_state(m, nested) == frozenset({"x"})
+        assert eval_measure(m, LessThan(nested, F(1, 2))) == frozenset(m.pool) - {mu1, mu3}
+        assert formula_labels(nested) == frozenset({"b"})
+        leaf = formula_to_text(PHI_X)
+        assert formula_to_text(nested) == f"{leaf} & (" * 4999 + f"{leaf} & {leaf}" + ")" * 4999
+
+    def test_labels_are_the_modalities_of_the_text(self):
+        rng = random.Random(707)
+        for _ in range(300):
+            phi = rand_state_formula(rng, ("a", "b", "c"), rng.randint(0, 4))
+            assert formula_labels(phi) == set(re.findall(r"<(\w+)>", formula_to_text(phi)))
+
+    def test_misplaced_subformula_is_a_type_error(self):
+        m = two_bounds_model()
+        for phi in (And(Top(), AtLeast(Top(), 0)), Diamond("a", Top()), AtLeast(Top(), 0)):
+            with pytest.raises(TypeError):
+                eval_state(m, phi)
+            with pytest.raises(TypeError):
+                eval_measure(m, MNot(AtLeast(phi, 0)))
+        with pytest.raises(TypeError):
+            eval_measure(m, Top())
+        with pytest.raises(TypeError):
+            formula_labels(Diamond("a", Top()))
 
 
 class TestSatisfies:
@@ -332,14 +414,13 @@ class TestLogicalEquivalence:
         real_value = Measure.value
         monkeypatch.setattr(Measure, "value", lambda mu, q: calls.append(mu) or real_value(mu, q))
         synthesized = []
-        real_refinement = nlmp.logic._lf_refinement
+        real_splits = nlmp.logic._lf_splits
 
-        def refinement(m):
-            out = real_refinement(m)
+        def splits(m):
+            yield from real_splits(m)
             synthesized.append(len(calls))
-            return out
 
-        monkeypatch.setattr(nlmp.logic, "_lf_refinement", refinement)
+        monkeypatch.setattr(nlmp.logic, "_lf_splits", splits)
         rng = random.Random(511)
         models = [two_bounds_model()] + [rand_valid_nlmp(rng, coarse=False) for _ in range(20)]
         compared = 0
@@ -410,8 +491,8 @@ class TestLogicalEquivalence:
         import nlmp.logic
 
         m = two_bounds_model()
-        formulas = {(("s",), ("t",)): TWO_BOUNDS, (("t",), ("x",)): TWO_BOUNDS}
-        monkeypatch.setattr(nlmp.logic, "_lf_refinement", lambda m: formulas)
+        splits = [((("s",), ("t",)), TWO_BOUNDS), ((("t",), ("x",)), TWO_BOUNDS)]
+        monkeypatch.setattr(nlmp.logic, "_lf_splits", lambda m: iter(splits))
         with pytest.raises(InternalCheckError, match="'t' and 'x'"):
             logical_equivalence(m, "Lf")
 
@@ -419,7 +500,7 @@ class TestLogicalEquivalence:
         import nlmp.logic
 
         m = two_bounds_model()
-        monkeypatch.setattr(nlmp.logic, "_lf_refinement", lambda m: {(("s",), ("t",)): Top()})
+        monkeypatch.setattr(nlmp.logic, "_lf_splits", lambda m: iter([((("s",), ("t",)), Top())]))
         with pytest.raises(InternalCheckError, match="'s' and 't'"):
             logical_equivalence(m, "Lf")
 
@@ -432,7 +513,7 @@ class TestLogicalEquivalence:
         m = two_bounds_model()
         assert satisfies(m, "s", TWO_BOUNDS)
         assert not satisfies(m, "x", TWO_BOUNDS) and not satisfies(m, "t", TWO_BOUNDS)
-        monkeypatch.setattr(nlmp.logic, "_lf_refinement", lambda m: {(("s", "x"), ("t",)): TWO_BOUNDS})
+        monkeypatch.setattr(nlmp.logic, "_lf_splits", lambda m: iter([((("s", "x"), ("t",)), TWO_BOUNDS)]))
         with pytest.raises(InternalCheckError, match="'x' and 't'"):
             logical_equivalence(m, "Lf")
 
@@ -664,34 +745,45 @@ class TestDistinguish:
         with pytest.raises(InternalCheckError, match="'x' and 't'"):
             distinguish(m, "s", "t")
 
-    def test_formula_deeper_than_the_cap_is_unsupported(self, monkeypatch):
-        # Five thousand nested modalities: the evaluator would overflow the
-        # stack on a fresh memo, so the depth is bounded before verification.
+    def test_separating_formula_ten_thousand_deep_is_verified(self, monkeypatch, default_recursion_limit):
+        # x alone steps under b, back to itself, so the b-chain of any
+        # depth holds at x only, and the two-bound modality over it at s
+        # only: 10,001 nodes deep, a depth the refinement reaches on a
+        # one-label chain of five thousand states.
+        import nlmp.logic
+
+        chain = Top()
+        for _ in range(4999):
+            chain = DiamondMulti("b", (GreaterThan(chain, F(1, 2)),))
+        deep = DiamondMulti("a", (GreaterThan(chain, F(1, 4)), LessThan(chain, F(3, 4))))
+        m = two_bounds_model()
+        monkeypatch.setattr(nlmp.logic, "_lf_splits", lambda m: iter([((("s",), ("t",)), deep)]))
+        assert distinguish(m, "s", "t") is deep
+
+    def test_shared_and_dag_five_thousand_deep_is_verified(self, monkeypatch, default_recursion_limit):
+        # A conjunction of a node with itself, five thousand times: each
+        # shared node is evaluated once.
+        import nlmp.logic
+
+        shared = TWO_BOUNDS
+        for _ in range(5000):
+            shared = And(shared, shared)
+        m = two_bounds_model()
+        monkeypatch.setattr(nlmp.logic, "_lf_splits", lambda m: iter([((("s",), ("t",)), shared)]))
+        assert distinguish(m, "s", "t") is shared
+
+    def test_deep_formula_that_fails_to_separate_is_an_internal_error(self, monkeypatch, default_recursion_limit):
+        # Two a-steps in a row reach no state with an a-transition, so the
+        # a-chain deeper than one holds nowhere.
         import nlmp.logic
 
         deep = Top()
         for _ in range(5000):
             deep = DiamondMulti("a", (GreaterThan(deep, F(1, 2)),))
-        assert nlmp.logic._dag_depth(deep) == 10001
         m = two_bounds_model()
-        split = (("s", "x"), ("t",))
-        monkeypatch.setattr(nlmp.logic, "_lf_splits", lambda m: iter([(split, deep)]))
-        with pytest.raises(UnsupportedModelError, match="more than 700 subformulas deep"):
+        monkeypatch.setattr(nlmp.logic, "_lf_splits", lambda m: iter([((("s",), ("t",)), deep)]))
+        with pytest.raises(InternalCheckError, match="fails to separate 's' and 't'"):
             distinguish(m, "s", "t")
-
-    def test_formula_at_the_cap_is_verified(self, monkeypatch):
-        # The depth of a shared DAG counts each node once: a chain of
-        # conjunctions of a node with itself is as deep as it is long.
-        import nlmp.logic
-
-        shallow = TWO_BOUNDS
-        while nlmp.logic._dag_depth(shallow) < nlmp.logic.MAX_DISTINGUISH_DEPTH:
-            shallow = And(shallow, shallow)
-        assert nlmp.logic._dag_depth(shallow) == nlmp.logic.MAX_DISTINGUISH_DEPTH
-        m = two_bounds_model()
-        split = (("s",), ("t",))
-        monkeypatch.setattr(nlmp.logic, "_lf_splits", lambda m: iter([(split, shallow)]))
-        assert distinguish(m, "s", "t") is shallow
 
     def test_coarse_sigma_algebra_refused(self):
         u = Universe(("s", "t", "x"))

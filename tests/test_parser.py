@@ -151,7 +151,7 @@ class TestRoundTrip:
         rng = random.Random(601)
         for _ in range(60):
             m = rand_valid_nlmp(rng, coarse=rng.random() < 0.5)
-            doc = ModelDocument("nlmp", m, None)
+            doc = ModelDocument(m)
             again = parse_model(serialize_model(doc))
             assert again.nlmp == m
 

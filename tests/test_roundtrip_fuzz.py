@@ -17,7 +17,6 @@ import random
 from nlmp import (
     ModelDocument,
     formula_to_text,
-    lmp_embed,
     logical_equivalence,
     parse_model,
     parse_state_formula,
@@ -35,14 +34,13 @@ def _documents(rng: random.Random):
     for i in range(MODEL_CASES):
         kind = i % 4
         if kind == 0:
-            yield ModelDocument("nlmp", rand_valid_nlmp(rng, coarse=False), None)
+            yield ModelDocument(rand_valid_nlmp(rng, coarse=False))
         elif kind == 1:
-            yield ModelDocument("nlmp", rand_valid_nlmp(rng, coarse=True, dirac_only=rng.random() < 0.3), None)
+            yield ModelDocument(rand_valid_nlmp(rng, coarse=True, dirac_only=rng.random() < 0.3))
         elif kind == 2:
-            yield ModelDocument("nlmp", rand_any_nlmp(rng), None)
+            yield ModelDocument(rand_any_nlmp(rng))
         else:
-            l = rand_lmp(rng, coarse=rng.random() < 0.5, per_state=rng.random() < 0.5)
-            yield ModelDocument("lmp", lmp_embed(l, validate=False), l)
+            yield ModelDocument(rand_lmp(rng, coarse=rng.random() < 0.5, per_state=rng.random() < 0.5))
 
 
 def test_models_round_trip_with_their_digest():
