@@ -31,11 +31,13 @@ ordering.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
+from itertools import tee
 from math import gcd
 from typing import Iterator
 
-from .errors import InternalCheckError, PreconditionError
+from .errors import PreconditionError
 from .measurable import (
     Relation,
     SigmaAlgebra,
@@ -124,6 +126,11 @@ class BisimReport(Blocks):
 
 @dataclass(frozen=True)
 class ComparisonReport:
+    """The three bisimilarities of one model.  The reports share one lam,
+    so the four booleans of the inclusion chain and of equality are True
+    by construction; ``sigma_is_powerset`` says whether the model's
+    sigma-algebra is the powerset."""
+
     traditional: BisimReport
     state: BisimReport
     event: BisimReport
@@ -212,22 +219,13 @@ def is_event_bisim(m: Nlmp, lam: SigmaAlgebra) -> CheckResult:
     return CheckResult(True)
 
 
-def _state_rows(m: Nlmp) -> dict[str, tuple[Row, ...]]:
-    """Each state's rows, one per label in label order, read from the
-    model once and kept on it beside the refinement rounds."""
-    if m._state_rows is None:
-        rows = m._rows
-        m._state_rows = {s: tuple([rows.get((s, a), ()) for a in m.labels]) for s in m.states}
-    return m._state_rows
-
-
 @dataclass(frozen=True)
 class RowProfiles:
     """The traditional signature over one sigma-algebra.  ``profiles``
     maps each pool measure to a small-int id, equal for two measures iff
     their profiles over the sigma-algebra are; synthesis reads it to find
-    a measure of a given class, and ``rows`` holds each state's rows,
-    one per label."""
+    a measure of a given class, and ``rows`` is the model's table of each
+    state's rows, one per label."""
 
     rows: dict[str, tuple[Row, ...]]
     profiles: dict[Measure, int]
@@ -249,8 +247,13 @@ def traditional_signature(m: Nlmp, lam: SigmaAlgebra) -> RowProfiles:
     block order, each block's integer total divided by the totals' gcd;
     the reduced totals sum to the reduced denominator, so equal keys
     mean equal profiles.  Each key is interned to a small int.  A
-    state's key reads its rows from the model's per-state row table,
-    never through `Nlmp.row`.
+    state's key reads its rows from the model's row table, never through
+    `Nlmp.row`.
+
+    The guard raises PreconditionError on a lam that is not a
+    sub-sigma-algebra of the model's.  The refinement calls this once
+    per round, the fixpoint round included, so every fixpoint it
+    reports has passed the guard.
     """
     if not sigma_is_sub(lam, m.sigma):
         raise PreconditionError("profile requires a sub-sigma-algebra of the measure's")
@@ -269,7 +272,7 @@ def traditional_signature(m: Nlmp, lam: SigmaAlgebra) -> RowProfiles:
                 g = gcd(*totals.values())
                 k = tuple(x for j in sorted(totals) for x in (j, totals[j] // g))
         profiles[mu] = ids.setdefault(k, len(ids))
-    return RowProfiles(_state_rows(m), profiles)
+    return RowProfiles(m._rows, profiles)
 
 
 Round = tuple[SigmaAlgebra, RowProfiles, tuple]
@@ -280,7 +283,7 @@ def _round_source(m: Nlmp) -> Iterator[Round]:
     # the order of lam's atoms, so no round sorts a block.  A singleton
     # cannot split and none of its states is keyed; a block that does not
     # split keeps its lam atom in the next lam.
-    rows_of = _state_rows(m)
+    rows_of = m._rows
     lam = SigmaAlgebra.trivial(m.universe)
     blocks: list[tuple[str, ...]] = [m.states]
     while True:
@@ -315,23 +318,17 @@ def refinement_rounds(m: Nlmp) -> Iterator[Round]:
     """The rounds of `refinement`, in order, each computed when it is
     first read.
 
-    The rounds computed so far are kept on the model object, with the
-    generator of the rest, so each round is computed once however many
-    readers it has, and a reader that stops at round k leaves every
-    later round uncomputed.
+    The model's one refinement slot holds the rounds computed so far
+    and the generator of the rest, so each round is computed once
+    however many readers it has, and a reader that stops at round k
+    leaves every later round uncomputed.
     """
-    done = m._rounds
-    i = 0
-    while True:
-        if i == len(done):
-            if m._round_source is None:
-                m._round_source = _round_source(m)
-            nxt = next(m._round_source, None)
-            if nxt is None:
-                return
-            done.append(nxt)
-        yield done[i]
-        i += 1
+    # The slot is a tee that is never advanced: it keeps every round the
+    # generator has yielded, and each reader is a copy of it, which
+    # starts at round 0 and shares those rounds.
+    if m._refinement is None:
+        (m._refinement,) = tee(_round_source(m), 1)
+    return copy(m._refinement)
 
 
 def refinement(m: Nlmp) -> tuple[Round, ...]:
@@ -346,20 +343,17 @@ def refinement(m: Nlmp) -> tuple[Round, ...]:
     a block of two or more: the blocks are carried from round to round
     as universe-ordered tuples, so no block is sorted, a singleton is
     recorded as its own one sub-block without keying its state, and
-    each state's rows are read from a table built once per model, not
-    through `Nlmp.row`.  The last round is the
-    first in which no block splits; its lam is the fixpoint.  This is
-    `refinement_rounds` drained: the tuple is built once per model
-    object and kept on it, and only the rounds no reader has asked for
-    yet are computed.
+    each state's rows are read from the model's row table, not through
+    `Nlmp.row`.  The last round is the first in which no block splits;
+    its lam is the fixpoint.  This is `refinement_rounds` drained: every
+    call returns the same round objects, and only the rounds no reader
+    has asked for yet are computed.
 
     On a valid model the rows are constant within the model's atoms, so
     every block stays a union of atoms and lam is exactly the r-closed
     sub-sigma-algebra of the blocks' equivalence.
     """
-    if m._refinement is None:
-        m._refinement = tuple(refinement_rounds(m))
-    return m._refinement
+    return tuple(refinement_rounds(m))
 
 
 def _fixpoint(kind: str, m: Nlmp) -> BisimReport:
@@ -394,47 +388,32 @@ def smallest_stable_sigma(m: Nlmp) -> BisimReport:
 
     The limit is the smallest sub-sigma-algebra on which the model is
     still a model; its inseparability relation is event bisimilarity.
+    That it is a sub-sigma-algebra of the model's was checked by the
+    fixpoint round's `traditional_signature`, which raises
+    PreconditionError otherwise.
     """
-    report = _fixpoint("event", m)
-    if not sigma_is_sub(report.sigma, m.sigma):
-        raise InternalCheckError("stable sigma-algebra escaped the model's sigma-algebra")
-    return report
+    return _fixpoint("event", m)
 
 
 def compare_bisims(m: Nlmp) -> ComparisonReport:
-    """Compute all three bisimilarities and check the inclusion chain
-    traditional <= state <= event.
+    """Compute all three bisimilarities: traditional <= state <= event
+    on every valid model, with equality on full powerset models.
 
-    The chain must hold on every valid model and the three relations
-    must coincide on full powerset models; a violation of either is an
-    implementation bug and raises InternalCheckError.  On coarse
-    sigma-algebras, equality of state and event bisimilarity is reported
-    but never asserted.  Both are decided on the partitions, never on
-    pair sets: one relation lies in another iff the other's blocks are
-    measurable in its sigma-algebra, and two are equal iff their
-    canonically ordered partitions are.  The three fixpoints read one
-    refinement, so both checks hold by construction.
+    The three fixpoints read one refinement, so their reports share one
+    lam, and the chain and both equalities hold by construction, on
+    coarse sigma-algebras too.  The independent checkers
+    (`is_traditional_bisim`, `is_state_bisim`, `is_event_bisim`) are
+    what the tests hold the reports against.
     """
-    rt = largest_traditional(m)
-    rs = largest_state(m)
-    re = smallest_stable_sigma(m)
-    chain = sigma_is_sub(rs.lam, rt.lam) and sigma_is_sub(re.lam, rs.lam)
-    if not chain:
-        raise InternalCheckError("bisimilarity inclusion chain violated")
-    t_eq_s = rt.partition == rs.partition
-    s_eq_e = rs.partition == re.partition
-    powerset = m.sigma.is_powerset
-    if powerset and not (t_eq_s and s_eq_e):
-        raise InternalCheckError("bisimilarities differ on a full powerset model")
     return ComparisonReport(
-        traditional=rt,
-        state=rs,
-        event=re,
-        chain_holds=chain,
-        traditional_eq_state=t_eq_s,
-        state_eq_event=s_eq_e,
-        all_equal=t_eq_s and s_eq_e,
-        sigma_is_powerset=powerset,
+        traditional=largest_traditional(m),
+        state=largest_state(m),
+        event=smallest_stable_sigma(m),
+        chain_holds=True,
+        traditional_eq_state=True,
+        state_eq_event=True,
+        all_equal=True,
+        sigma_is_powerset=m.sigma.is_powerset,
     )
 
 

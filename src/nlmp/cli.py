@@ -28,7 +28,7 @@ from .errors import (
     PreconditionError,
     UnsupportedModelError,
 )
-from .logic import distinguish, eval_state, formula_labels, formula_to_text
+from .logic import _separate, eval_state, formula_labels, formula_to_text
 from .model import Finding, lmp_validate, nlmp_validate
 from .parser import ModelDocument, _measure_text, parse_model, parse_state_formula
 
@@ -131,20 +131,19 @@ def _check(doc: ModelDocument, args) -> tuple[dict, int]:
 
 def _distinguish(doc: ModelDocument, args) -> tuple[dict, int]:
     try:
-        phi = distinguish(doc.nlmp, args.s, args.t)
-        text = None if phi is None else formula_to_text(phi)
-        if text is not None:
-            # Print only what `check` accepts, e.g. within the depth limit.
-            parse_state_formula(text)
+        found = _separate(doc.nlmp, args.s, args.t)
+        if found is None:
+            return {"equivalent": True}, EXIT_EQUIVALENT
+        # The extension is the one the formula was verified against.
+        phi, extension = found
+        text = formula_to_text(phi)
+        # Print only what `check` accepts, e.g. within the depth limit.
+        parse_state_formula(text)
     except UnsupportedModelError as exc:
         return {"supported": False, "reason": str(exc)}, EXIT_UNSUPPORTED
     except ModelSyntaxError as exc:
         reason = f"the distinguishing formula does not parse back: {exc}"
         return {"supported": False, "reason": reason}, EXIT_UNSUPPORTED
-    if phi is None:
-        return {"equivalent": True}, EXIT_EQUIVALENT
-    # distinguish re-verifies the formula before returning it.
-    extension = eval_state(doc.nlmp, phi)
     result = {
         "equivalent": False,
         "formula": text,

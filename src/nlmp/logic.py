@@ -450,6 +450,13 @@ def distinguish(m: Nlmp, s: str, t: str) -> StateFormula | None:
     sigma-algebras no such guarantee is available and the operation
     refuses to guess.
     """
+    found = _separate(m, s, t)
+    return None if found is None else found[0]
+
+
+def _separate(m: Nlmp, s: str, t: str) -> tuple[StateFormula, StateSet] | None:
+    """`distinguish`'s formula with its extension, the one its
+    verification computed; None for a bisimilar pair."""
     if s not in m.universe:
         raise DomainError(f"unknown state {s!r}")
     if t not in m.universe:
@@ -465,21 +472,22 @@ def distinguish(m: Nlmp, s: str, t: str) -> StateFormula | None:
         return None
     for (left, right), psi in _lf_splits(m):
         if s in left and t in right or t in left and s in right:
-            _verify_split(m, (left, right), psi, {})
-            return psi
+            return psi, _verify_split(m, (left, right), psi, {})
     raise InternalCheckError(f"no split separates {s!r} and {t!r}")
 
 
-def _verify_split(m: Nlmp, split: Split, psi: StateFormula, memo: _Memo) -> None:
+def _verify_split(m: Nlmp, split: Split, psi: StateFormula, memo: _Memo) -> StateSet:
     """Check that psi separates every pair of left x right: one sub-block
     lies inside its extension and the other outside, which costs
-    O(|left| + |right|) once the extension is known."""
+    O(|left| + |right|) once the extension is known.  Returns the
+    extension."""
     left, right = split
     ext = _evaluate(m, psi, StateFormula, memo)
     inner, outer = (left, right) if left[0] in ext else (right, left)
     if not (ext.issuperset(inner) and ext.isdisjoint(outer)):
         s, t = next((s, t) for s in left for t in right if (s in ext) == (t in ext))
         raise InternalCheckError(f"synthesized formula fails to separate {s!r} and {t!r}")
+    return ext
 
 
 def _lf_splits(m: Nlmp) -> Iterator[tuple[Split, StateFormula]]:

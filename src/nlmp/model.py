@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, PreconditionError
 from .measurable import SigmaAlgebra, StateSet, Universe
@@ -43,7 +43,14 @@ def _canonical_row(measures: Iterable[Measure]) -> Row:
 
 
 class Nlmp:
-    """States with, per label, a finite set of target probability measures."""
+    """States with, per label, a finite set of target probability measures.
+
+    The rows are held once, in ``_rows[s]``: one row per label, in label
+    order, for every state (states with no transitions share one tuple
+    of empty rows).  The rows never change, so neither the pool, the
+    holders nor the caches kept on the model go stale: the validation
+    report, and the refinement slot that `nlmp.bisim` owns.
+    """
 
     def __init__(
         self,
@@ -53,13 +60,16 @@ class Nlmp:
     ):
         self.sigma = sigma
         self.labels = tuple(labels)
-        if len(set(self.labels)) != len(self.labels):
+        position = {a: i for i, a in enumerate(self.labels)}
+        if len(position) != len(self.labels):
             raise DomainError("duplicate labels")
-        rows: dict[tuple[str, str], Row] = {}
+        no_rows: tuple[Row, ...] = ((),) * len(self.labels)
+        rows: dict[str, tuple[Row, ...]] = {}
         for (s, a), measures in transitions.items():
             if s not in sigma.universe:
                 raise DomainError(f"unknown state {s!r} in transitions")
-            if a not in self.labels:
+            i = position.get(a)
+            if i is None:
                 raise DomainError(f"unknown label {a!r} in transitions")
             row = _canonical_row(measures)
             for mu in row:
@@ -68,30 +78,26 @@ class Nlmp:
                         f"transition measure at ({s!r}, {a!r}) is not over the model's sigma-algebra"
                     )
             if row:
-                rows[(s, a)] = row
-        self._rows = rows
-        # One pass in canonical (state, label) order: the pool holds the
-        # distinct measures in first-seen order, and holders[a][mu] the
-        # states whose a-row holds mu.  The rows never change, so neither
-        # these nor the lazy caches below go stale.
+                r = rows.get(s, no_rows)
+                rows[s] = (*r[:i], row, *r[i + 1:])
+        # One pass in canonical (state, label) order, which also gives the
+        # states with no rows their entry: the pool holds the distinct
+        # measures in first-seen order, and holders[a][mu] the states
+        # whose a-row holds mu (a row holds a measure once, so each state
+        # is listed once).
         pool: dict[Measure, None] = {}
-        holders: dict[str, dict[Measure, set[str]]] = {a: {} for a in self.labels}
+        holders: dict[str, dict[Measure, list[str]]] = {a: {} for a in self.labels}
         for s in sigma.universe.states:
-            for a in self.labels:
-                for mu in rows.get((s, a), ()):
+            for a, row in zip(self.labels, rows.setdefault(s, no_rows)):
+                for mu in row:
                     pool[mu] = None
-                    holders[a].setdefault(mu, set()).add(s)
+                    holders[a].setdefault(mu, []).append(s)
+        self._rows = rows
         self.pool = tuple(pool)
         self.pool_set = frozenset(pool)
         self.holders = {a: {mu: frozenset(h) for mu, h in by_mu.items()} for a, by_mu in holders.items()}
         self._validation: ValidationReport | None = None
-        # nlmp.bisim.refinement: each state's rows, one per label, the
-        # rounds read so far, the generator of the rest, and the drained
-        # tuple once every round is read.
-        self._state_rows: dict | None = None
-        self._rounds: list = []
-        self._round_source: Iterator | None = None
-        self._refinement: tuple | None = None
+        self._refinement = None  # nlmp.bisim.refinement_rounds
 
     @property
     def universe(self) -> Universe:
@@ -106,14 +112,14 @@ class Nlmp:
             raise DomainError(f"unknown state {s!r}")
         if a not in self.labels:
             raise DomainError(f"unknown label {a!r}")
-        return self._rows.get((s, a), ())
+        return self._rows[s][self.labels.index(a)]
 
     def transition_items(self) -> list[tuple[tuple[str, str], Row]]:
         return [
-            ((s, a), self._rows[(s, a)])
+            ((s, a), row)
             for s in self.states
-            for a in self.labels
-            if (s, a) in self._rows
+            for a, row in zip(self.labels, self._rows[s])
+            if row
         ]
 
     def __eq__(self, other) -> bool:

@@ -15,6 +15,7 @@ from nlmp import (
 from nlmp import parser
 from nlmp.cli import main
 from support import two_bounds_model
+from test_golden import GOLDEN, run_case
 
 TWO_BOUNDS_FORMULA = "<a>[ >1/4 <b>[T]>=1 , <3/4 <b>[T]>=1 ]"
 
@@ -375,6 +376,21 @@ class TestDistinguishCommand:
         assert satisfies(m, "s", phi) != satisfies(m, "t", phi)
         assert result["satisfied_by"] == ["s"]
 
+    def test_golden_reports_evaluate_the_formula_once(self, monkeypatch):
+        # satisfied_by reads the extension the formula was verified
+        # against, so the command never evaluates the formula again.
+        import nlmp.cli as cli_mod
+
+        def forbidden(*args):
+            raise AssertionError("distinguish evaluated its formula a second time")
+
+        monkeypatch.setattr(cli_mod, "eval_state", forbidden)
+        golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        cases = [key for key in golden if key.startswith("distinguish")]
+        assert any(golden[key]["exit"] == 0 for key in cases)
+        for key in cases:
+            assert run_case(key.split()) == golden[key], key
+
     def test_same_state_reports_equivalent(self, capsys):
         code, report, _ = run(capsys, "distinguish", corpus("two_bounds_needed.nlmp"), "x", "x")
         assert code == 5
@@ -512,7 +528,7 @@ class TestExitCodeMap:
         def boom(*_):
             raise PreconditionError("forced for the exit-code test")
 
-        monkeypatch.setattr(cli_mod, "distinguish", boom)
+        monkeypatch.setattr(cli_mod, "_separate", boom)
         code = main(["distinguish", corpus("two_bounds_needed.nlmp"), "s", "t"])
         captured = capsys.readouterr()
         assert code == 3
