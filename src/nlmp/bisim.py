@@ -279,6 +279,17 @@ Round = tuple[SigmaAlgebra, RowProfiles, tuple]
 
 
 def _round_source(m: Nlmp) -> Iterator[Round]:
+    # A round that raises clears the model's refinement slot, so that the
+    # next reader starts over and meets the error again, instead of taking
+    # the rounds read so far for the whole refinement.
+    try:
+        yield from _rounds(m)
+    except Exception:
+        m._refinement = None
+        raise
+
+
+def _rounds(m: Nlmp) -> Iterator[Round]:
     # ``blocks`` holds the current blocks as universe-ordered tuples, in
     # the order of lam's atoms, so no round sorts a block.  A singleton
     # cannot split and none of its states is keyed; a block that does not

@@ -334,24 +334,50 @@ def _denote(m: Nlmp, f: StateFormula | MeasureFormula, memo: _Memo) -> frozenset
     if isinstance(f, MNot):
         return m.pool_set - memo[id(f.item)][1]
     if isinstance(f, Bound):
-        ext, compare = memo[id(f.phi)][1], COMPARE[f.op]
-        return frozenset(mu for mu in m.pool if compare(mu.value(ext), f.q))
+        test = _bound_test(m, f, memo[id(f.phi)][1])
+        return frozenset(mu for mu in m.pool if _holds(mu, test))
     if isinstance(f, Diamond):
         result = hit_preimage(m, f.label, memo[id(f.body)][1])
     elif isinstance(f, DiamondMulti):
-        bounds = [(c, memo[id(c.phi)][1]) for c in f.constraints]
+        tests = [_bound_test(m, c, memo[id(c.phi)][1]) for c in f.constraints]
         # Each distinct measure of the label's rows is tested once.
         result = frozenset().union(
             *(
                 states
                 for mu, states in m.holders[f.label].items()
-                if all(COMPARE[c.op](mu.value(ext), c.q) for c, ext in bounds)
+                if all(_holds(mu, test) for test in tests)
             )
         )
     else:
         raise TypeError(f"not a formula: {type(f).__name__}")
     _assert_measurable(m, result)
     return result
+
+
+# A bound, ready to test measures against: the indices of the atoms of
+# its formula's extension, its comparison, and its threshold's numerator
+# and denominator.
+_BoundTest = tuple[set[int], Callable[[int, int], bool], int, int]
+
+
+def _bound_test(m: Nlmp, bound: Bound, ext: StateSet) -> _BoundTest:
+    """The bound's test, given its formula's extension.  The extension's
+    atoms are marked once: every set the evaluator denotes is measurable
+    (asserted after every modality), so the atoms that meet it are
+    exactly the atoms inside it, and a measure's mass on it is its mass
+    on them."""
+    index = m.sigma._atom_index
+    marked = {index[s] for s in ext}
+    return marked, COMPARE[bound.op], bound.q.numerator, bound.q.denominator
+
+
+def _holds(mu: Measure, test: _BoundTest) -> bool:
+    """Whether mu satisfies the bound: its mass on the marked atoms,
+    mass / den, compares to the threshold qn / qd as the integers
+    mass * qd and qn * den do, both denominators being positive.  No
+    Fraction is built."""
+    marked, compare, qn, qd = test
+    return compare(sum([n for i, n in mu.nums if i in marked]) * qd, qn * mu.den)
 
 
 def _assert_measurable(m: Nlmp, q: StateSet) -> None:

@@ -100,18 +100,20 @@ class Measure:
         return mu
 
     def _settle(self, sigma: SigmaAlgebra, den: int, items: Iterable[tuple[int, int]]) -> None:
-        # The integer validator: each weight in [0, 1] and the weights
-        # summing to 1, that is, the numerators to den.
+        # The integer validator, in one pass: each weight in [0, 1], the
+        # weights summing to 1, that is, the numerators to den, and the
+        # numerators' gcd, which then divides den.
         nums = []
+        total = g = 0
         for i, n in items:
-            if n < 0 or n > den:
-                raise DomainError(f"atom weight {_shown(Fraction(n, den))} outside [0, 1]")
             if n:
+                if n < 0 or n > den:
+                    raise DomainError(f"atom weight {_shown(Fraction(n, den))} outside [0, 1]")
                 nums.append((i, n))
-        total = sum(n for _, n in nums)
+                total += n
+                g = gcd(g, n)
         if total != den:
             raise DomainError(f"atom weights sum to {_shown(Fraction(total, den))}, expected 1")
-        g = gcd(*[n for _, n in nums])  # divides their sum, den
         if g > 1:
             nums = [(i, n // g) for i, n in nums]
             den //= g

@@ -29,15 +29,18 @@ def _canonical_row(measures: Iterable[Measure]) -> Row:
     # where two measures differ, the one without weight there has its
     # next support entry at a later atom, hence a smaller -index.  The
     # weights are compared as numerators over the row's common
-    # denominator.
-    uniq = tuple({mu: None for mu in measures})
+    # denominator.  A row of one measure is neither deduplicated nor
+    # sorted.
+    uniq = tuple(measures)
+    if len(uniq) > 1:
+        uniq = tuple(dict.fromkeys(uniq))
     if len(uniq) < 2:
         return uniq
     den = lcm(*[mu.den for mu in uniq])
 
-    def key(mu: Measure) -> tuple:
+    def key(mu: Measure) -> list:
         scale = den // mu.den
-        return tuple((-i, n * scale) for i, n in mu.nums)
+        return [(-i, n * scale) for i, n in mu.nums]
 
     return tuple(sorted(uniq, key=key))
 
@@ -64,9 +67,10 @@ class Nlmp:
         if len(position) != len(self.labels):
             raise DomainError("duplicate labels")
         no_rows: tuple[Row, ...] = ((),) * len(self.labels)
-        rows: dict[str, tuple[Row, ...]] = {}
+        filled: dict[str, list[Row]] = {}
+        states = sigma.universe._index
         for (s, a), measures in transitions.items():
-            if s not in sigma.universe:
+            if s not in states:
                 raise DomainError(f"unknown state {s!r} in transitions")
             i = position.get(a)
             if i is None:
@@ -78,24 +82,35 @@ class Nlmp:
                         f"transition measure at ({s!r}, {a!r}) is not over the model's sigma-algebra"
                     )
             if row:
-                r = rows.get(s, no_rows)
-                rows[s] = (*r[:i], row, *r[i + 1:])
-        # One pass in canonical (state, label) order, which also gives the
-        # states with no rows their entry: the pool holds the distinct
-        # measures in first-seen order, and holders[a][mu] the states
-        # whose a-row holds mu (a row holds a measure once, so each state
-        # is listed once).
+                r = filled.get(s)
+                if r is None:
+                    r = filled[s] = list(no_rows)
+                r[i] = row
+        # One pass in canonical (state, label) order, which freezes each
+        # state's rows and gives the states with no rows their entry: the
+        # pool holds the distinct measures in first-seen order, and
+        # holders[a][mu] the states whose a-row holds mu (a row holds a
+        # measure once, so each state is listed once).
+        rows: dict[str, tuple[Row, ...]] = {}
         pool: dict[Measure, None] = {}
-        holders: dict[str, dict[Measure, list[str]]] = {a: {} for a in self.labels}
+        holders: list[dict[Measure, list[str]]] = [{} for _ in self.labels]
         for s in sigma.universe.states:
-            for a, row in zip(self.labels, rows.setdefault(s, no_rows)):
+            r = filled.get(s)
+            rows[s] = r = no_rows if r is None else tuple(r)
+            for by_mu, row in zip(holders, r):
                 for mu in row:
                     pool[mu] = None
-                    holders[a].setdefault(mu, []).append(s)
+                    h = by_mu.get(mu)
+                    if h is None:
+                        by_mu[mu] = [s]
+                    else:
+                        h.append(s)
         self._rows = rows
         self.pool = tuple(pool)
         self.pool_set = frozenset(pool)
-        self.holders = {a: {mu: frozenset(h) for mu, h in by_mu.items()} for a, by_mu in holders.items()}
+        self.holders = {
+            a: {mu: frozenset(h) for mu, h in by_mu.items()} for a, by_mu in zip(self.labels, holders)
+        }
         self._validation: ValidationReport | None = None
         self._refinement = None  # nlmp.bisim.refinement_rounds
 

@@ -88,6 +88,16 @@ class ModelDocument:
 _LINE_TOKEN = re.compile(r"\{|\}|[^\s{}]+")
 
 
+def _line_tokens(raw: str) -> list[str]:
+    """The tokens of one line, its comment dropped.  Braces are tokens
+    of their own; a line without any splits on whitespace alone, as the
+    pattern's `\\s` and `str.split` agree on what whitespace is."""
+    line = raw.split("#", 1)[0]
+    if "{" in line or "}" in line:
+        return _LINE_TOKEN.findall(line)
+    return line.split()
+
+
 def _numeral(digits: str, line: int | None, column: int | None = None) -> int:
     # int() refuses digit strings beyond the interpreter's limit
     # (sys.get_int_max_str_digits()); report that as a syntax error.
@@ -117,11 +127,15 @@ def parse_model(text: str) -> ModelDocument:
     universe: Universe | None = None
     labels: list[str] | None = None
     sigma: SigmaAlgebra | None = None
-    trans_lines: list[tuple[int, list[str]]] = []
+    trans_lines: list[tuple[int, list[str]]] = []  # each with its "trans"
 
-    lines = (_LINE_TOKEN.findall(raw.split("#", 1)[0]) for raw in text.splitlines())
+    lines = map(_line_tokens, text.splitlines())
     directives = [(line_no, tokens) for line_no, tokens in enumerate(lines, start=1) if tokens]
-    for i, (line_no, (head, *rest)) in enumerate(directives):
+    for i, (line_no, tokens) in enumerate(directives):
+        if tokens[0] == "trans":
+            trans_lines.append((line_no, tokens))
+            continue
+        head, *rest = tokens
         if head in ("nlmp", "lmp"):
             if rest:
                 raise ModelSyntaxError(f"unexpected tokens after {head!r} header", line_no)
@@ -157,8 +171,6 @@ def parse_model(text: str) -> ModelDocument:
                     raise ModelSyntaxError(str(exc), line_no) from exc
             else:
                 raise ModelSyntaxError("expected 'sigma powerset' or 'sigma gen {..} ..'", line_no)
-        elif head == "trans":
-            trans_lines.append((line_no, rest))
         else:
             raise ModelSyntaxError(f"unknown directive {head!r}", line_no)
 
@@ -170,12 +182,9 @@ def parse_model(text: str) -> ModelDocument:
         sigma = SigmaAlgebra.powerset(universe)
 
     rows: dict[tuple[str, str], list[Measure]] = {}
-    label_set = set(labels)
-    # Weight text -> (numerator, denominator): models repeat a few
-    # weights on many lines.
-    rationals: dict[str, tuple[int, int]] = {}
+    loader = _TransLoader(universe, sigma, labels, len(text))
     for line_no, rest in trans_lines:
-        s, a, mu = _parse_trans(rest, universe, sigma, label_set, rationals, line_no)
+        s, a, mu = loader.parse(rest, line_no)
         rows.setdefault((s, a), []).append(mu)
 
     # Every DomainError the constructors below could raise was ruled
@@ -220,66 +229,98 @@ def _parse_generators(tokens: list[str], line_no: int) -> list[list[str]]:
     return gens
 
 
-def _parse_trans(
-    tokens: list[str],
-    universe: Universe,
-    sigma: SigmaAlgebra,
-    labels: set[str],
-    rationals: dict[str, tuple[int, int]],
-    line_no: int,
-) -> tuple[str, str, Measure]:
-    if len(tokens) < 3:
-        raise ModelSyntaxError("trans line needs a state, a label and a target measure", line_no)
-    s, a = tokens[0], tokens[1]
-    if s not in universe:
-        raise ModelSyntaxError(f"unknown state {s!r}", line_no)
-    if a not in labels:
-        raise ModelSyntaxError(f"unknown label {a!r}", line_no)
-    body = tokens[2:]
-    if body[0] == "->":
-        if len(body) != 2:
-            raise ModelSyntaxError("point-mass shorthand is 'trans s a -> target'", line_no)
-        target = body[1]
-        if target not in universe:
-            raise ModelSyntaxError(f"unknown state {target!r}", line_no)
-        return s, a, dirac(sigma, target)
-    weights: dict[str, tuple[int, int]] = {}
-    for item in body:
-        if ":" not in item:
-            raise ModelSyntaxError(f"expected 'state:weight', got {item!r}", line_no)
-        target, _, w = item.partition(":")
-        if target not in universe:
-            raise ModelSyntaxError(f"unknown state {target!r}", line_no)
-        if target in weights:
-            raise ModelSyntaxError(f"duplicate weight for state {target!r}", line_no)
-        q = rationals.get(w)
-        if q is None:
-            q = rationals[w] = _parse_rational(w, line_no)
-        weights[target] = q
-    # One integer pass: the states' numerators over the line's lcm,
-    # accumulated into their atoms.  The weights are non-negative, so
-    # once they sum to 1 every weight and atom total lies in [0, 1].
-    den = lcm(*[d for _, d in weights.values()])
-    totals: dict[int, int] = {}
-    atom_index = sigma._atom_index
-    for target, (n, d) in weights.items():
-        i = atom_index[target]
-        totals[i] = totals.get(i, 0) + n * (den // d)
-    total = sum(totals.values())
-    if total != den:
-        raise ModelSyntaxError(f"weights sum to {_shown(Fraction(total, den))}, expected 1", line_no)
-    mu = Measure._of(sigma, den, sorted(totals.items()))
-    # serialize_model prints each atom's weight.  Its numerator and
-    # denominator have at most as many digits as the line's
-    # denominators together, so only a line longer than the int-string
-    # limit (0: none) can hold one that does not print.
-    limit = sys.get_int_max_str_digits()
-    if limit and sum(map(len, body)) > limit:
-        try:
-            _measure_text(mu)
-        except ValueError:
-            raise ModelSyntaxError("an atom's accumulated weight is too long to print", line_no) from None
-    return s, a, mu
+class _TransLoader:
+    """The trans lines of one model text, parsed with memos that live as
+    long as the loader, one `parse_model` call: body tokens -> Measure,
+    each distinct measure -> the one object that stands for it,
+    `state:weight` item -> (state, atom index, numerator, denominator),
+    and weight text -> (numerator, denominator).  Models repeat a few
+    weights, items and bodies on many lines, and a body that parsed once
+    parses to the same measure on any line.  Equal measures kept as one
+    object compare by identity in the model's pool, rows and holders."""
+
+    def __init__(self, universe: Universe, sigma: SigmaAlgebra, labels: list[str], text_length: int):
+        self.states = universe._index
+        self.sigma = sigma
+        self.labels = set(labels)
+        self.bodies: dict[tuple[str, ...], Measure] = {}
+        self.measures: dict[Measure, Measure] = {}
+        self.items: dict[str, tuple[str, int, int, int]] = {}
+        self.rationals: dict[str, tuple[int, int]] = {}
+        limit = sys.get_int_max_str_digits()
+        self.digit_limit = limit if text_length > limit else 0
+
+    def parse(self, tokens: list[str], line_no: int) -> tuple[str, str, Measure]:
+        """The state, label and measure of a trans line's tokens, the
+        first of which is "trans"."""
+        if len(tokens) < 4:
+            raise ModelSyntaxError("trans line needs a state, a label and a target measure", line_no)
+        s, a = tokens[1], tokens[2]
+        if s not in self.states:
+            raise ModelSyntaxError(f"unknown state {s!r}", line_no)
+        if a not in self.labels:
+            raise ModelSyntaxError(f"unknown label {a!r}", line_no)
+        body = tuple(tokens[3:])
+        mu = self.bodies.get(body)
+        if mu is None:
+            mu = self._measure(body, line_no)
+            mu = self.bodies[body] = self.measures.setdefault(mu, mu)
+        return s, a, mu
+
+    def _measure(self, body: tuple[str, ...], line_no: int) -> Measure:
+        if body[0] == "->":
+            if len(body) != 2:
+                raise ModelSyntaxError("point-mass shorthand is 'trans s a -> target'", line_no)
+            target = body[1]
+            if target not in self.states:
+                raise ModelSyntaxError(f"unknown state {target!r}", line_no)
+            return dirac(self.sigma, target)
+        # Each item in order: a new one is checked for its colon, its
+        # state and a repeated state before its weight is parsed; a
+        # known one can only repeat a state.
+        items, weights = self.items, {}
+        for item in body:
+            known = items.get(item)
+            if known is None:
+                target, colon, w = item.partition(":")
+                if not colon:
+                    raise ModelSyntaxError(f"expected 'state:weight', got {item!r}", line_no)
+                if target not in self.states:
+                    raise ModelSyntaxError(f"unknown state {target!r}", line_no)
+                if target in weights:
+                    raise ModelSyntaxError(f"duplicate weight for state {target!r}", line_no)
+                q = self.rationals.get(w)
+                if q is None:
+                    q = self.rationals[w] = _parse_rational(w, line_no)
+                known = items[item] = (target, self.sigma._atom_index[target], *q)
+            else:
+                target = known[0]
+                if target in weights:
+                    raise ModelSyntaxError(f"duplicate weight for state {target!r}", line_no)
+            weights[target] = known
+        # One integer pass: the states' numerators over the line's lcm,
+        # accumulated into their atoms.  The weights are non-negative, so
+        # once they sum to 1 every weight and atom total lies in [0, 1].
+        den = lcm(*[known[3] for known in weights.values()])
+        totals: dict[int, int] = {}
+        for _, i, n, d in weights.values():
+            totals[i] = totals.get(i, 0) + n * (den // d)
+        total = sum(totals.values())
+        if total != den:
+            raise ModelSyntaxError(f"weights sum to {_shown(Fraction(total, den))}, expected 1", line_no)
+        mu = Measure._of(self.sigma, den, sorted(totals.items()))
+        # serialize_model prints each atom's weight.  Its numerator and
+        # denominator have at most as many digits as the line's
+        # denominators together, so only a line longer than the int-string
+        # limit can hold one that does not print (none when the limit is
+        # 0 or the whole text is shorter).
+        limit = self.digit_limit
+        if limit and sum(map(len, body)) > limit:
+            try:
+                _measure_text(mu)
+            except ValueError:
+                raise ModelSyntaxError("an atom's accumulated weight is too long to print", line_no) from None
+        return mu
 
 
 # ---------------------------------------------------------------------------
@@ -314,10 +355,15 @@ def serialize_model(doc: ModelDocument) -> str:
         )
         lines.append(f"sigma gen {blocks}")
     # An lmp document's model holds exactly its kernels, as singleton
-    # rows in state x label order.
+    # rows in state x label order.  Rows share measures: each is written
+    # once per call.
+    texts: dict[Measure, str] = {}
     for (s, a), row in model.transition_items():
         for mu in row:
-            lines.append(f"trans {s} {a} {_measure_text(mu)}")
+            text = texts.get(mu)
+            if text is None:
+                text = texts[mu] = _measure_text(mu)
+            lines.append(f"trans {s} {a} {text}")
     return "\n".join(lines) + "\n"
 
 

@@ -7,8 +7,11 @@ their generator traces."""
 from __future__ import annotations
 
 import random
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from nlmp import (
     And,
@@ -25,6 +28,7 @@ from nlmp import (
     MNot,
     MOr,
     Measure,
+    ModelSyntaxError,
     Nlmp,
     PreconditionError,
     Relation,
@@ -39,7 +43,9 @@ from nlmp import (
 )
 from nlmp.bisim import DiamondWitness
 from nlmp.logic import BOUNDS
+from nlmp.measures import _shown
 from nlmp.model import Finding
+from nlmp.parser import _measure_text, _parse_rational
 
 F = Fraction
 
@@ -913,3 +919,74 @@ def in_delta_set(mu: Measure, q, b: BoundSpec) -> bool:
 def measures_related(mu: Measure, nu: Measure, sigma_r: SigmaAlgebra) -> bool:
     """The lifted relation: mu and nu agree on every sigma_r-measurable set."""
     return profile(mu, sigma_r) == profile(nu, sigma_r)
+
+
+# ---------------------------------------------------------------------------
+# The trans-line parser before its per-call memos (reference for the
+# loader in nlmp.parser): each line tokenized by one pattern, each item
+# checked for its colon, its state, a repeated state and its weight, in
+# that order, and its numerators accumulated into their atoms over the
+# line's lcm.
+
+ORACLE_LINE_TOKEN = re.compile(r"\{|\}|[^\s{}]+")
+
+
+def oracle_line_tokens(raw: str) -> list[str]:
+    return ORACLE_LINE_TOKEN.findall(raw.split("#", 1)[0])
+
+
+def oracle_parse_trans(
+    tokens: list[str],
+    universe: Universe,
+    sigma: SigmaAlgebra,
+    labels: set[str],
+    rationals: dict[str, tuple[int, int]],
+    line_no: int,
+) -> tuple[str, str, Measure]:
+    """The state, label and measure of a trans line's tokens after
+    "trans", or the ModelSyntaxError the line raises."""
+    if len(tokens) < 3:
+        raise ModelSyntaxError("trans line needs a state, a label and a target measure", line_no)
+    s, a = tokens[0], tokens[1]
+    if s not in universe:
+        raise ModelSyntaxError(f"unknown state {s!r}", line_no)
+    if a not in labels:
+        raise ModelSyntaxError(f"unknown label {a!r}", line_no)
+    body = tokens[2:]
+    if body[0] == "->":
+        if len(body) != 2:
+            raise ModelSyntaxError("point-mass shorthand is 'trans s a -> target'", line_no)
+        target = body[1]
+        if target not in universe:
+            raise ModelSyntaxError(f"unknown state {target!r}", line_no)
+        return s, a, dirac(sigma, target)
+    weights: dict[str, tuple[int, int]] = {}
+    for item in body:
+        if ":" not in item:
+            raise ModelSyntaxError(f"expected 'state:weight', got {item!r}", line_no)
+        target, _, w = item.partition(":")
+        if target not in universe:
+            raise ModelSyntaxError(f"unknown state {target!r}", line_no)
+        if target in weights:
+            raise ModelSyntaxError(f"duplicate weight for state {target!r}", line_no)
+        q = rationals.get(w)
+        if q is None:
+            q = rationals[w] = _parse_rational(w, line_no)
+        weights[target] = q
+    den = lcm(*[d for _, d in weights.values()])
+    totals: dict[int, int] = {}
+    atom_index = sigma._atom_index
+    for target, (n, d) in weights.items():
+        i = atom_index[target]
+        totals[i] = totals.get(i, 0) + n * (den // d)
+    total = sum(totals.values())
+    if total != den:
+        raise ModelSyntaxError(f"weights sum to {_shown(Fraction(total, den))}, expected 1", line_no)
+    mu = Measure._of(sigma, den, sorted(totals.items()))
+    limit = sys.get_int_max_str_digits()
+    if limit and sum(map(len, body)) > limit:
+        try:
+            _measure_text(mu)
+        except ValueError:
+            raise ModelSyntaxError("an atom's accumulated weight is too long to print", line_no) from None
+    return s, a, mu

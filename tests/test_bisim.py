@@ -437,6 +437,19 @@ class TestRefinement:
             again = nlmp.bisim.refinement(m)
             assert len(again) == len(cached) and all(map(operator.is_, again, cached))
 
+    def test_a_round_that_raises_is_not_kept(self):
+        # The model fails validation: its first round splits a model
+        # atom, so the second round's guard raises.  Every read of the
+        # refinement must meet that error, not the one round an earlier
+        # read left behind.
+        text = (corpus_dir() / "atom_split_invalid.nlmp").read_text(encoding="utf-8")
+        m = parse_model(text).nlmp
+        for _ in range(2):
+            with pytest.raises(PreconditionError):
+                nlmp.bisim.refinement(m)
+        with pytest.raises(PreconditionError):
+            list(nlmp.bisim.refinement_rounds(m))
+
     def test_profile_ids_are_equal_iff_dense_profiles_are(self):
         rng = random.Random(1703)
         for i in range(300):

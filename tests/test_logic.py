@@ -143,6 +143,50 @@ def _outcome(evaluate, m, formula):
         return type(exc)
 
 
+class TestBoundKernel:
+    """The evaluator tests a bound in integers on its extension's marked
+    atoms; it must agree with comparing the exact value."""
+
+    def test_kernel_matches_comparing_the_value(self):
+        import nlmp.logic
+        from nlmp.logic import BOUNDS, COMPARE
+
+        rng = random.Random(3403)
+        kinds = set()
+        for i in range(300):
+            m = rand_valid_nlmp(rng, max_states=6, coarse=i % 2 == 1)
+            atoms = m.sigma.atoms
+            for _ in range(4):
+                # a random union of atoms, empty and whole included
+                ext = frozenset().union(*rng.sample(atoms, rng.randint(0, len(atoms))))
+                masses = {mu.value(ext) for mu in m.pool}
+                for q in {F(0), F(1), rand_threshold(rng), *masses}:
+                    for op, cls in BOUNDS.items():
+                        test = nlmp.logic._bound_test(m, cls(Top(), q), ext)
+                        for mu in m.pool:
+                            want = COMPARE[op](mu.value(ext), q)
+                            assert nlmp.logic._holds(mu, test) == want, (mu, sorted(ext), op, q)
+                            kinds.add((op, want, q in masses))
+            assert eval_state(m, Top()) == frozenset(m.states)
+        # every op both held and failed, at exact masses and between them
+        assert len(kinds) == 16
+
+    def test_evaluation_builds_no_fraction_and_reads_no_value(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the evaluator built a Fraction or read a Measure value")
+
+        rng = random.Random(3404)
+        cases = []
+        for i in range(60):
+            m = rand_valid_nlmp(rng, coarse=i % 2 == 1)
+            phi = rand_state_formula(rng, m.labels, 3)
+            cases.append((m, phi, tree_eval_state(m, phi)))
+        monkeypatch.setattr(Measure, "value", forbidden)
+        monkeypatch.setattr(F, "__new__", forbidden)
+        for m, phi, want in cases:
+            assert eval_state(m, phi) == want
+
+
 class TestMemoisedEvaluation:
     def test_agrees_with_the_tree_walk(self):
         rng = random.Random(704)
@@ -200,13 +244,15 @@ class TestMemoisedEvaluation:
         assert calls == ["b"]
 
     def test_multi_bounds_tested_once_per_distinct_measure(self, monkeypatch):
+        import nlmp.logic
+
         m = uniform_rows_model()  # three states share one row measure
         calls = []
-        real = Measure.value
-        monkeypatch.setattr(Measure, "value", lambda mu, q: calls.append(mu) or real(mu, q))
+        real = nlmp.logic._holds
+        monkeypatch.setattr(nlmp.logic, "_holds", lambda mu, test: calls.append(mu) or real(mu, test))
         phi = DiamondMulti("a", (GreaterThan(Top(), F(1, 4)), GreaterThan(Top(), F(1, 2))))
         assert eval_state(m, phi) == frozenset(m.states)
-        assert len(calls) == 2  # one value per bound, for the one distinct measure
+        assert len(calls) == 2  # one test per bound, for the one distinct measure
 
 
 def _modality_chain(n: int):
@@ -406,13 +452,13 @@ class TestLogicalEquivalence:
     def test_each_unordered_pair_is_verified_once(self, monkeypatch):
         # One logical_equivalence call verifies every split with one memo:
         # each distinct formula node is evaluated at most once, so its
-        # measure values stay within one pass over the distinct nodes and
+        # bound tests stay within one pass over the distinct nodes and
         # below what two satisfies calls per unordered pair took.
         import nlmp.logic
 
         calls = []
-        real_value = Measure.value
-        monkeypatch.setattr(Measure, "value", lambda mu, q: calls.append(mu) or real_value(mu, q))
+        real_holds = nlmp.logic._holds
+        monkeypatch.setattr(nlmp.logic, "_holds", lambda mu, test: calls.append(mu) or real_holds(mu, test))
         synthesized = []
         real_splits = nlmp.logic._lf_splits
 

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -28,8 +29,10 @@ from nlmp import (
     parse_state_formula,
     serialize_model,
 )
-from nlmp.parser import MAX_FORMULA_DEPTH, _FormulaParser
+from nlmp.parser import MAX_FORMULA_DEPTH, _FormulaParser, _line_tokens, _TransLoader
 from support import (
+    oracle_line_tokens,
+    oracle_parse_trans,
     rand_measure_formula,
     rand_state_formula,
     rand_valid_nlmp,
@@ -135,6 +138,138 @@ class TestModelParsing:
         assert doc.kind == "lmp"
         assert doc.lmp is doc.nlmp and isinstance(doc.lmp, Nlmp)
         assert len(doc.nlmp.row("s", "a")) == 1
+
+
+# Weight splits of 1 into two to four parts, as the model text writes them.
+_SPLITS = [
+    ("1",),
+    ("1/2", "1/2"),
+    ("1/3", "2/3"),
+    ("1/4", "3/4"),
+    ("2/4", "1/4", "1/4"),
+    ("1/2", "1/3", "1/6"),
+    ("1/8", "3/8", "2/4"),
+    ("1/4", "1/4", "1/4", "1/4"),
+]
+
+
+def _mutated_model(rng: random.Random) -> tuple[str, list[str], list[str]]:
+    """A seeded model text, its lines up to the first trans line, and its
+    trans lines, a third of them mutated."""
+    states = [f"s{i}" for i in range(rng.randint(2, 6))]
+    header = ["states " + " ".join(states), "labels a b"]
+    if rng.random() < 0.5:
+        rng.shuffle(states)
+        cut = rng.randint(1, len(states) - 1)
+        header.append(f"sigma gen {{{' '.join(states[:cut])}}} {{{' '.join(states[cut:])}}}")
+    lines: list[str] = []
+    for _ in range(rng.randint(3, 9)):
+        s, a = rng.choice(states), rng.choice("ab")
+        weights = rng.choice(_SPLITS)
+        targets = rng.sample(states, min(len(weights), len(states)))
+        if len(targets) < len(weights) or rng.random() < 0.2:
+            body = ["->", rng.choice(states)]
+        else:
+            body = [f"{x}:{w}" for x, w in zip(targets, weights)]
+        if rng.random() < 0.35:
+            body = _mutate(rng, body, lines, states)
+        lines.append(f"trans {s} {a} " + " ".join(body))
+    if rng.random() < 0.2:
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(["trans", "trans s0", "trans s0 a", "trans zz a -> s0", "trans s0 c -> s0"]))
+    return "\n".join(header + lines) + "\n", header, lines
+
+
+def _mutate(rng: random.Random, body: list[str], earlier: list[str], states: list[str]) -> list[str]:
+    kind = rng.randrange(11)
+    i = rng.randrange(len(body))
+    if kind == 0 and earlier:  # a body repeated from an earlier line
+        return rng.choice(earlier).split()[3:]
+    if kind == 1:  # a missing colon
+        body[i] = body[i].replace(":", "", 1)
+    elif kind == 2:  # an unknown target
+        body[-1] = "zz" if body[0] == "->" else "zz:" + body[i].partition(":")[2]
+    elif kind == 3 and body[0] != "->":  # a numeral longer than int() reads
+        body[i] = body[i].partition(":")[0] + ":" + "1" * (sys.get_int_max_str_digits() or 5000) + "1/2"
+    elif kind == 4 and body[0] != "->":  # a wrong sum
+        body[i] = body[i].partition(":")[0] + rng.choice([":1/5", ":0", ":7/3"])
+    elif kind == 5:  # the -> form, with a target too many or too few
+        body = ["->", *rng.sample(states, rng.choice([0, 2]))]
+    elif kind == 6:  # a duplicate state, the second weight unparsable
+        body = [f"{states[0]}:1/2", f"{states[0]}:1/0"]
+    elif kind == 7:  # a zero denominator or no rational at all
+        body[i] = body[i].partition(":")[0] + rng.choice([":1/0", ":x", ":1/", ":-1/2"])
+    elif kind == 8:  # a comment, a tab, a brace
+        body[i] += rng.choice(["  # note", "\t", "{", " }"])
+    elif kind == 9 and body[0] != "->":  # a duplicate state with the same weight text
+        body.append(body[i])
+    elif kind == 10:  # a state weighted twice, the first item new
+        body = [f"{states[-1]}:1/3", f"{states[-1]}:2/3"]
+    return body
+
+
+def _outcome(parse, *args):
+    try:
+        return parse(*args)
+    except ModelSyntaxError as exc:
+        return str(exc), exc.line
+
+
+class TestTransLoader:
+    """The loader's per-call memos against the trans-line parser that
+    had none, kept in tests/support.py."""
+
+    def test_mutated_lines_match_the_memo_free_parser(self):
+        rng = random.Random(3401)
+        seen: set[str] = set()
+        for _ in range(600):
+            text, header, lines = _mutated_model(rng)
+            model = parse_model("\n".join(header) + "\n").nlmp
+            labels = set(model.labels)
+            loader = _TransLoader(model.universe, model.sigma, list(model.labels), len(text))
+            rationals: dict = {}
+            rows: dict = {}
+            first_error = None
+            for line_no, raw in enumerate(lines, start=len(header) + 1):
+                tokens = oracle_line_tokens(raw)
+                want = _outcome(oracle_parse_trans, tokens[1:], model.universe, model.sigma, labels, rationals, line_no)
+                assert _line_tokens(raw) == tokens
+                got = _outcome(loader.parse, tokens, line_no)
+                assert got == want, (raw, got, want)
+                if len(want) == 2:
+                    seen.add(want[0].split(" at line")[0].split(" ")[0])
+                    first_error = first_error or want
+                else:
+                    rows.setdefault(want[:2], []).append(want[2])
+                    seen.add("ok" if raw.split()[3] != "->" else "->")
+            if first_error is None:
+                assert parse_model(text).nlmp == Nlmp(model.sigma, model.labels, rows)
+            else:
+                with pytest.raises(ModelSyntaxError) as exc:
+                    parse_model(text)
+                assert (str(exc.value), exc.value.line) == first_error
+        assert {"ok", "->", "expected", "unknown", "duplicate", "numeral", "weights", "point-mass", "zero"} <= seen
+
+    def test_a_repeated_state_is_reported_before_its_weight_is_read(self):
+        # x:1/0 is new: its state repeats, so the duplicate is reported,
+        # not the zero denominator its weight would raise; on the second
+        # text x:1/2 is already known from line 3.
+        for first in ("", "trans s a x:1/2 s:1/2\n"):
+            line_no = 3 + bool(first)
+            text = f"states s x\nlabels a\n{first}trans s a x:1/2 x:1/0\n"
+            with pytest.raises(ModelSyntaxError, match=f"^duplicate weight for state 'x' at line {line_no}$"):
+                parse_model(text)
+            text = f"states s x\nlabels a\n{first}trans s a x:1/0 x:1/2\n"
+            with pytest.raises(ModelSyntaxError, match=f"^zero denominator at line {line_no}$"):
+                parse_model(text)
+
+    def test_a_repeated_body_gives_the_same_measure(self):
+        text = "states s t x\nlabels a b\nsigma gen {s t} {x}\ntrans s a t:1/2 x:1/2\ntrans x b t:1/2 x:1/2\ntrans t a s:1/2 x:1/2\n"
+        m = parse_model(text).nlmp
+        # the last line weights another state of the same atom: an equal
+        # measure from another body, kept as the same object
+        assert m.row("s", "a")[0] is m.row("x", "b")[0]
+        assert m.row("t", "a")[0] is m.row("s", "a")[0]
+        assert len(m.pool) == 1
 
 
 class TestRoundTrip:
