@@ -279,12 +279,12 @@ Round = tuple[SigmaAlgebra, RowProfiles, tuple]
 
 
 def _round_source(m: Nlmp) -> Iterator[Round]:
-    # A round that raises clears the model's refinement slot, so that the
-    # next reader starts over and meets the error again, instead of taking
-    # the rounds read so far for the whole refinement.
+    # A round that raises, or is interrupted, clears the model's
+    # refinement slot, so that the next reader starts over instead of
+    # taking the rounds read so far for the whole refinement.
     try:
         yield from _rounds(m)
-    except Exception:
+    except BaseException:
         m._refinement = None
         raise
 

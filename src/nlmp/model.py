@@ -38,9 +38,9 @@ def _canonical_row(measures: Iterable[Measure]) -> Row:
         return uniq
     den = lcm(*[mu.den for mu in uniq])
 
-    def key(mu: Measure) -> list:
+    def key(mu: Measure) -> tuple:
         scale = den // mu.den
-        return [(-i, n * scale) for i, n in mu.nums]
+        return tuple((-i, n * scale) for i, n in mu.nums)
 
     return tuple(sorted(uniq, key=key))
 
@@ -68,9 +68,8 @@ class Nlmp:
             raise DomainError("duplicate labels")
         no_rows: tuple[Row, ...] = ((),) * len(self.labels)
         filled: dict[str, list[Row]] = {}
-        states = sigma.universe._index
         for (s, a), measures in transitions.items():
-            if s not in states:
+            if s not in sigma.universe:
                 raise DomainError(f"unknown state {s!r} in transitions")
             i = position.get(a)
             if i is None:
@@ -93,24 +92,18 @@ class Nlmp:
         # measure once, so each state is listed once).
         rows: dict[str, tuple[Row, ...]] = {}
         pool: dict[Measure, None] = {}
-        holders: list[dict[Measure, list[str]]] = [{} for _ in self.labels]
+        holders: dict[str, dict[Measure, list[str]]] = {a: {} for a in self.labels}
         for s in sigma.universe.states:
             r = filled.get(s)
             rows[s] = r = no_rows if r is None else tuple(r)
-            for by_mu, row in zip(holders, r):
+            for a, row in zip(self.labels, r):
                 for mu in row:
                     pool[mu] = None
-                    h = by_mu.get(mu)
-                    if h is None:
-                        by_mu[mu] = [s]
-                    else:
-                        h.append(s)
+                    holders[a].setdefault(mu, []).append(s)
         self._rows = rows
         self.pool = tuple(pool)
         self.pool_set = frozenset(pool)
-        self.holders = {
-            a: {mu: frozenset(h) for mu, h in by_mu.items()} for a, by_mu in zip(self.labels, holders)
-        }
+        self.holders = {a: {mu: frozenset(h) for mu, h in by_mu.items()} for a, by_mu in holders.items()}
         self._validation: ValidationReport | None = None
         self._refinement = None  # nlmp.bisim.refinement_rounds
 

@@ -182,7 +182,7 @@ def parse_model(text: str) -> ModelDocument:
         sigma = SigmaAlgebra.powerset(universe)
 
     rows: dict[tuple[str, str], list[Measure]] = {}
-    loader = _TransLoader(universe, sigma, labels, len(text))
+    loader = _TransLoader(universe, sigma, labels)
     for line_no, rest in trans_lines:
         s, a, mu = loader.parse(rest, line_no)
         rows.setdefault((s, a), []).append(mu)
@@ -232,23 +232,19 @@ def _parse_generators(tokens: list[str], line_no: int) -> list[list[str]]:
 class _TransLoader:
     """The trans lines of one model text, parsed with memos that live as
     long as the loader, one `parse_model` call: body tokens -> Measure,
-    each distinct measure -> the one object that stands for it,
     `state:weight` item -> (state, atom index, numerator, denominator),
     and weight text -> (numerator, denominator).  Models repeat a few
     weights, items and bodies on many lines, and a body that parsed once
-    parses to the same measure on any line.  Equal measures kept as one
-    object compare by identity in the model's pool, rows and holders."""
+    parses to the same measure on any line.  The weight memo serves the
+    new items: another state with a weight already seen."""
 
-    def __init__(self, universe: Universe, sigma: SigmaAlgebra, labels: list[str], text_length: int):
+    def __init__(self, universe: Universe, sigma: SigmaAlgebra, labels: list[str]):
         self.states = universe._index
         self.sigma = sigma
         self.labels = set(labels)
         self.bodies: dict[tuple[str, ...], Measure] = {}
-        self.measures: dict[Measure, Measure] = {}
         self.items: dict[str, tuple[str, int, int, int]] = {}
         self.rationals: dict[str, tuple[int, int]] = {}
-        limit = sys.get_int_max_str_digits()
-        self.digit_limit = limit if text_length > limit else 0
 
     def parse(self, tokens: list[str], line_no: int) -> tuple[str, str, Measure]:
         """The state, label and measure of a trans line's tokens, the
@@ -263,8 +259,7 @@ class _TransLoader:
         body = tuple(tokens[3:])
         mu = self.bodies.get(body)
         if mu is None:
-            mu = self._measure(body, line_no)
-            mu = self.bodies[body] = self.measures.setdefault(mu, mu)
+            mu = self.bodies[body] = self._measure(body, line_no)
         return s, a, mu
 
     def _measure(self, body: tuple[str, ...], line_no: int) -> Measure:
@@ -312,9 +307,8 @@ class _TransLoader:
         # serialize_model prints each atom's weight.  Its numerator and
         # denominator have at most as many digits as the line's
         # denominators together, so only a line longer than the int-string
-        # limit can hold one that does not print (none when the limit is
-        # 0 or the whole text is shorter).
-        limit = self.digit_limit
+        # limit (0: none) can hold one that does not print.
+        limit = sys.get_int_max_str_digits()
         if limit and sum(map(len, body)) > limit:
             try:
                 _measure_text(mu)
@@ -355,15 +349,10 @@ def serialize_model(doc: ModelDocument) -> str:
         )
         lines.append(f"sigma gen {blocks}")
     # An lmp document's model holds exactly its kernels, as singleton
-    # rows in state x label order.  Rows share measures: each is written
-    # once per call.
-    texts: dict[Measure, str] = {}
+    # rows in state x label order.
     for (s, a), row in model.transition_items():
         for mu in row:
-            text = texts.get(mu)
-            if text is None:
-                text = texts[mu] = _measure_text(mu)
-            lines.append(f"trans {s} {a} {text}")
+            lines.append(f"trans {s} {a} {_measure_text(mu)}")
     return "\n".join(lines) + "\n"
 
 

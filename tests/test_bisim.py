@@ -450,6 +450,29 @@ class TestRefinement:
         with pytest.raises(PreconditionError):
             list(nlmp.bisim.refinement_rounds(m))
 
+    def test_an_interrupted_round_is_not_kept(self, monkeypatch):
+        # An interrupt in the second round must not leave the first round
+        # behind as the whole refinement.
+        text = (corpus_dir() / "np_reach_unequal.nlmp").read_text(encoding="utf-8")
+        full = nlmp.bisim.refinement(parse_model(text).nlmp)
+        assert len(full) > 2
+        m = parse_model(text).nlmp
+        signature = nlmp.bisim.traditional_signature
+        calls = []
+
+        def interrupted(model, lam):
+            calls.append(lam)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return signature(model, lam)
+
+        monkeypatch.setattr(nlmp.bisim, "traditional_signature", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            nlmp.bisim.refinement(m)
+        monkeypatch.setattr(nlmp.bisim, "traditional_signature", signature)
+        again = nlmp.bisim.refinement(m)
+        assert [lam.atoms for lam, _, _ in again] == [lam.atoms for lam, _, _ in full]
+
     def test_profile_ids_are_equal_iff_dense_profiles_are(self):
         rng = random.Random(1703)
         for i in range(300):
