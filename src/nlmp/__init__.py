@@ -34,7 +34,6 @@ from .model import (
     diamond,
     hit_preimage,
     is_non_probabilistic,
-    lmp_embed,
     lmp_validate,
     nlmp_validate,
 )
@@ -75,7 +74,6 @@ from .logic import (
     satisfies,
 )
 from .parser import (
-    ModelDocument,
     parse_measure_formula,
     parse_model,
     parse_state_formula,

@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 import time
-from importlib import resources
 from pathlib import Path
 
 from .bisim import (
@@ -29,8 +28,18 @@ from .errors import (
     UnsupportedModelError,
 )
 from .logic import _separate, eval_state, formula_labels, formula_to_text
-from .model import Finding, lmp_validate, nlmp_validate
-from .parser import ModelDocument, _measure_text, parse_model, parse_state_formula
+from .model import Finding, Lmp, Nlmp, lmp_validate, nlmp_validate
+from .parser import _measure_text, parse_model, parse_state_formula, serialize_model
+
+# hashlib loads OpenSSL (several MiB of resident memory) just for the
+# report digest; the builtin SHA-256 gives the same bytes.
+try:
+    from _sha2 import sha256  # Python >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -43,13 +52,13 @@ EXIT_UNSUPPORTED = 6
 
 def corpus_dir() -> Path:
     """Directory of the bundled example models."""
-    return Path(str(resources.files("nlmp") / "corpus"))
+    return Path(__file__).parent / "corpus"
 
 
-def _sorted_sets(doc: ModelDocument, sets) -> list[list[str]]:
+def _sorted_sets(m: Nlmp, sets) -> list[list[str]]:
     # Partitions and atoms come ordered by least state; only the blocks
     # need sorting.
-    return [doc.nlmp.universe.sort(block) for block in sets]
+    return [m.universe.sort(block) for block in sets]
 
 
 def _finding_json(f: Finding) -> dict:
@@ -63,20 +72,23 @@ def _finding_json(f: Finding) -> dict:
     return out
 
 
-def _bisim_json(doc: ModelDocument, rep: BisimReport) -> dict:
+def _bisim_json(m: Nlmp, rep: BisimReport) -> dict:
     out = {
         "kind": rep.kind,
-        "partition": _sorted_sets(doc, rep.partition),
+        "partition": _sorted_sets(m, rep.partition),
         "iterations": len(rep.trace),
     }
     if rep.sigma is not None:
-        out["sigma_atoms"] = _sorted_sets(doc, rep.sigma.atoms)
+        out["sigma_atoms"] = _sorted_sets(m, rep.sigma.atoms)
     return out
 
 
-def _load(path: str) -> ModelDocument:
+def _load(path: str) -> Nlmp:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        # A leading byte order mark is dropped after decoding: the
+        # utf-8-sig codec would also drop a truncated one and count the
+        # bytes of an invalid sequence from after the mark.
+        text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ModelSyntaxError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     return parse_model(text)
@@ -86,20 +98,19 @@ def _load(path: str) -> ModelDocument:
 # and exit code.
 
 
-def _bisim(doc: ModelDocument, args) -> tuple[dict, int]:
-    m = doc.nlmp
+def _bisim(m: Nlmp, args) -> tuple[dict, int]:
     if args.kind != "all":
         fixpoint = {
             "traditional": largest_traditional,
             "state": largest_state,
             "event": smallest_stable_sigma,
         }[args.kind]
-        return _bisim_json(doc, fixpoint(m)), EXIT_OK
+        return _bisim_json(m, fixpoint(m)), EXIT_OK
     comparison = compare_bisims(m)
     result = {
-        "traditional": _bisim_json(doc, comparison.traditional),
-        "state": _bisim_json(doc, comparison.state),
-        "event": _bisim_json(doc, comparison.event),
+        "traditional": _bisim_json(m, comparison.traditional),
+        "state": _bisim_json(m, comparison.state),
+        "event": _bisim_json(m, comparison.event),
         "chain_holds": comparison.chain_holds,
         "traditional_eq_state": comparison.traditional_eq_state,
         "state_eq_event": comparison.state_eq_event,
@@ -109,17 +120,17 @@ def _bisim(doc: ModelDocument, args) -> tuple[dict, int]:
     return result, EXIT_OK
 
 
-def _check(doc: ModelDocument, args) -> tuple[dict, int]:
+def _check(m: Nlmp, args) -> tuple[dict, int]:
     phi = parse_state_formula(args.formula)
-    unknown = formula_labels(phi) - set(doc.nlmp.labels)
+    unknown = formula_labels(phi) - set(m.labels)
     if unknown:
         raise DomainError(f"formula uses undeclared labels: {sorted(unknown)}")
-    if args.state is not None and args.state not in doc.nlmp.universe:
+    if args.state is not None and args.state not in m.universe:
         raise DomainError(f"unknown state {args.state!r}")
-    extension = eval_state(doc.nlmp, phi)
+    extension = eval_state(m, phi)
     result = {
         "formula": formula_to_text(phi),
-        "states": doc.nlmp.universe.sort(extension),
+        "states": m.universe.sort(extension),
     }
     if args.state is None:
         return result, EXIT_OK
@@ -129,9 +140,9 @@ def _check(doc: ModelDocument, args) -> tuple[dict, int]:
     return result, EXIT_OK if satisfied else EXIT_UNSATISFIED
 
 
-def _distinguish(doc: ModelDocument, args) -> tuple[dict, int]:
+def _distinguish(m: Nlmp, args) -> tuple[dict, int]:
     try:
-        found = _separate(doc.nlmp, args.s, args.t)
+        found = _separate(m, args.s, args.t)
         if found is None:
             return {"equivalent": True}, EXIT_EQUIVALENT
         # The extension is the one the formula was verified against.
@@ -156,8 +167,8 @@ def _run(args) -> int:
     """Load and validate the model, run the command's body on a valid
     model, and print the one JSON report."""
     started = time.perf_counter()
-    doc = _load(args.path)
-    validation = lmp_validate(doc.lmp) if doc.kind == "lmp" else nlmp_validate(doc.nlmp)
+    m = _load(args.path)
+    validation = lmp_validate(m) if isinstance(m, Lmp) else nlmp_validate(m)
     if args.body is None or not validation.valid:
         result = {
             "valid": validation.valid,
@@ -165,16 +176,16 @@ def _run(args) -> int:
         }
         code = EXIT_OK if validation.valid else EXIT_INVALID_MODEL
     else:
-        result, code = args.body(doc, args)
+        result, code = args.body(m, args)
     report = {
         "command": args.command,
         "args": {k: v for k, v in vars(args).items() if k not in ("command", "body") and v is not None},
         "model": {
-            "digest": doc.digest,
-            "kind": doc.kind,
-            "states": list(doc.nlmp.states),
-            "labels": list(doc.nlmp.labels),
-            "sigma_atoms": _sorted_sets(doc, doc.nlmp.sigma.atoms),
+            "digest": sha256(serialize_model(m).encode("utf-8")).hexdigest(),
+            "kind": m.kind,
+            "states": list(m.states),
+            "labels": list(m.labels),
+            "sigma_atoms": _sorted_sets(m, m.sigma.atoms),
         },
         "result": result,
         "timing_ms": round((time.perf_counter() - started) * 1000, 3),

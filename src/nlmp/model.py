@@ -55,6 +55,8 @@ class Nlmp:
     report, and the refinement slot that `nlmp.bisim` owns.
     """
 
+    kind = "nlmp"  # the model file's header
+
     def __init__(
         self,
         sigma: SigmaAlgebra,
@@ -143,7 +145,11 @@ class Nlmp:
 
 class Lmp(Nlmp):
     """The deterministic special case: the Nlmp whose every row is a
-    single kernel measure, one per (state, label)."""
+    single kernel measure, one per (state, label).  It is its own
+    embedding into the nondeterministic models: its rows already are the
+    singletons of its kernels."""
+
+    kind = "lmp"
 
     def __init__(
         self,
@@ -254,19 +260,6 @@ def lmp_validate(l: Lmp) -> ValidationReport:
                         )
                     )
     return ValidationReport(tuple(findings))
-
-
-def lmp_embed(l: Lmp, validate: bool = True) -> Nlmp:
-    """The deterministic model as a nondeterministic one: l itself,
-    whose rows already are the singletons of its kernels.
-
-    The embedding preserves validation verdicts in both directions, so
-    callers that need that equivalence on invalid inputs can pass
-    validate=False.
-    """
-    if validate and not lmp_validate(l).valid:
-        raise PreconditionError("cannot embed an invalid deterministic model")
-    return l
 
 
 def is_non_probabilistic(m: Nlmp) -> bool:

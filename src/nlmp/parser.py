@@ -13,9 +13,11 @@ Model files (.nlmp), line oriented, `#` comments:
                                 transition set of state s under label a
     trans s a -> x              point-mass shorthand
 
-Weights are exact rationals and must sum to 1; weights placed on states
-of one atom accumulate into that atom, since a measure on a coarse
-sigma-algebra cannot see finer detail.
+A state identifier is any run of characters other than whitespace,
+`#`, `{` and `}`; it may hold `:` (an item splits at its last colon) or
+be `->`.  Weights are exact rationals and must sum to 1; weights placed
+on states of one atom accumulate into that atom, since a measure on a
+coarse sigma-algebra cannot see finer detail.
 
 Formulas, whitespace insensitive, `&` left associative, parentheses
 allowed:
@@ -30,7 +32,6 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -50,37 +51,6 @@ from .logic import (
 from .measurable import SigmaAlgebra, Universe, sigma_generate
 from .measures import Measure, _shown, dirac
 from .model import Lmp, Nlmp
-
-# hashlib loads OpenSSL (several MiB of resident memory) just for the
-# report digest; the builtin SHA-256 gives the same bytes.
-try:
-    from _sha2 import sha256  # Python >= 3.12
-except ImportError:
-    try:
-        from _sha256 import sha256
-    except ImportError:
-        from hashlib import sha256
-
-
-@dataclass
-class ModelDocument:
-    """A parsed model.  Its kind and its deterministic view follow from
-    the model's class, so they cannot disagree with it."""
-
-    nlmp: Nlmp
-
-    @property
-    def kind(self) -> str:
-        return "lmp" if isinstance(self.nlmp, Lmp) else "nlmp"
-
-    @property
-    def lmp(self) -> Lmp | None:
-        return self.nlmp if isinstance(self.nlmp, Lmp) else None
-
-    @property
-    def digest(self) -> str:
-        return sha256(serialize_model(self).encode("utf-8")).hexdigest()
-
 
 # ---------------------------------------------------------------------------
 # Model parsing
@@ -122,7 +92,9 @@ def _parse_rational(text: str, line_no: int) -> tuple[int, int]:
     return num, den
 
 
-def parse_model(text: str) -> ModelDocument:
+def parse_model(text: str) -> Nlmp:
+    """The model the text writes: an `Lmp` under the `lmp` header, an
+    `Nlmp` otherwise."""
     kind = "nlmp"
     universe: Universe | None = None
     labels: list[str] | None = None
@@ -147,6 +119,8 @@ def parse_model(text: str) -> ModelDocument:
                 raise ModelSyntaxError("duplicate states line", line_no)
             if not rest:
                 raise ModelSyntaxError("states line needs at least one state", line_no)
+            if "{" in rest or "}" in rest:
+                raise ModelSyntaxError("state identifiers cannot contain '{' or '}'", line_no)
             try:
                 universe = Universe(tuple(rest))
             except DomainError as exc:
@@ -203,8 +177,8 @@ def parse_model(text: str) -> ModelDocument:
                     raise ModelSyntaxError(
                         f"deterministic model is missing the transition for ({s}, {a})"
                     )
-        return ModelDocument(Lmp(sigma, labels, kernels))
-    return ModelDocument(Nlmp(sigma, labels, {k: tuple(v) for k, v in rows.items()}))
+        return Lmp(sigma, labels, kernels)
+    return Nlmp(sigma, labels, {k: tuple(v) for k, v in rows.items()})
 
 
 def _parse_generators(tokens: list[str], line_no: int) -> list[list[str]]:
@@ -277,7 +251,8 @@ class _TransLoader:
         for item in body:
             known = items.get(item)
             if known is None:
-                target, colon, w = item.partition(":")
+                # A weight holds no colon; a state identifier may.
+                target, colon, w = item.rpartition(":")
                 if not colon:
                     raise ModelSyntaxError(f"expected 'state:weight', got {item!r}", line_no)
                 if target not in self.states:
@@ -336,9 +311,8 @@ def _measure_text(mu: Measure) -> str:
     return " ".join(parts)
 
 
-def serialize_model(doc: ModelDocument) -> str:
-    model = doc.nlmp
-    lines = [doc.kind]
+def serialize_model(model: Nlmp) -> str:
+    lines = [model.kind]
     lines.append("states " + " ".join(model.states))
     lines.append("labels " + " ".join(model.labels))
     if model.sigma.is_powerset:
@@ -348,8 +322,8 @@ def serialize_model(doc: ModelDocument) -> str:
             "{" + " ".join(model.universe.sort(a)) + "}" for a in model.sigma.atoms
         )
         lines.append(f"sigma gen {blocks}")
-    # An lmp document's model holds exactly its kernels, as singleton
-    # rows in state x label order.
+    # An Lmp holds exactly its kernels, as singleton rows in state x
+    # label order.
     for (s, a), row in model.transition_items():
         for mu in row:
             lines.append(f"trans {s} {a} {_measure_text(mu)}")

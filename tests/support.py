@@ -964,7 +964,7 @@ def oracle_parse_trans(
     for item in body:
         if ":" not in item:
             raise ModelSyntaxError(f"expected 'state:weight', got {item!r}", line_no)
-        target, _, w = item.partition(":")
+        target, _, w = item.rpartition(":")
         if target not in universe:
             raise ModelSyntaxError(f"unknown state {target!r}", line_no)
         if target in weights:

@@ -24,7 +24,6 @@ from nlmp import (
     is_traditional_bisim,
     largest_state,
     largest_traditional,
-    lmp_embed,
     logical_equivalence,
     nlmp_validate,
     np_state_check,
@@ -221,7 +220,7 @@ class TestLargestTraditional:
         for _ in range(40):
             l = rand_lmp(rng, coarse=rng.random() < 0.5)
             oracle = lmp_bisimilarity(l)
-            rep = largest_traditional(lmp_embed(l))
+            rep = largest_traditional(l)
             assert rep.relation.pairs == oracle.pairs
 
 
@@ -291,7 +290,7 @@ class TestCompare:
     def test_embedded_deterministic_model_all_equal_and_matches_oracle(self):
         rng = random.Random(410)
         l = rand_lmp(rng, coarse=False)
-        comparison = compare_bisims(lmp_embed(l))
+        comparison = compare_bisims(l)
         assert comparison.all_equal
         assert comparison.traditional.relation.pairs == lmp_bisimilarity(l).pairs
 
@@ -317,7 +316,7 @@ class TestCompare:
         for key in cases:
             assert run_case(key.split()) == golden[key], key
         for path in sorted(corpus_dir().glob("*.nlmp")):
-            m = parse_model(path.read_text(encoding="utf-8")).nlmp
+            m = parse_model(path.read_text(encoding="utf-8"))
             if not nlmp_validate(m).valid:
                 continue
             comparison = compare_bisims(m)
@@ -443,7 +442,7 @@ class TestRefinement:
         # refinement must meet that error, not the one round an earlier
         # read left behind.
         text = (corpus_dir() / "atom_split_invalid.nlmp").read_text(encoding="utf-8")
-        m = parse_model(text).nlmp
+        m = parse_model(text)
         for _ in range(2):
             with pytest.raises(PreconditionError):
                 nlmp.bisim.refinement(m)
@@ -454,9 +453,9 @@ class TestRefinement:
         # An interrupt in the second round must not leave the first round
         # behind as the whole refinement.
         text = (corpus_dir() / "np_reach_unequal.nlmp").read_text(encoding="utf-8")
-        full = nlmp.bisim.refinement(parse_model(text).nlmp)
+        full = nlmp.bisim.refinement(parse_model(text))
         assert len(full) > 2
-        m = parse_model(text).nlmp
+        m = parse_model(text)
         signature = nlmp.bisim.traditional_signature
         calls = []
 

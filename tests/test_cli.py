@@ -145,6 +145,31 @@ class TestInputBoundary:
         assert err.startswith("error: ") and "not UTF-8" in err
         assert len(err.splitlines()) == 1
 
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path, capsys):
+        marked = tmp_path / "marked.nlmp"
+        marked.write_bytes(b"\xef\xbb\xbf" + (corpus_dir() / "two_bounds_needed.nlmp").read_bytes())
+        code, report, err = run(capsys, "bisim", str(marked))
+        expected_code, expected, _ = run(capsys, "bisim", corpus("two_bounds_needed.nlmp"))
+        assert (code, err) == (expected_code, "")
+        del report["args"], report["timing_ms"], expected["args"], expected["timing_ms"]
+        assert report == expected
+
+    @pytest.mark.parametrize(
+        "data,message",
+        [
+            # a byte order mark cut short is no UTF-8 text
+            (b"\xef\xbb", "unexpected end of data at byte 0"),
+            # offsets count the mark's three bytes
+            (b"\xef\xbb\xbfstates s\xff\n", "invalid start byte at byte 11"),
+        ],
+    )
+    def test_byte_order_mark_keeps_the_decoding_message(self, tmp_path, capsys, data, message):
+        bad = tmp_path / "bad.nlmp"
+        bad.write_bytes(data)
+        code, report, err = run(capsys, "validate", str(bad))
+        assert (code, report) == (1, None)
+        assert err == f"error: {bad} is not UTF-8 text: {message}\n"
+
     def test_400_deep_formula_is_a_usage_error(self, capsys):
         formula = "T"
         for _ in range(400):
@@ -411,7 +436,7 @@ class TestDistinguishCommand:
         code, report, _ = run(capsys, "distinguish", str(path), "s1_1", "s3_0")
         assert code == 5
         assert report["result"]["equivalent"] is True
-        m = parse_model(LUMP28).nlmp
+        m = parse_model(LUMP28)
         largest = largest_traditional(m)
         assert sorted(sorted(b) for b in largest.partition) == [
             ["s0_0", "s0_1", "s1_0", "s1_1", "s3_0", "s3_1"],

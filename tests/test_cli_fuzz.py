@@ -47,7 +47,7 @@ def _corpus():
     for path in sorted(corpus_dir().glob("*.nlmp")):
         text = path.read_text(encoding="utf-8")
         lines = [line.split("#", 1)[0].split() for line in text.splitlines()]
-        out.append((path.name, [line for line in lines if line], parse_model(text).nlmp))
+        out.append((path.name, [line for line in lines if line], parse_model(text)))
     return out
 
 

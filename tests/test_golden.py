@@ -50,11 +50,11 @@ def cases() -> list[list[str]]:
     for path in sorted(corpus_dir().glob("*.nlmp")):
         out.append(["bisim", path.name, "--kind", "all"])
     for path in sorted(corpus_dir().glob("*.nlmp")):
-        m = parse_model(path.read_text(encoding="utf-8")).nlmp
+        m = parse_model(path.read_text(encoding="utf-8"))
         if m.sigma.is_powerset:
             out += [["distinguish", path.name, s, t] for s in m.states for t in m.states if s != t]
     for path in sorted(corpus_dir().glob("*.nlmp")):
-        m = parse_model(path.read_text(encoding="utf-8")).nlmp
+        m = parse_model(path.read_text(encoding="utf-8"))
         out.append(["validate", path.name])
         out += [["bisim", path.name, "--kind", kind] for kind in ("traditional", "state", "event")]
         for formula in CHECK_FORMULAS:

@@ -58,7 +58,6 @@ from support import (
     two_bounds_measures,
     uniform_rows_model,
 )
-from nlmp import lmp_embed
 from nlmp.bisim import refinement
 from nlmp.logic import BOUNDS, formula_labels
 
@@ -439,7 +438,7 @@ class TestLogicalEquivalence:
         rng = random.Random(507)
         for _ in range(20):
             l = rand_lmp(rng, coarse=False)
-            report = logical_equivalence(lmp_embed(l), "Lf")
+            report = logical_equivalence(l, "Lf")
             assert report.relation.pairs == lmp_bisimilarity(l).pairs
 
     def test_sublogic_equivalence_matches_greatest_bisimilarity_on_powerset(self):

@@ -567,7 +567,7 @@ class TestSparseForm:
                 Measure(sig, tuple(str(w) for w in dense)),
                 Measure.from_atom_weights(sig, {sig.atoms[k]: w for k, w in enumerate(dense) if w}),
                 Measure.from_state_weights(sig, by_state),
-                parse_model(text).nlmp.row(universe.states[0], "a")[0],
+                parse_model(text).row(universe.states[0], "a")[0],
             ]
             forms.append(pickle.loads(pickle.dumps(forms[-1])))
             if len(nums) == 1:

@@ -16,7 +16,6 @@ from nlmp import (
     hit_preimage,
     is_event_bisim,
     is_non_probabilistic,
-    lmp_embed,
     lmp_validate,
     nlmp_validate,
     trace_classes,
@@ -116,10 +115,9 @@ class TestLmpEmbed:
         sig = SigmaAlgebra.powerset(u)
         kernels = {(w, "a"): dirac(sig, "t") for w in u}
         l = Lmp(sig, ("a",), kernels)
-        m = lmp_embed(l)
-        assert m is l and isinstance(m, Nlmp)
-        assert m.row("s", "a") == (dirac(sig, "t"),)
-        assert all(len(m.row(s, "a")) == 1 for s in u)
+        assert isinstance(l, Nlmp)
+        assert l.row("s", "a") == (dirac(sig, "t"),)
+        assert all(len(l.row(s, "a")) == 1 for s in u)
 
     def test_equals_the_nlmp_with_the_same_rows(self):
         rng = random.Random(307)
@@ -135,20 +133,10 @@ class TestLmpEmbed:
         for _ in range(150):
             l = rand_lmp(rng, coarse=rng.random() < 0.6, per_state=rng.random() < 0.5)
             verdict = lmp_validate(l).valid
-            embedded_verdict = nlmp_validate(lmp_embed(l, validate=False)).valid
+            embedded_verdict = nlmp_validate(l).valid
             assert verdict == embedded_verdict
             invalid_seen += not verdict
         assert invalid_seen > 10
-
-    def test_embedding_invalid_lmp_requires_opt_out(self):
-        rng = random.Random(304)
-        while True:
-            l = rand_lmp(rng, coarse=True, per_state=True)
-            if not lmp_validate(l).valid:
-                break
-        with pytest.raises(PreconditionError):
-            lmp_embed(l)
-        assert lmp_embed(l, validate=False) is l
 
 
 class TestLmpValidateAtoms:

@@ -1,4 +1,7 @@
+import contextlib
 import hashlib
+import io
+import json
 import random
 import sys
 from fractions import Fraction as F
@@ -14,9 +17,9 @@ from nlmp import (
     DomainError,
     GreaterThan,
     LessThan,
+    Lmp,
     MNot,
     MOr,
-    ModelDocument,
     ModelSyntaxError,
     Nlmp,
     Top,
@@ -29,6 +32,7 @@ from nlmp import (
     parse_state_formula,
     serialize_model,
 )
+from nlmp.cli import main
 from nlmp.parser import MAX_FORMULA_DEPTH, _FormulaParser, _line_tokens, _TransLoader
 from support import (
     oracle_line_tokens,
@@ -46,17 +50,26 @@ def read_corpus(name: str) -> str:
     return (corpus_dir() / name).read_text(encoding="utf-8")
 
 
+def report_digest(tmp_path, text: str) -> str:
+    """The model digest of the `validate` report on the text."""
+    path = tmp_path / "model.nlmp"
+    path.write_text(text, encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(["validate", str(path)])
+    return json.loads(out.getvalue())["model"]["digest"]
+
+
 class TestModelParsing:
     def test_minimal_model(self):
-        doc = parse_model("states only\nlabels a\n")
-        assert doc.kind == "nlmp"
-        assert doc.nlmp.sigma.is_powerset
-        assert doc.nlmp.row("only", "a") == ()
-        assert nlmp_validate(doc.nlmp).valid
+        m = parse_model("states only\nlabels a\n")
+        assert type(m) is Nlmp and m.kind == "nlmp"
+        assert m.sigma.is_powerset
+        assert m.row("only", "a") == ()
+        assert nlmp_validate(m).valid
 
     def test_flagship_corpus_file_matches_canonical_model(self):
-        doc = parse_model(read_corpus("two_bounds_needed.nlmp"))
-        assert doc.nlmp == two_bounds_model()
+        assert parse_model(read_corpus("two_bounds_needed.nlmp")) == two_bounds_model()
 
     def test_weight_sum_error_reports_the_sum(self):
         text = "states s x y\nlabels a\ntrans s a x:1/2 y:1/3\n"
@@ -117,16 +130,15 @@ class TestModelParsing:
             "states s t x\nlabels a\nsigma gen {s t} {x}\n"
             "trans x a s:1/4 t:1/4 x:1/2\n"
         )
-        doc = parse_model(text)
-        (mu,) = doc.nlmp.row("x", "a")
+        (mu,) = parse_model(text).row("x", "a")
         assert mu.value({"s", "t"}) == F(1, 2)
         assert mu.value({"x"}) == F(1, 2)
 
     def test_point_mass_shorthand_equals_explicit_weight(self):
-        doc1 = parse_model("states s x\nlabels a\ntrans s a -> x\n")
-        doc2 = parse_model("states s x\nlabels a\ntrans s a x:1\n")
-        assert doc1.nlmp == doc2.nlmp
-        assert doc1.nlmp.row("s", "a") == (dirac(doc1.nlmp.sigma, "x"),)
+        m1 = parse_model("states s x\nlabels a\ntrans s a -> x\n")
+        m2 = parse_model("states s x\nlabels a\ntrans s a x:1\n")
+        assert m1 == m2
+        assert m1.row("s", "a") == (dirac(m1.sigma, "x"),)
 
     def test_lmp_requires_exactly_one_kernel_each(self):
         base = "lmp\nstates s t\nlabels a\n"
@@ -134,10 +146,9 @@ class TestModelParsing:
             parse_model(base + "trans s a -> t\n")
         with pytest.raises(ModelSyntaxError, match="several transitions"):
             parse_model(base + "trans s a -> t\ntrans s a -> s\ntrans t a -> t\n")
-        doc = parse_model(base + "trans s a -> t\ntrans t a -> t\n")
-        assert doc.kind == "lmp"
-        assert doc.lmp is doc.nlmp and isinstance(doc.lmp, Nlmp)
-        assert len(doc.nlmp.row("s", "a")) == 1
+        m = parse_model(base + "trans s a -> t\ntrans t a -> t\n")
+        assert isinstance(m, Lmp) and isinstance(m, Nlmp) and m.kind == "lmp"
+        assert len(m.row("s", "a")) == 1
 
 
 # Weight splits of 1 into two to four parts, as the model text writes them.
@@ -155,8 +166,9 @@ _SPLITS = [
 
 def _mutated_model(rng: random.Random) -> tuple[str, list[str], list[str]]:
     """A seeded model text, its lines up to the first trans line, and its
-    trans lines, a third of them mutated."""
-    states = [f"s{i}" for i in range(rng.randint(2, 6))]
+    trans lines, a third of them mutated.  Every other state identifier
+    holds a colon."""
+    states = [f"s{i}" if i % 2 == 0 else f"s:{i}" for i in range(rng.randint(2, 6))]
     header = ["states " + " ".join(states), "labels a b"]
     if rng.random() < 0.5:
         rng.shuffle(states)
@@ -185,19 +197,19 @@ def _mutate(rng: random.Random, body: list[str], earlier: list[str], states: lis
     if kind == 0 and earlier:  # a body repeated from an earlier line
         return rng.choice(earlier).split()[3:]
     if kind == 1:  # a missing colon
-        body[i] = body[i].replace(":", "", 1)
+        body[i] = body[i].replace(":", "")
     elif kind == 2:  # an unknown target
-        body[-1] = "zz" if body[0] == "->" else "zz:" + body[i].partition(":")[2]
+        body[-1] = "zz" if body[0] == "->" else "zz:" + body[i].rpartition(":")[2]
     elif kind == 3 and body[0] != "->":  # a numeral longer than int() reads
-        body[i] = body[i].partition(":")[0] + ":" + "1" * (sys.get_int_max_str_digits() or 5000) + "1/2"
+        body[i] = body[i].rpartition(":")[0] + ":" + "1" * (sys.get_int_max_str_digits() or 5000) + "1/2"
     elif kind == 4 and body[0] != "->":  # a wrong sum
-        body[i] = body[i].partition(":")[0] + rng.choice([":1/5", ":0", ":7/3"])
+        body[i] = body[i].rpartition(":")[0] + rng.choice([":1/5", ":0", ":7/3"])
     elif kind == 5:  # the -> form, with a target too many or too few
         body = ["->", *rng.sample(states, rng.choice([0, 2]))]
     elif kind == 6:  # a duplicate state, the second weight unparsable
         body = [f"{states[0]}:1/2", f"{states[0]}:1/0"]
     elif kind == 7:  # a zero denominator or no rational at all
-        body[i] = body[i].partition(":")[0] + rng.choice([":1/0", ":x", ":1/", ":-1/2"])
+        body[i] = body[i].rpartition(":")[0] + rng.choice([":1/0", ":x", ":1/", ":-1/2"])
     elif kind == 8:  # a comment, a tab, a brace
         body[i] += rng.choice(["  # note", "\t", "{", " }"])
     elif kind == 9 and body[0] != "->":  # a duplicate state with the same weight text
@@ -223,7 +235,7 @@ class TestTransLoader:
         seen: set[str] = set()
         for _ in range(600):
             text, header, lines = _mutated_model(rng)
-            model = parse_model("\n".join(header) + "\n").nlmp
+            model = parse_model("\n".join(header) + "\n")
             labels = set(model.labels)
             loader = _TransLoader(model.universe, model.sigma, list(model.labels))
             rationals: dict = {}
@@ -242,7 +254,7 @@ class TestTransLoader:
                     rows.setdefault(want[:2], []).append(want[2])
                     seen.add("ok" if raw.split()[3] != "->" else "->")
             if first_error is None:
-                assert parse_model(text).nlmp == Nlmp(model.sigma, model.labels, rows)
+                assert parse_model(text) == Nlmp(model.sigma, model.labels, rows)
             else:
                 with pytest.raises(ModelSyntaxError) as exc:
                     parse_model(text)
@@ -264,7 +276,7 @@ class TestTransLoader:
 
     def test_a_repeated_body_gives_the_same_measure(self):
         text = "states s t x\nlabels a b\nsigma gen {s t} {x}\ntrans s a t:1/2 x:1/2\ntrans x b t:1/2 x:1/2\ntrans t a s:1/2 x:1/2\n"
-        m = parse_model(text).nlmp
+        m = parse_model(text)
         assert m.row("s", "a")[0] is m.row("x", "b")[0]
         # the last line weights another state of the same atom: an equal
         # measure from another body
@@ -275,32 +287,57 @@ class TestTransLoader:
 class TestRoundTrip:
     @pytest.mark.parametrize("name", CORPUS_FILES)
     def test_corpus_files_round_trip(self, name):
-        doc = parse_model(read_corpus(name))
-        again = parse_model(serialize_model(doc))
-        assert again.kind == doc.kind
-        assert again.nlmp == doc.nlmp
-        if doc.kind == "lmp":
-            assert again.lmp == doc.lmp
+        m = parse_model(read_corpus(name))
+        text = serialize_model(m)
+        again = parse_model(text)
+        assert type(again) is type(m) and again == m
+        assert serialize_model(again) == text
 
     def test_random_models_round_trip(self):
         rng = random.Random(601)
         for _ in range(60):
             m = rand_valid_nlmp(rng, coarse=rng.random() < 0.5)
-            doc = ModelDocument(m)
-            again = parse_model(serialize_model(doc))
-            assert again.nlmp == m
+            assert parse_model(serialize_model(m)) == m
 
-    def test_digest_is_deterministic_and_content_sensitive(self):
-        doc1 = parse_model(read_corpus("two_bounds_needed.nlmp"))
-        doc2 = parse_model(read_corpus("two_bounds_needed.nlmp"))
-        doc3 = parse_model(read_corpus("uniform_rows.nlmp"))
-        assert doc1.digest == doc2.digest
-        assert doc1.digest != doc3.digest
+    def test_state_identifiers_may_hold_colons_and_be_arrows(self):
+        text = (
+            "states s:x t u -> x:\nlabels a\nsigma gen {s:x t} {u} {->}\n"
+            "trans u a t:1/2 u:1/2\ntrans s:x a -> u\ntrans t a -> u\n"
+            "trans -> a x::1/3 ->:2/3\ntrans x: a -> ->\n"
+        )
+        m = parse_model(text)
+        # each item splits at its last colon; u's measure is written on
+        # the atom's least state
+        assert m.row("u", "a")[0].value({"s:x", "t"}) == F(1, 2)
+        assert m.row("->", "a")[0].value({"x:"}) == F(1, 3)
+        assert m.row("x:", "a") == (dirac(m.sigma, "->"),)
+        serialized = serialize_model(m)
+        assert "trans u a s:x:1/2 u:1/2\n" in serialized
+        assert parse_model(serialized) == m
+
+    def test_digest_is_deterministic_and_content_sensitive(self, tmp_path):
+        text = read_corpus("two_bounds_needed.nlmp")
+        # the same model in another text: its trans lines reversed
+        lines = text.splitlines()
+        trans = [line for line in lines if line.startswith("trans ")]
+        reordered = "\n".join([line for line in lines if line not in trans] + trans[::-1]) + "\n"
+        assert parse_model(reordered) == parse_model(text)
+        digest = report_digest(tmp_path, text)
+        assert report_digest(tmp_path, text) == digest
+        assert report_digest(tmp_path, reordered) == digest
+        assert report_digest(tmp_path, read_corpus("uniform_rows.nlmp")) != digest
 
     @pytest.mark.parametrize("name", CORPUS_FILES)
-    def test_digest_is_the_sha256_of_the_serialized_model(self, name):
-        doc = parse_model(read_corpus(name))
-        assert doc.digest == hashlib.sha256(serialize_model(doc).encode()).hexdigest()
+    def test_digest_is_the_sha256_of_the_serialized_model(self, tmp_path, name):
+        text = read_corpus(name)
+        expected = hashlib.sha256(serialize_model(parse_model(text)).encode()).hexdigest()
+        assert report_digest(tmp_path, text) == expected
+
+    @pytest.mark.parametrize("states", ["states { s } t", "states s{ t", "states s }"])
+    def test_braces_on_the_states_line_are_a_syntax_error(self, states):
+        text = f"{states}\nlabels a\nsigma gen {{s t}}\n"
+        with pytest.raises(ModelSyntaxError, match=r"^state identifiers cannot contain '\{' or '\}' at line 1$"):
+            parse_model(text)
 
 
 class TestFormulaParsing:
