@@ -62,7 +62,8 @@ def _sorted_sets(m: Nlmp, sets) -> list[list[str]]:
 
 
 def _finding_json(f: Finding) -> dict:
-    out: dict = {"severity": f.severity, "message": f.message}
+    # Every finding is an error; the report keeps the field.
+    out: dict = {"severity": "error", "message": f.message}
     if f.label is not None:
         out["label"] = f.label
     if f.xi is not None:

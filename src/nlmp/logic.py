@@ -42,11 +42,11 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, ClassVar, Iterator
 
-from .errors import DomainError, InternalCheckError, PreconditionError, UnsupportedModelError
-from .bisim import Blocks, largest_traditional, refinement_rounds, smallest_stable_sigma
+from .errors import DomainError, InternalCheckError, UnsupportedModelError
+from .bisim import Blocks, _require_valid, largest_traditional, refinement_rounds, smallest_stable_sigma
 from .measurable import SigmaAlgebra, StateSet
 from .measures import Measure, ZERO, _rational_text
-from .model import Nlmp, hit_preimage, nlmp_validate
+from .model import Nlmp, hit_preimage
 
 # A pair of sub-blocks of one split block, each in universe order.
 Split = tuple[tuple[str, ...], tuple[str, ...]]
@@ -491,8 +491,7 @@ def _separate(m: Nlmp, s: str, t: str) -> tuple[StateFormula, StateSet] | None:
         raise UnsupportedModelError(
             "distinguishing formulas are only synthesized on full powerset models"
         )
-    if not nlmp_validate(m).valid:
-        raise PreconditionError("model fails measurability validation")
+    _require_valid(m)
     # s and t share a block until the first round whose key differs on them.
     if all(key(s) == key(t) for _, key, _ in refinement_rounds(m)):
         return None

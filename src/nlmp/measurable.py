@@ -9,6 +9,7 @@ that partition, which keeps everything exact and canonical.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -16,6 +17,10 @@ from .errors import DomainError, PreconditionError
 
 StateSet = frozenset[str]
 Pair = tuple[str, str]
+
+# A state identifier is one word of a model file's line: no whitespace,
+# and neither `#` (a comment) nor a brace (a sigma generator).
+_NOT_IN_IDENTIFIER = re.compile(r"[\s#{}]")
 
 
 @dataclass(frozen=True)
@@ -29,6 +34,9 @@ class Universe:
             raise DomainError("universe must be non-empty")
         if len(set(self.states)) != len(self.states):
             raise DomainError("universe contains duplicate state identifiers")
+        for s in self.states:
+            if not s or _NOT_IN_IDENTIFIER.search(s):
+                raise DomainError(f"state identifier {s!r} is empty or holds whitespace, '#', '{{' or '}}'")
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(self.states)})
         object.__setattr__(self, "_state_set", frozenset(self.states))
 

@@ -13,6 +13,7 @@ check each class on its own.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from math import lcm
 from typing import Iterable, Mapping, Sequence
@@ -22,6 +23,23 @@ from .measurable import SigmaAlgebra, StateSet, Universe
 from .measures import Measure, trace_classes
 
 Row = tuple[Measure, ...]
+
+# A label is one token of the formula language, an integer or an
+# identifier, so that a formula can name it; the formula tokenizer reads
+# labels with this pattern.
+LABEL_TOKEN = r"(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+_LABEL = re.compile(LABEL_TOKEN)
+
+
+def _checked_labels(labels: Iterable[str]) -> tuple[str, ...]:
+    """The labels, each once and each a formula token."""
+    labels = tuple(labels)
+    if len(set(labels)) != len(labels):
+        raise DomainError("duplicate labels")
+    for a in labels:
+        if not _LABEL.fullmatch(a):
+            raise DomainError(f"label {a!r} is not an identifier or an integer")
+    return labels
 
 
 def _canonical_row(measures: Iterable[Measure]) -> Row:
@@ -64,10 +82,8 @@ class Nlmp:
         transitions: Mapping[tuple[str, str], Iterable[Measure]],
     ):
         self.sigma = sigma
-        self.labels = tuple(labels)
+        self.labels = _checked_labels(labels)
         position = {a: i for i, a in enumerate(self.labels)}
-        if len(position) != len(self.labels):
-            raise DomainError("duplicate labels")
         no_rows: tuple[Row, ...] = ((),) * len(self.labels)
         filled: dict[str, list[Row]] = {}
         for (s, a), measures in transitions.items():
@@ -134,7 +150,7 @@ class Nlmp:
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, Nlmp)
+            type(other) is type(self)
             and self.sigma == other.sigma
             and self.labels == other.labels
             and self._rows == other._rows
@@ -169,7 +185,6 @@ class Lmp(Nlmp):
 
 @dataclass(frozen=True)
 class Finding:
-    severity: str  # "error" | "warning"
     message: str
     label: str | None = None
     xi: tuple[Measure, ...] | None = None
@@ -182,11 +197,7 @@ class ValidationReport:
 
     @property
     def valid(self) -> bool:
-        return not any(f.severity == "error" for f in self.findings)
-
-    @property
-    def errors(self) -> tuple[Finding, ...]:
-        return tuple(f for f in self.findings if f.severity == "error")
+        return not self.findings
 
 
 def nlmp_validate(m: Nlmp) -> ValidationReport:
@@ -220,7 +231,6 @@ def _nlmp_findings(m: Nlmp) -> ValidationReport:
             if not m.sigma.is_measurable(pre):
                 findings.append(
                     Finding(
-                        "error",
                         "hit preimage of a measurable set of measures is not measurable",
                         label=a,
                         xi=cls,
@@ -253,7 +263,6 @@ def lmp_validate(l: Lmp) -> ValidationReport:
                 if not l.sigma.is_measurable(level):
                     findings.append(
                         Finding(
-                            "error",
                             f"kernel value map on {sorted(q)} has a non-measurable level set at {v}",
                             label=a,
                             witness_set=frozenset(level),

@@ -13,11 +13,13 @@ Model files (.nlmp), line oriented, `#` comments:
                                 transition set of state s under label a
     trans s a -> x              point-mass shorthand
 
-A state identifier is any run of characters other than whitespace,
-`#`, `{` and `}`; it may hold `:` (an item splits at its last colon) or
-be `->`.  Weights are exact rationals and must sum to 1; weights placed
-on states of one atom accumulate into that atom, since a measure on a
-coarse sigma-algebra cannot see finer detail.
+A state identifier is any non-empty run of characters other than
+whitespace, `#`, `{` and `}`; it may hold `:` (an item splits at its
+last colon) or be `->`.  A label is an identifier or an integer, one
+token of the formula language, so that a formula can name it.  Weights
+are exact rationals and must sum to 1; weights placed on states of one
+atom accumulate into that atom, since a measure on a coarse
+sigma-algebra cannot see finer detail.
 
 Formulas, whitespace insensitive, `&` left associative, parentheses
 allowed:
@@ -25,7 +27,9 @@ allowed:
     state level    T | phi & phi | <a> psi | <a>[ >1/4 phi , <3/4 phi ]
     measure level  psi \\/ psi | !psi | [phi]>=q | [phi]>q | [phi]<q | [phi]<=q
 
-with rational thresholds written p/q, 0 or 1.
+with rational thresholds written p/q, 0 or 1, and labels written as
+identifiers or integers.  After `<a>[`, a `>`, or a `<` and an integer
+that no `>` closes, opens the multi form; anything else, a bracket.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from .logic import (
 )
 from .measurable import SigmaAlgebra, Universe, sigma_generate
 from .measures import Measure, _shown, dirac
-from .model import Lmp, Nlmp
+from .model import LABEL_TOKEN, Lmp, Nlmp, _checked_labels
 
 # ---------------------------------------------------------------------------
 # Model parsing
@@ -97,7 +101,7 @@ def parse_model(text: str) -> Nlmp:
     `Nlmp` otherwise."""
     kind = "nlmp"
     universe: Universe | None = None
-    labels: list[str] | None = None
+    labels: tuple[str, ...] | None = None
     sigma: SigmaAlgebra | None = None
     trans_lines: list[tuple[int, list[str]]] = []  # each with its "trans"
 
@@ -119,8 +123,6 @@ def parse_model(text: str) -> Nlmp:
                 raise ModelSyntaxError("duplicate states line", line_no)
             if not rest:
                 raise ModelSyntaxError("states line needs at least one state", line_no)
-            if "{" in rest or "}" in rest:
-                raise ModelSyntaxError("state identifiers cannot contain '{' or '}'", line_no)
             try:
                 universe = Universe(tuple(rest))
             except DomainError as exc:
@@ -128,9 +130,10 @@ def parse_model(text: str) -> Nlmp:
         elif head == "labels":
             if labels is not None:
                 raise ModelSyntaxError("duplicate labels line", line_no)
-            if len(set(rest)) != len(rest):
-                raise ModelSyntaxError("duplicate labels", line_no)
-            labels = rest
+            try:
+                labels = _checked_labels(rest)
+            except DomainError as exc:
+                raise ModelSyntaxError(str(exc), line_no) from exc
         elif head == "sigma":
             if universe is None:
                 raise ModelSyntaxError("sigma line must come after the states line", line_no)
@@ -212,7 +215,7 @@ class _TransLoader:
     parses to the same measure on any line.  The weight memo serves the
     new items: another state with a weight already seen."""
 
-    def __init__(self, universe: Universe, sigma: SigmaAlgebra, labels: list[str]):
+    def __init__(self, universe: Universe, sigma: SigmaAlgebra, labels: tuple[str, ...]):
         self.states = universe._index
         self.sigma = sigma
         self.labels = set(labels)
@@ -334,7 +337,7 @@ def serialize_model(model: Nlmp) -> str:
 # Formula parsing
 
 _FORMULA_TOKEN = re.compile(
-    r"\s*(?:(?P<or>\\/)|(?P<cmp>>=|<=)|(?P<sym>[&!,\[\]()<>/])|(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*))"
+    rf"\s*(?:(?P<or>\\/)|(?P<cmp>>=|<=)|(?P<sym>[&!,\[\]()<>/])|{LABEL_TOKEN})"
 )
 
 
@@ -363,25 +366,25 @@ def _tokenize_formula(text: str) -> list[tuple[str, str, int]]:
 MAX_FORMULA_DEPTH = 100
 
 
-class _TooDeep(ModelSyntaxError):
-    """Nesting limit exceeded; the parser's backtracking never retries it."""
-
-
 class _FormulaParser:
+    """Recursive descent that never goes back: each production reads
+    its tokens once, and the first token that cannot continue the
+    formula is the one an error names."""
+
     def __init__(self, text: str):
-        self.tokens = _tokenize_formula(text)
-        self.end = len(text) + 1  # the column one past the text
+        # The lookahead at `<a>[` reads four tokens from the cursor on;
+        # the end tokens keep every read inside the list.
+        self.tokens = _tokenize_formula(text) + [("end", "", len(text) + 1)] * 4
         self.pos = 0
         self.depth = 0
 
-    def peek(self, ahead: int = 0) -> tuple[str, str, int] | None:
-        i = self.pos + ahead
-        return self.tokens[i] if i < len(self.tokens) else None
+    def peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.pos]
 
     def take(self) -> tuple[str, str, int]:
-        tok = self.peek()
-        if tok is None:
-            raise ModelSyntaxError("unexpected end of formula", None, self.end)
+        tok = self.tokens[self.pos]
+        if tok[0] == "end":
+            raise ModelSyntaxError("unexpected end of formula", None, tok[2])
         self.pos += 1
         return tok
 
@@ -390,37 +393,30 @@ class _FormulaParser:
         if tok[1] != value:
             raise ModelSyntaxError(f"expected {value!r}, got {tok[1]!r}", None, tok[2])
 
-    def done(self) -> bool:
-        return self.pos >= len(self.tokens)
-
     def nested(self, parse):
         """Run one recursive production, one level deeper."""
         if self.depth > MAX_FORMULA_DEPTH:
-            tok = self.peek()
-            raise _TooDeep(
-                f"formula nests deeper than {MAX_FORMULA_DEPTH} levels", None, tok and tok[2]
+            raise ModelSyntaxError(
+                f"formula nests deeper than {MAX_FORMULA_DEPTH} levels", None, self.peek()[2]
             )
         self.depth += 1
-        try:
-            return parse()
-        finally:
-            self.depth -= 1
+        result = parse()
+        self.depth -= 1
+        return result
 
     # state level ----------------------------------------------------------
 
     def state_formula(self) -> StateFormula:
-        # The depth is restored on every exit, including the errors that
-        # the `<a>[` backtracking recovers from.
+        # Each conjunct of a chain goes one level deeper than the one
+        # before it; after the chain the level is the caller's again.
         depth = self.depth
-        try:
-            phi = self.nested(self.state_atom)
-            while not self.done() and self.peek()[1] == "&":
-                self.take()
-                self.depth += 1
-                phi = And(phi, self.nested(self.state_atom))
-            return phi
-        finally:
-            self.depth = depth
+        phi = self.nested(self.state_atom)
+        while self.peek()[1] == "&":
+            self.take()
+            self.depth += 1
+            phi = And(phi, self.nested(self.state_atom))
+        self.depth = depth
+        return phi
 
     def state_atom(self) -> StateFormula:
         tok = self.take()
@@ -435,26 +431,21 @@ class _FormulaParser:
             if label_tok[0] not in ("ident", "int"):
                 raise ModelSyntaxError("expected a label name", None, label_tok[2])
             self.expect(">")
-            nxt = self.peek()
-            if nxt is not None and nxt[1] == "[":
-                after = self.peek(1)
-                if after is not None and after[1] in (">", "<"):
-                    # Could still be a measure bracket whose state formula
-                    # starts with a diamond; try the multi form first.
-                    saved = self.pos
-                    try:
-                        return self.diamond_multi(label_tok[1])
-                    except _TooDeep:
-                        raise
-                    except ModelSyntaxError:
-                        self.pos = saved
+            # `<a>[` opens the multi form iff a constraint follows: `>`,
+            # or `<` and an integer that no `>` closes, as one closes the
+            # integer label of a bracketed diamond `[<1>...`.
+            bracket, first, second, third = self.tokens[self.pos : self.pos + 4]
+            if bracket[1] == "[" and (
+                first[1] == ">" or first[1] == "<" and second[0] == "int" and third[1] != ">"
+            ):
+                return self.diamond_multi(label_tok[1])
             return Diamond(label_tok[1], self.measure_formula())
         raise ModelSyntaxError(f"unexpected token {tok[1]!r} in state formula", None, tok[2])
 
     def diamond_multi(self, label: str) -> DiamondMulti:
         self.expect("[")
         constraints = [self.constraint()]
-        while self.peek() is not None and self.peek()[1] == ",":
+        while self.peek()[1] == ",":
             self.take()
             constraints.append(self.constraint())
         self.expect("]")
@@ -471,25 +462,20 @@ class _FormulaParser:
 
     def measure_formula(self) -> MeasureFormula:
         items = [self.measure_term()]
-        while not self.done() and self.peek()[1] == "\\/":
+        while self.peek()[1] == "\\/":
             self.take()
             items.append(self.measure_term())
         return items[0] if len(items) == 1 else MOr(tuple(items))
 
     def measure_term(self) -> MeasureFormula:
-        tok = self.peek()
-        if tok is None:
-            raise ModelSyntaxError("unexpected end of formula", None, self.end)
+        tok = self.take()
         if tok[1] == "!":
-            self.take()
             return MNot(self.nested(self.measure_term))
         if tok[1] == "(":
-            self.take()
             psi = self.nested(self.measure_formula)
             self.expect(")")
             return psi
         if tok[1] == "[":
-            self.take()
             phi = self.state_formula()
             self.expect("]")
             cmp_tok = self.take()
@@ -504,8 +490,7 @@ class _FormulaParser:
         if tok[0] != "int":
             raise ModelSyntaxError("expected a rational number", None, tok[2])
         num = _numeral(tok[1], None, tok[2])
-        nxt = self.peek()
-        if nxt is not None and nxt[1] == "/":
+        if self.peek()[1] == "/":
             self.take()
             den_tok = self.take()
             den = _numeral(den_tok[1], None, den_tok[2]) if den_tok[0] == "int" else 0
@@ -515,19 +500,20 @@ class _FormulaParser:
         return Fraction(num)
 
 
-def parse_state_formula(text: str) -> StateFormula:
+def _parse_whole(text: str, production):
+    """What the production reads from the text, which it must read to
+    the end."""
     parser = _FormulaParser(text)
-    phi = parser.state_formula()
-    if not parser.done():
-        tok = parser.peek()
+    result = production(parser)
+    tok = parser.peek()
+    if tok[0] != "end":
         raise ModelSyntaxError(f"trailing input {tok[1]!r}", None, tok[2])
-    return phi
+    return result
+
+
+def parse_state_formula(text: str) -> StateFormula:
+    return _parse_whole(text, _FormulaParser.state_formula)
 
 
 def parse_measure_formula(text: str) -> MeasureFormula:
-    parser = _FormulaParser(text)
-    psi = parser.measure_formula()
-    if not parser.done():
-        tok = parser.peek()
-        raise ModelSyntaxError(f"trailing input {tok[1]!r}", None, tok[2])
-    return psi
+    return _parse_whole(text, _FormulaParser.measure_formula)

@@ -510,7 +510,7 @@ def lmp_validate_direct(l: Lmp) -> list[tuple[frozenset[str], Finding]]:
             for v, level in sorted(by_value.items()):
                 if not l.sigma.is_measurable(level):
                     message = f"kernel value map on {sorted(q)} has a non-measurable level set at {v}"
-                    out.append((q, Finding("error", message, label=a, witness_set=frozenset(level))))
+                    out.append((q, Finding(message, label=a, witness_set=frozenset(level))))
     return out
 
 
@@ -741,7 +741,7 @@ def class_findings(m: Nlmp) -> tuple[Finding, ...]:
             pre = scan_hit_preimage(m, a, cls)
             if not all_atoms_is_measurable(m.sigma, pre):
                 message = "hit preimage of a measurable set of measures is not measurable"
-                findings.append(Finding("error", message, label=a, xi=cls, witness_set=pre))
+                findings.append(Finding(message, label=a, xi=cls, witness_set=pre))
     return tuple(findings)
 
 

@@ -199,6 +199,7 @@ class TestInputBoundary:
         [
             ("states s s\nlabels a\n", "universe contains duplicate state identifiers at line 1"),
             ("states s t\nlabels a a\n", "duplicate labels at line 2"),
+            ("states s t\nlabels {\ntrans s { -> t\n", "label '{' is not an identifier or an integer at line 2"),
             ("states s t\nlabels a\nsigma gen {s} {u}\n", "state 'u' is not in the universe at line 3"),
         ],
     )

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import random
+import re
 import sys
 from fractions import Fraction as F
 
@@ -33,7 +34,7 @@ from nlmp import (
     serialize_model,
 )
 from nlmp.cli import main
-from nlmp.parser import MAX_FORMULA_DEPTH, _FormulaParser, _line_tokens, _TransLoader
+from nlmp.parser import MAX_FORMULA_DEPTH, _line_tokens, _TransLoader
 from support import (
     oracle_line_tokens,
     oracle_parse_trans,
@@ -336,7 +337,8 @@ class TestRoundTrip:
     @pytest.mark.parametrize("states", ["states { s } t", "states s{ t", "states s }"])
     def test_braces_on_the_states_line_are_a_syntax_error(self, states):
         text = f"{states}\nlabels a\nsigma gen {{s t}}\n"
-        with pytest.raises(ModelSyntaxError, match=r"^state identifiers cannot contain '\{' or '\}' at line 1$"):
+        message = r"^state identifier '[{}]' is empty or holds whitespace, '#', '\{' or '\}' at line 1$"
+        with pytest.raises(ModelSyntaxError, match=message):
             parse_model(text)
 
 
@@ -374,9 +376,32 @@ class TestFormulaParsing:
         assert psi == MNot(MOr((AtLeast(Top(), F(1)), LessThan(Top(), F(1)))))
 
     def test_bracketed_diamond_inside_measure_bound(self):
-        # the [< sequence must backtrack into a measure bracket
+        # `[<` followed by a label, not an integer, opens a measure bracket
         psi = parse_state_formula("<a>[<b>[T]>=1]>=1")
         assert psi == Diamond("a", AtLeast(Diamond("b", AtLeast(Top(), F(1))), F(1)))
+
+    def test_integer_labels_decide_the_form_after_the_bracket(self):
+        # `[<1>` closes an integer label: a measure bracket
+        inner = Diamond("1", GreaterThan(Top(), F(0)))
+        assert parse_state_formula("<1>[<1>[T]>0]>0") == Diamond("1", GreaterThan(inner, F(0)))
+        # `[<1` without `>`: the multi form, whose first constraint is `<1`
+        assert parse_state_formula("<a>[<1 <1>[T]>0 , >0 T]") == DiamondMulti(
+            "a", (LessThan(inner, F(1)), GreaterThan(Top(), F(0)))
+        )
+        assert parse_state_formula("<a>[<1/2 T]") == DiamondMulti("a", (LessThan(Top(), F(1, 2)),))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("<a>[ >1/2 ]", "unexpected token ']' in state formula at column 11"),
+            ("<a>[ >1/2 <b>[T]>=1 , <1/2 T", "unexpected end of formula at column 29"),
+            # a label that is not an integer opens a bracket, whose `<b` lacks its `>`
+            ("<a>[<b T]>0", "expected '>', got 'T' at column 8"),
+        ],
+    )
+    def test_error_after_the_bracket_names_the_first_token_that_cannot_continue(self, text, message):
+        with pytest.raises(ModelSyntaxError, match=f"^{re.escape(message)}$"):
+            parse_state_formula(text)
 
     def test_nested_flagship_formula(self):
         phi = parse_state_formula("<a>[ >1/4 <b>[T]>=1 , <3/4 <b>[T]>=1 ]")
@@ -420,13 +445,6 @@ class TestFormulaParsing:
         parse_state_formula(wrapped(MAX_FORMULA_DEPTH - half + 1))
         with pytest.raises(ModelSyntaxError, match="nests deeper than"):
             parse_state_formula(wrapped(MAX_FORMULA_DEPTH - half + 2))
-
-    @pytest.mark.parametrize("text", ["T & T & (T & ", "<a>[ >1/2 T & T & <b>[T]>=1 , x ]"])
-    def test_depth_is_restored_after_a_failed_production(self, text):
-        parser = _FormulaParser(text)
-        with pytest.raises(ModelSyntaxError):
-            parser.state_formula()
-        assert parser.depth == 0
 
     def test_threshold_range_enforced(self):
         with pytest.raises(DomainError):
