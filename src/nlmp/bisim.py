@@ -295,12 +295,14 @@ def _rounds(m: Nlmp) -> Iterator[Round]:
     # cannot split and none of its states is keyed; a block that does not
     # split keeps its lam atom in the next lam.
     rows_of = m._rows
+    position = m.universe._index
     lam = SigmaAlgebra.trivial(m.universe)
     blocks: list[tuple[str, ...]] = [m.states]
     while True:
         key = traditional_signature(m, lam)
         ids = key.profiles.__getitem__
         splits = []
+        nexts: list[tuple[str, ...]] = []
         atoms: list[StateSet] = []
         for block, atom in zip(blocks, lam.atoms):
             if len(block) > 1:
@@ -310,19 +312,21 @@ def _rounds(m: Nlmp) -> Iterator[Round]:
                 if len(groups) > 1:
                     subs = tuple(map(tuple, groups.values()))
                     splits.append(subs)
+                    nexts += subs
                     atoms += map(frozenset, subs)
                     continue
             splits.append((block,))
+            nexts.append(block)
             atoms.append(atom)
         yield lam, key, tuple(splits)
         if len(atoms) == len(blocks):
             return
-        lam = SigmaAlgebra(m.universe, tuple(atoms))
-        index = lam._atom_index
-        blocks = [()] * len(lam.atoms)
-        for subs in splits:
-            for b in subs:
-                blocks[index[b[0]]] = b
+        # The next blocks in the order the constructor gives lam's atoms,
+        # by least state, which is each block's first.
+        least = [position[b[0]] for b in nexts]
+        order = sorted(range(len(nexts)), key=least.__getitem__)
+        blocks = [nexts[i] for i in order]
+        lam = SigmaAlgebra(m.universe, tuple([atoms[i] for i in order]))
 
 
 def refinement_rounds(m: Nlmp) -> Iterator[Round]:

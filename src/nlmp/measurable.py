@@ -32,12 +32,14 @@ class Universe:
     def __post_init__(self):
         if not self.states:
             raise DomainError("universe must be non-empty")
-        if len(set(self.states)) != len(self.states):
+        # A repeated state leaves the index shorter than the states.
+        index = {s: i for i, s in enumerate(self.states)}
+        if len(index) != len(self.states):
             raise DomainError("universe contains duplicate state identifiers")
         for s in self.states:
             if not s or _NOT_IN_IDENTIFIER.search(s):
                 raise DomainError(f"state identifier {s!r} is empty or holds whitespace, '#', '{{' or '}}'")
-        object.__setattr__(self, "_index", {s: i for i, s in enumerate(self.states)})
+        object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_state_set", frozenset(self.states))
 
     def __contains__(self, s: str) -> bool:
@@ -66,39 +68,40 @@ class Universe:
         return sorted(q, key=self.index)
 
 
-def _canonical_atoms(
-    universe: Universe, atoms: Iterable[frozenset[str]]
-) -> tuple[tuple[StateSet, ...], tuple[str, ...]]:
-    """The atoms ordered by their least states, and those least states.
-    The atoms are disjoint, so no two share a least state."""
-    index = universe._index.__getitem__
-    keyed = sorted((min(map(index, a)), a) for a in map(frozenset, atoms))
-    return tuple(a for _, a in keyed), tuple(universe.states[i] for i, _ in keyed)
-
-
 @dataclass(frozen=True)
 class SigmaAlgebra:
-    """A finite sigma-algebra, represented by its atom partition."""
+    """A finite sigma-algebra, represented by its atom partition.  The
+    atoms are kept ordered by their least states."""
 
     universe: Universe
     atoms: tuple[StateSet, ...]
 
     def __post_init__(self):
-        seen: set[str] = set()
-        for a in self.atoms:
-            if not a:
-                raise DomainError("sigma-algebra atoms must be non-empty")
-            if a & seen:
-                raise DomainError("sigma-algebra atoms must be disjoint")
-            seen |= a
-        if seen != set(self.universe.states):
+        # One pass finds each atom's least state, which meets an empty
+        # atom or a state outside the universe; one pass builds the atom
+        # index, which comes out short of the atoms' sizes on an overlap
+        # and short of the universe on a gap.  The atoms are sorted by
+        # position, not as (least, atom) pairs: fewer objects for the
+        # garbage collector to track.
+        index = self.universe._index.__getitem__
+        try:
+            least = [min(map(index, a)) for a in self.atoms]
+        except ValueError:
+            raise DomainError("sigma-algebra atoms must be non-empty") from None
+        except KeyError:
+            raise DomainError("sigma-algebra atoms must cover the universe") from None
+        order = sorted(range(len(least)), key=least.__getitem__)
+        atoms = tuple([frozenset(self.atoms[i]) for i in order])
+        atom_index = {s: i for i, a in enumerate(atoms) for s in a}
+        if len(atom_index) != sum(map(len, atoms)):
+            raise DomainError("sigma-algebra atoms must be disjoint")
+        if len(atom_index) != len(self.universe):
             raise DomainError("sigma-algebra atoms must cover the universe")
-        atoms, names = _canonical_atoms(self.universe, self.atoms)
         object.__setattr__(self, "atoms", atoms)
         # Each atom's least state, the name model text gives the atom.
-        object.__setattr__(self, "_atom_names", names)
-        object.__setattr__(self, "_atom_index", {s: i for i, a in enumerate(self.atoms) for s in a})
-        object.__setattr__(self, "_is_powerset", len(self.atoms) == len(self.universe))
+        object.__setattr__(self, "_atom_names", tuple([self.universe.states[least[i]] for i in order]))
+        object.__setattr__(self, "_atom_index", atom_index)
+        object.__setattr__(self, "_is_powerset", len(atoms) == len(self.universe))
 
     @classmethod
     def powerset(cls, universe: Universe) -> "SigmaAlgebra":

@@ -176,7 +176,7 @@ class Lmp(Nlmp):
         for s in sigma.universe:
             for a in labels:
                 if (s, a) not in kernels:
-                    raise DomainError(f"missing kernel for ({s!r}, {a!r}): kernels must be total")
+                    raise DomainError(f"deterministic model is missing the transition for ({s}, {a})")
         super().__init__(sigma, labels, {key: (mu,) for key, mu in kernels.items()})
 
     def kernel(self, s: str, a: str) -> Measure:

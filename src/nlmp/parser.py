@@ -100,9 +100,8 @@ def parse_model(text: str) -> Nlmp:
     """The model the text writes: an `Lmp` under the `lmp` header, an
     `Nlmp` otherwise."""
     kind = "nlmp"
-    universe: Universe | None = None
-    labels: tuple[str, ...] | None = None
-    sigma: SigmaAlgebra | None = None
+    # What the states, labels and sigma lines build, each line at most once.
+    declared: dict[str, object] = {}
     trans_lines: list[tuple[int, list[str]]] = []  # each with its "trans"
 
     lines = map(_line_tokens, text.splitlines())
@@ -118,45 +117,36 @@ def parse_model(text: str) -> Nlmp:
             if i:
                 raise ModelSyntaxError("header must come first", line_no)
             kind = head
-        elif head == "states":
-            if universe is not None:
-                raise ModelSyntaxError("duplicate states line", line_no)
-            if not rest:
-                raise ModelSyntaxError("states line needs at least one state", line_no)
-            try:
-                universe = Universe(tuple(rest))
-            except DomainError as exc:
-                raise ModelSyntaxError(str(exc), line_no) from exc
-        elif head == "labels":
-            if labels is not None:
-                raise ModelSyntaxError("duplicate labels line", line_no)
-            try:
-                labels = _checked_labels(rest)
-            except DomainError as exc:
-                raise ModelSyntaxError(str(exc), line_no) from exc
-        elif head == "sigma":
-            if universe is None:
-                raise ModelSyntaxError("sigma line must come after the states line", line_no)
-            if sigma is not None:
-                raise ModelSyntaxError("duplicate sigma line", line_no)
-            if rest == ["powerset"]:
-                sigma = SigmaAlgebra.powerset(universe)
-            elif rest and rest[0] == "gen":
-                try:
-                    sigma = sigma_generate(universe, _parse_generators(rest[1:], line_no))
-                except DomainError as exc:
-                    raise ModelSyntaxError(str(exc), line_no) from exc
+            continue
+        if head in declared:
+            raise ModelSyntaxError(f"duplicate {head} line", line_no)
+        # The constructors' refusals are reported at their line.
+        try:
+            if head == "states":
+                if not rest:
+                    raise ModelSyntaxError("states line needs at least one state", line_no)
+                declared[head] = Universe(tuple(rest))
+            elif head == "labels":
+                declared[head] = _checked_labels(rest)
+            elif head == "sigma":
+                if "states" not in declared:
+                    raise ModelSyntaxError("sigma line must come after the states line", line_no)
+                if rest == ["powerset"]:
+                    declared[head] = SigmaAlgebra.powerset(declared["states"])
+                elif rest and rest[0] == "gen":
+                    declared[head] = sigma_generate(declared["states"], _parse_generators(rest[1:], line_no))
+                else:
+                    raise ModelSyntaxError("expected 'sigma powerset' or 'sigma gen {..} ..'", line_no)
             else:
-                raise ModelSyntaxError("expected 'sigma powerset' or 'sigma gen {..} ..'", line_no)
-        else:
-            raise ModelSyntaxError(f"unknown directive {head!r}", line_no)
+                raise ModelSyntaxError(f"unknown directive {head!r}", line_no)
+        except DomainError as exc:
+            raise ModelSyntaxError(str(exc), line_no) from exc
 
-    if universe is None:
-        raise ModelSyntaxError("missing states line", len(text.splitlines()) or 1)
-    if labels is None:
-        raise ModelSyntaxError("missing labels line", len(text.splitlines()) or 1)
-    if sigma is None:
-        sigma = SigmaAlgebra.powerset(universe)
+    for head in ("states", "labels"):
+        if head not in declared:
+            raise ModelSyntaxError(f"missing {head} line", len(text.splitlines()) or 1)
+    universe, labels = declared["states"], declared["labels"]
+    sigma = declared["sigma"] if "sigma" in declared else SigmaAlgebra.powerset(universe)
 
     rows: dict[tuple[str, str], list[Measure]] = {}
     loader = _TransLoader(universe, sigma, labels)
@@ -164,8 +154,8 @@ def parse_model(text: str) -> Nlmp:
         s, a, mu = loader.parse(rest, line_no)
         rows.setdefault((s, a), []).append(mu)
 
-    # Every DomainError the constructors below could raise was ruled
-    # out at its line.
+    # Every DomainError the constructors below could raise, but a
+    # missing kernel, was ruled out at its line.
     if kind == "lmp":
         kernels: dict[tuple[str, str], Measure] = {}
         for (s, a), measures in rows.items():
@@ -174,13 +164,10 @@ def parse_model(text: str) -> Nlmp:
                     f"deterministic model has several transitions for ({s}, {a})"
                 )
             kernels[(s, a)] = measures[0]
-        for s in universe:
-            for a in labels:
-                if (s, a) not in kernels:
-                    raise ModelSyntaxError(
-                        f"deterministic model is missing the transition for ({s}, {a})"
-                    )
-        return Lmp(sigma, labels, kernels)
+        try:
+            return Lmp(sigma, labels, kernels)
+        except DomainError as exc:
+            raise ModelSyntaxError(str(exc)) from exc
     return Nlmp(sigma, labels, {k: tuple(v) for k, v in rows.items()})
 
 
@@ -359,10 +346,11 @@ def _tokenize_formula(text: str) -> list[tuple[str, str, int]]:
 
 
 # Deepest nesting of modalities, negations and parentheses accepted in
-# a formula, where each `&` of a chain also counts as one level: `&`
-# nests to the left, so the parser recurses once per level and once per
-# conjunct.  The parser is the only recursive walk over formulas: the
-# renderer and the evaluator take any depth.
+# a formula, where each conjunct of a `&` chain also counts as one level
+# by rule: `&` nests to the left, as deep as the chain is long, though
+# `state_formula` reads the chain in a loop.  The parser is the only
+# recursive walk over formulas: the renderer and the evaluator take any
+# depth.
 MAX_FORMULA_DEPTH = 100
 
 

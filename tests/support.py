@@ -826,6 +826,29 @@ def tree_eval_measure(m: Nlmp, psi) -> frozenset[Measure]:
     return frozenset(mu for mu in scan_pool(m) if keep(dense_value(mu, ext)))
 
 
+def modal_depth(f, memo=None) -> int:
+    """The deepest nesting of modalities (`<a>` and `<a>[..]`) in a
+    formula, each distinct node of its DAG walked once."""
+    memo = {} if memo is None else memo
+    if id(f) not in memo:
+        if isinstance(f, Top):
+            d = 0
+        elif isinstance(f, And):
+            d = max(modal_depth(f.left, memo), modal_depth(f.right, memo))
+        elif isinstance(f, Diamond):
+            d = 1 + modal_depth(f.body, memo)
+        elif isinstance(f, DiamondMulti):
+            d = 1 + max(modal_depth(c.phi, memo) for c in f.constraints)
+        elif isinstance(f, MOr):
+            d = max(modal_depth(item, memo) for item in f.items)
+        elif isinstance(f, MNot):
+            d = modal_depth(f.item, memo)
+        else:
+            d = modal_depth(f.phi, memo)
+        memo[id(f)] = d
+    return memo[id(f)]
+
+
 # ---------------------------------------------------------------------------
 # Definitional expansions of the derived modalities
 

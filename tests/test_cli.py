@@ -201,6 +201,12 @@ class TestInputBoundary:
             ("states s t\nlabels a a\n", "duplicate labels at line 2"),
             ("states s t\nlabels {\ntrans s { -> t\n", "label '{' is not an identifier or an integer at line 2"),
             ("states s t\nlabels a\nsigma gen {s} {u}\n", "state 'u' is not in the universe at line 3"),
+            ("states s\nlabels a\nstates t\n", "duplicate states line at line 3"),
+            ("states s\nlabels a\nlabels b\n", "duplicate labels line at line 3"),
+            ("states s\nsigma powerset\nlabels a\nsigma powerset\n", "duplicate sigma line at line 4"),
+            ("labels a\nstates\n", "states line needs at least one state at line 2"),
+            ("labels a\nsigma powerset\nstates s\n", "sigma line must come after the states line at line 2"),
+            ("states s\nlabels a\nsigma coarse\n", "expected 'sigma powerset' or 'sigma gen {..} ..' at line 3"),
         ],
     )
     def test_model_error_names_its_line(self, tmp_path, capsys, text, message):

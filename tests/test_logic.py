@@ -42,6 +42,7 @@ from support import (
     expand_greater,
     expand_multi,
     lmp_bisimilarity,
+    modal_depth,
     np_reach_model,
     rand_any_nlmp,
     rand_lmp,
@@ -58,7 +59,7 @@ from support import (
     two_bounds_measures,
     uniform_rows_model,
 )
-from nlmp.bisim import refinement
+from nlmp.bisim import refinement, refinement_rounds
 from nlmp.logic import BOUNDS, formula_labels
 
 PHI_X = Diamond("b", AtLeast(Top(), F(1)))
@@ -732,6 +733,24 @@ class TestDistinguish:
                         separated += 1
                         assert formula_to_text(psi) == formula_to_text(expected)
         assert separated > 100
+
+    def test_modal_depth_is_the_separation_round_plus_one(self):
+        # The separation round is the first whose key tells the pair
+        # apart; a split of round k is explained one modality deeper
+        # than the splits of round k - 1 it rests on.
+        rng = random.Random(5)
+        separated = 0
+        for _ in range(400):
+            m = rand_valid_nlmp(rng, max_states=6, coarse=False)
+            for s in m.states:
+                for t in m.states:
+                    psi = distinguish(m, s, t)
+                    if psi is None:
+                        continue
+                    separated += 1
+                    k = next(k for k, (_, key, _) in enumerate(refinement_rounds(m)) if key(s) != key(t))
+                    assert modal_depth(psi) == k + 1, (s, t)
+        assert separated > 4000
 
     def test_stops_at_the_pairs_round(self, monkeypatch):
         # The last two states of the chain separate in the first round,

@@ -4,10 +4,12 @@ import pytest
 
 from nlmp import (
     DomainError,
+    Lmp,
     PreconditionError,
     Relation,
     SigmaAlgebra,
     Universe,
+    dirac,
     relation_of_sigma,
     sigma_generate,
     sigma_is_sub,
@@ -40,6 +42,38 @@ def atoms_as_sets(sigma):
 
 def u(*names):
     return Universe(tuple(names))
+
+
+class TestRefusals:
+    """Each constructor refuses a structure with one fault, with one
+    message per fault."""
+
+    @pytest.mark.parametrize(
+        "atoms, message",
+        [
+            (({"s"}, set(), {"t", "x"}), "sigma-algebra atoms must be non-empty"),
+            (({"s", "t"}, {"t", "x"}), "sigma-algebra atoms must be disjoint"),
+            (({"s"}, {"x"}), "sigma-algebra atoms must cover the universe"),
+            (({"s"}, {"t", "x"}, {"y"}), "sigma-algebra atoms must cover the universe"),
+        ],
+        ids=["empty", "overlap", "gap", "outside"],
+    )
+    def test_sigma_algebra_with_one_fault(self, atoms, message):
+        with pytest.raises(DomainError) as exc:
+            SigmaAlgebra(u("s", "t", "x"), tuple(map(frozenset, atoms)))
+        assert str(exc.value) == message
+
+    def test_empty_universe(self):
+        with pytest.raises(DomainError) as exc:
+            Universe(())
+        assert str(exc.value) == "universe must be non-empty"
+
+    def test_lmp_with_a_missing_kernel(self):
+        sig = SigmaAlgebra.powerset(u("s", "t"))
+        kernels = {("s", "a"): dirac(sig, "t"), ("t", "b"): dirac(sig, "s")}
+        with pytest.raises(DomainError) as exc:
+            Lmp(sig, ("a", "b"), kernels)
+        assert str(exc.value) == "deterministic model is missing the transition for (s, b)"
 
 
 class TestSigmaGenerate:
