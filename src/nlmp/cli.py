@@ -147,15 +147,12 @@ def _distinguish(m: Nlmp, args) -> tuple[dict, int]:
         if found is None:
             return {"equivalent": True}, EXIT_EQUIVALENT
         # The extension is the one the formula was verified against.
+        # `check` parses the printed text back to the same formula, at
+        # any depth.
         phi, extension = found
         text = formula_to_text(phi)
-        # Print only what `check` accepts, e.g. within the depth limit.
-        parse_state_formula(text)
     except UnsupportedModelError as exc:
         return {"supported": False, "reason": str(exc)}, EXIT_UNSUPPORTED
-    except ModelSyntaxError as exc:
-        reason = f"the distinguishing formula does not parse back: {exc}"
-        return {"supported": False, "reason": reason}, EXIT_UNSUPPORTED
     result = {
         "equivalent": False,
         "formula": text,

@@ -468,8 +468,9 @@ def distinguish(m: Nlmp, s: str, t: str) -> StateFormula | None:
     ``logical_equivalence(m, "Lf")`` records for them.  It is verified
     against the whole split, one sub-block inside its extension and the
     other outside.  The formula's modal depth grows with the pair's
-    round, and no depth is refused: the evaluator walks the formula
-    without recursion.
+    round, and no depth is refused: the evaluator, the renderer and the
+    parser walk a formula without recursion, so its text parses back
+    to it at any depth.
 
     Only full powerset models are supported: on them the sublogic is
     known to pin down bisimilarity exactly, while on coarser

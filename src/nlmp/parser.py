@@ -22,7 +22,7 @@ atom accumulate into that atom, since a measure on a coarse
 sigma-algebra cannot see finer detail.
 
 Formulas, whitespace insensitive, `&` left associative, parentheses
-allowed:
+allowed, nested to any depth:
 
     state level    T | phi & phi | <a> psi | <a>[ >1/4 phi , <3/4 phi ]
     measure level  psi \\/ psi | !psi | [phi]>=q | [phi]>q | [phi]<q | [phi]<=q
@@ -38,6 +38,7 @@ import re
 import sys
 from fractions import Fraction
 from math import gcd, lcm
+from typing import Any, Generator
 
 from .errors import DomainError, ModelSyntaxError
 from .logic import (
@@ -345,26 +346,19 @@ def _tokenize_formula(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-# Deepest nesting of modalities, negations and parentheses accepted in
-# a formula, where each conjunct of a `&` chain also counts as one level
-# by rule: `&` nests to the left, as deep as the chain is long, though
-# `state_formula` reads the chain in a loop.  The parser is the only
-# recursive walk over formulas: the renderer and the evaluator take any
-# depth.
-MAX_FORMULA_DEPTH = 100
-
-
 class _FormulaParser:
-    """Recursive descent that never goes back: each production reads
-    its tokens once, and the first token that cannot continue the
-    formula is the one an error names."""
+    """Descent that never goes back: each production reads its tokens
+    once, and the first token that cannot continue the formula is the
+    one an error names.  A production that reads a subformula is a
+    generator: it yields the sub-production and is sent its result, and
+    `_drive` keeps the suspended productions on a list, so a formula of
+    any depth parses without recursion."""
 
     def __init__(self, text: str):
         # The lookahead at `<a>[` reads four tokens from the cursor on;
         # the end tokens keep every read inside the list.
         self.tokens = _tokenize_formula(text) + [("end", "", len(text) + 1)] * 4
         self.pos = 0
-        self.depth = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -381,37 +375,21 @@ class _FormulaParser:
         if tok[1] != value:
             raise ModelSyntaxError(f"expected {value!r}, got {tok[1]!r}", None, tok[2])
 
-    def nested(self, parse):
-        """Run one recursive production, one level deeper."""
-        if self.depth > MAX_FORMULA_DEPTH:
-            raise ModelSyntaxError(
-                f"formula nests deeper than {MAX_FORMULA_DEPTH} levels", None, self.peek()[2]
-            )
-        self.depth += 1
-        result = parse()
-        self.depth -= 1
-        return result
-
     # state level ----------------------------------------------------------
 
-    def state_formula(self) -> StateFormula:
-        # Each conjunct of a chain goes one level deeper than the one
-        # before it; after the chain the level is the caller's again.
-        depth = self.depth
-        phi = self.nested(self.state_atom)
+    def state_formula(self) -> Generator[Any, Any, StateFormula]:
+        phi = yield self.state_atom()
         while self.peek()[1] == "&":
             self.take()
-            self.depth += 1
-            phi = And(phi, self.nested(self.state_atom))
-        self.depth = depth
+            phi = And(phi, (yield self.state_atom()))
         return phi
 
-    def state_atom(self) -> StateFormula:
+    def state_atom(self) -> Generator[Any, Any, StateFormula]:
         tok = self.take()
         if tok[1] == "T":
             return Top()
         if tok[1] == "(":
-            phi = self.state_formula()
+            phi = yield self.state_formula()
             self.expect(")")
             return phi
         if tok[1] == "<":
@@ -426,45 +404,45 @@ class _FormulaParser:
             if bracket[1] == "[" and (
                 first[1] == ">" or first[1] == "<" and second[0] == "int" and third[1] != ">"
             ):
-                return self.diamond_multi(label_tok[1])
-            return Diamond(label_tok[1], self.measure_formula())
+                return (yield self.diamond_multi(label_tok[1]))
+            return Diamond(label_tok[1], (yield self.measure_formula()))
         raise ModelSyntaxError(f"unexpected token {tok[1]!r} in state formula", None, tok[2])
 
-    def diamond_multi(self, label: str) -> DiamondMulti:
+    def diamond_multi(self, label: str) -> Generator[Any, Any, DiamondMulti]:
         self.expect("[")
-        constraints = [self.constraint()]
+        constraints = [(yield self.constraint())]
         while self.peek()[1] == ",":
             self.take()
-            constraints.append(self.constraint())
+            constraints.append((yield self.constraint()))
         self.expect("]")
         return DiamondMulti(label, tuple(constraints))
 
-    def constraint(self) -> Bound:
+    def constraint(self) -> Generator[Any, Any, Bound]:
         tok = self.take()
         if tok[1] not in (">", "<"):
             raise ModelSyntaxError("constraint must start with > or <", None, tok[2])
         q = self.rational()
-        return BOUNDS[tok[1]](self.state_formula(), q)
+        return BOUNDS[tok[1]]((yield self.state_formula()), q)
 
     # measure level ----------------------------------------------------------
 
-    def measure_formula(self) -> MeasureFormula:
-        items = [self.measure_term()]
+    def measure_formula(self) -> Generator[Any, Any, MeasureFormula]:
+        items = [(yield self.measure_term())]
         while self.peek()[1] == "\\/":
             self.take()
-            items.append(self.measure_term())
+            items.append((yield self.measure_term()))
         return items[0] if len(items) == 1 else MOr(tuple(items))
 
-    def measure_term(self) -> MeasureFormula:
+    def measure_term(self) -> Generator[Any, Any, MeasureFormula]:
         tok = self.take()
         if tok[1] == "!":
-            return MNot(self.nested(self.measure_term))
+            return MNot((yield self.measure_term()))
         if tok[1] == "(":
-            psi = self.nested(self.measure_formula)
+            psi = yield self.measure_formula()
             self.expect(")")
             return psi
         if tok[1] == "[":
-            phi = self.state_formula()
+            phi = yield self.state_formula()
             self.expect("]")
             cmp_tok = self.take()
             q = self.rational()
@@ -488,11 +466,27 @@ class _FormulaParser:
         return Fraction(num)
 
 
+def _drive(production: Generator[Any, Any, Any]) -> Any:
+    """The result of a production, each sub-production it yields run to
+    its end and its result sent back, the suspended ones kept on a list."""
+    stack, result = [production], None
+    while stack:
+        try:
+            sub = stack[-1].send(result)
+        except StopIteration as done:
+            stack.pop()
+            result = done.value
+        else:
+            stack.append(sub)
+            result = None
+    return result
+
+
 def _parse_whole(text: str, production):
     """What the production reads from the text, which it must read to
     the end."""
     parser = _FormulaParser(text)
-    result = production(parser)
+    result = _drive(production(parser))
     tok = parser.peek()
     if tok[0] != "end":
         raise ModelSyntaxError(f"trailing input {tok[1]!r}", None, tok[2])

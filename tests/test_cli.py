@@ -1,3 +1,4 @@
+import itertools
 import json
 import shutil
 
@@ -12,7 +13,6 @@ from nlmp import (
     parse_state_formula,
     satisfies,
 )
-from nlmp import parser
 from nlmp.cli import main
 from support import two_bounds_model
 from test_golden import GOLDEN, run_case
@@ -170,15 +170,13 @@ class TestInputBoundary:
         assert (code, report) == (1, None)
         assert err == f"error: {bad} is not UTF-8 text: {message}\n"
 
-    def test_400_deep_formula_is_a_usage_error(self, capsys):
+    def test_400_deep_formula_is_answered(self, capsys):
         formula = "T"
         for _ in range(400):
-            formula = f"<a>[{formula}]>0"
-        code, report, err = run(capsys, "check", corpus("uniform_rows.nlmp"), formula)
-        assert code == 1
-        assert report is None
-        assert err.startswith("error: ") and "nests deeper than" in err
-        assert len(err.splitlines()) == 1
+            formula = f"<a> [{formula}]>0"
+        code, report, err = run(capsys, "check", corpus("uniform_rows.nlmp"), formula, "--state", "p")
+        assert (code, err) == (0, "")
+        assert report["result"] == {"formula": formula, "states": ["p", "q", "r"], "state": "p", "satisfied": True}
 
     @staticmethod
     def assert_one_error_line(err):
@@ -297,13 +295,11 @@ class TestInputBoundary:
         assert report is None
         assert err == "error: threshold 2 outside [0, 1]\n"
 
-    def test_3000_conjuncts_are_a_usage_error(self, capsys):
+    def test_3000_conjuncts_are_answered(self, capsys):
         formula = " & ".join(["T"] * 3000)
-        code, report, err = run(capsys, "check", corpus("uniform_rows.nlmp"), formula)
-        assert code == 1
-        assert report is None
-        self.assert_one_error_line(err)
-        assert "nests deeper than" in err
+        code, report, err = run(capsys, "check", corpus("uniform_rows.nlmp"), formula, "--state", "q")
+        assert (code, err) == (0, "")
+        assert report["result"] == {"formula": formula, "states": ["p", "q", "r"], "state": "q", "satisfied": True}
 
     def test_100_conjuncts_still_parse(self, capsys):
         formula = " & ".join(["<a>[T]>=1"] * 100)
@@ -463,58 +459,54 @@ def chain_model(n: int) -> str:
 
 
 class TestDistinguishDepth:
-    def test_formula_too_deep_for_check_is_unsupported(self, tmp_path, capsys):
-        path = tmp_path / "chain105.nlmp"
-        path.write_text(chain_model(105))
-        code, report, err = run(capsys, "distinguish", str(path), "c0", "c1")
-        assert code == 6
-        assert err == ""
-        assert report["result"] == {
-            "supported": False,
-            "reason": "the distinguishing formula does not parse back: "
-            "formula nests deeper than 100 levels at column 1011",
-        }
+    """`distinguish` prints a formula of any depth, and `check` reads it
+    back and agrees with its `satisfied_by`."""
 
-    def test_separating_formula_thousands_deep_is_refused_by_the_parser(self, capsys, monkeypatch):
+    @staticmethod
+    def assert_check_agrees(capsys, path, s, t, report):
+        formula = report["result"]["formula"]
+        for state in (s, t):
+            code, checked, _ = run(capsys, "check", path, formula, "--state", state)
+            assert checked["result"]["formula"] == formula
+            assert code == (0 if state in report["result"]["satisfied_by"] else 4)
+
+    def test_chain_150_formula_parses_back(self, tmp_path, capsys):
+        # c0 and c1 split in the last round: the formula nests 149 diamonds.
+        path = tmp_path / "chain150.nlmp"
+        path.write_text(chain_model(150))
+        code, report, err = run(capsys, "distinguish", str(path), "c0", "c1")
+        assert (code, err) == (0, "")
+        assert report["result"]["satisfied_by"] == ["c0"]
+        self.assert_check_agrees(capsys, str(path), "c0", "c1", report)
+
+    def test_separating_formula_thousands_deep_is_printed(self, capsys, monkeypatch):
         # A separating formula thousands of levels deep, built directly,
         # stands in for the one the one-label chain of thousands of states
-        # synthesizes: it is verified and rendered, and the command exits
-        # 6 with one line because the parser would not read it back.
+        # synthesizes: it is verified, rendered and printed, and `check`
+        # reads it back.
         from fractions import Fraction as F
 
         import nlmp.logic
-        from nlmp import DiamondMulti, GreaterThan, LessThan, Top
+        from nlmp import DiamondMulti, GreaterThan, LessThan, Top, formula_to_text
 
         chain = Top()  # holds at x alone, which steps under b to itself
         for _ in range(3000):
             chain = DiamondMulti("b", (GreaterThan(chain, 0),))
         deep = DiamondMulti("a", (GreaterThan(chain, F(1, 4)), LessThan(chain, F(3, 4))))
         monkeypatch.setattr(nlmp.logic, "_lf_splits", lambda m: iter([((("s",), ("t",)), deep)]))
-        code, report, err = run(capsys, "distinguish", corpus("two_bounds_needed.nlmp"), "s", "t")
-        assert code == 6
-        assert err == ""
-        assert report["result"] == {
-            "supported": False,
-            "reason": "the distinguishing formula does not parse back: "
-            "formula nests deeper than 100 levels at column 811",
-        }
+        path = corpus("two_bounds_needed.nlmp")
+        code, report, err = run(capsys, "distinguish", path, "s", "t")
+        assert (code, err) == (0, "")
+        assert report["result"] == {"equivalent": False, "formula": formula_to_text(deep), "satisfied_by": ["s"]}
+        self.assert_check_agrees(capsys, path, "s", "t", report)
 
-    def test_depth_limit_decides_what_is_printed(self, tmp_path, capsys, monkeypatch):
+    def test_every_printed_formula_is_what_check_reads(self, tmp_path, capsys):
         path = tmp_path / "chain6.nlmp"
         path.write_text(chain_model(6))
-        code, report, _ = run(capsys, "distinguish", str(path), "c0", "c1")
-        assert code == 0
-        formula = report["result"]["formula"]
-        assert run(capsys, "check", str(path), formula, "--state", "c0")[0] == 0
-        monkeypatch.setattr(parser, "MAX_FORMULA_DEPTH", 3)
-        code, report, err = run(capsys, "distinguish", str(path), "c0", "c1")
-        assert code == 6
-        assert err == ""
-        assert report["result"]["supported"] is False
-        assert "nests deeper than 3 levels" in report["result"]["reason"]
-        code, _, err = run(capsys, "check", str(path), formula)
-        assert code == 1
-        assert "nests deeper than 3 levels" in err
+        for i, j in itertools.permutations(range(6), 2):
+            code, report, _ = run(capsys, "distinguish", str(path), f"c{i}", f"c{j}")
+            assert code == 0
+            self.assert_check_agrees(capsys, str(path), f"c{i}", f"c{j}", report)
 
 
 class TestExitCodeMap:

@@ -26,6 +26,7 @@ from nlmp import (
     Top,
     corpus_dir,
     dirac,
+    eval_state,
     formula_to_text,
     nlmp_validate,
     parse_measure_formula,
@@ -34,7 +35,7 @@ from nlmp import (
     serialize_model,
 )
 from nlmp.cli import main
-from nlmp.parser import MAX_FORMULA_DEPTH, _line_tokens, _TransLoader
+from nlmp.parser import _line_tokens, _TransLoader
 from support import (
     oracle_line_tokens,
     oracle_parse_trans,
@@ -43,6 +44,7 @@ from support import (
     rand_valid_nlmp,
     two_bounds_model,
 )
+from test_logic import default_recursion_limit  # noqa: F401 (a fixture)
 
 CORPUS_FILES = sorted(p.name for p in corpus_dir().glob("*.nlmp"))
 
@@ -59,6 +61,15 @@ def report_digest(tmp_path, text: str) -> str:
     with contextlib.redirect_stdout(out):
         main(["validate", str(path)])
     return json.loads(out.getvalue())["model"]["digest"]
+
+
+def check_answer(name: str, formula: str) -> tuple[str, list[str]]:
+    """The formula and the states of the `check` report on a corpus model."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["check", str(corpus_dir() / name), formula]) == 0
+    result = json.loads(out.getvalue())["result"]
+    return result["formula"], result["states"]
 
 
 class TestModelParsing:
@@ -415,36 +426,55 @@ class TestFormulaParsing:
             with pytest.raises(ModelSyntaxError):
                 parse_state_formula(bad)
 
-    @pytest.mark.parametrize("wrap", ["<a>[{}]>0", "<a>[ >1/2 {} ]", "({})", "<a>[ <1 {} , >0 T ]"])
-    def test_nesting_limit(self, wrap):
-        deep = "T"
-        for _ in range(MAX_FORMULA_DEPTH):
-            deep = wrap.format(deep)
-        parse_state_formula(deep)
-        with pytest.raises(ModelSyntaxError, match="nests deeper than"):
-            parse_state_formula(wrap.format(deep))
+    @pytest.mark.parametrize(
+        "wrap,build",
+        [
+            ("<a>[{}]>0", lambda phi: Diamond("a", GreaterThan(phi, F(0)))),
+            ("<a>[ >1/2 {} ]", lambda phi: DiamondMulti("a", (GreaterThan(phi, F(1, 2)),))),
+            ("({})", lambda phi: phi),
+            ("<a>[ <1 {} , >0 T ]", lambda phi: DiamondMulti("a", (LessThan(phi, F(1)), GreaterThan(Top(), F(0))))),
+        ],
+    )
+    def test_ten_thousand_levels_parse(self, default_recursion_limit, wrap, build):
+        # Deep formulas are compared by their text: the dataclasses'
+        # `==` and `hash` recurse.
+        deep, phi = "T", Top()
+        for _ in range(10_000):
+            deep, phi = wrap.format(deep), build(phi)
+        text = formula_to_text(phi)
+        assert formula_to_text(parse_state_formula(deep)) == text
+        assert formula_to_text(parse_state_formula(text)) == text
+        m = parse_model(read_corpus("uniform_rows.nlmp"))
+        assert check_answer("uniform_rows.nlmp", deep) == (text, m.universe.sort(eval_state(m, phi)))
 
-    def test_negation_chain_nesting_limit(self):
-        parse_measure_formula("!" * MAX_FORMULA_DEPTH + "[T]>0")
-        with pytest.raises(ModelSyntaxError, match="nests deeper than"):
-            parse_measure_formula("!" * (MAX_FORMULA_DEPTH + 1) + "[T]>0")
+    def test_ten_thousand_negations_parse(self, default_recursion_limit):
+        text = "!" * 10_000 + "[T]>0"
+        psi = parse_measure_formula(text)
+        assert formula_to_text(psi) == text
+        for _ in range(10_000):
+            assert isinstance(psi, MNot)
+            psi = psi.item
+        assert psi == GreaterThan(Top(), F(0))
 
-    def test_conjunction_chain_counts_toward_the_limit(self):
-        # each `&` of a chain is one level: a chain of MAX_FORMULA_DEPTH + 1
-        # conjuncts nests as deep as MAX_FORMULA_DEPTH parentheses
-        parse_state_formula(" & ".join(["T"] * (MAX_FORMULA_DEPTH + 1)))
-        with pytest.raises(ModelSyntaxError, match="nests deeper than"):
-            parse_state_formula(" & ".join(["T"] * (MAX_FORMULA_DEPTH + 2)))
+    def test_ten_thousand_conjuncts_parse(self, default_recursion_limit):
+        chain = " & ".join(["T"] * 10_000)
+        phi = parse_state_formula(chain)
+        assert formula_to_text(phi) == chain
+        for _ in range(9_999):
+            assert isinstance(phi, And) and phi.right == Top()
+            phi = phi.left
+        assert phi == Top()
+        assert check_answer("uniform_rows.nlmp", chain) == (chain, ["p", "q", "r"])
 
-    def test_chain_and_nesting_share_the_limit(self):
-        half = MAX_FORMULA_DEPTH // 2
-
-        def wrapped(conjuncts):
-            return "(" * half + " & ".join(["T"] * conjuncts) + ")" * half
-
-        parse_state_formula(wrapped(MAX_FORMULA_DEPTH - half + 1))
-        with pytest.raises(ModelSyntaxError, match="nests deeper than"):
-            parse_state_formula(wrapped(MAX_FORMULA_DEPTH - half + 2))
+    def test_conjunct_chain_inside_ten_thousand_levels_parses(self, default_recursion_limit):
+        # `<a> [phi]>0` is how a diamond renders, and a right-nested
+        # conjunction renders in parentheses.
+        deep = "<a> [" * 10_000 + " & ".join(["T"] * 10_000) + "]>0" * 10_000
+        assert formula_to_text(parse_state_formula(deep)) == deep
+        nested = "T & (" * 9_999 + "T & T" + ")" * 9_999
+        assert formula_to_text(parse_state_formula(nested)) == nested
+        assert check_answer("uniform_rows.nlmp", deep) == (deep, ["p", "q", "r"])
+        assert check_answer("uniform_rows.nlmp", nested) == (nested, ["p", "q", "r"])
 
     def test_threshold_range_enforced(self):
         with pytest.raises(DomainError):
