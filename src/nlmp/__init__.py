@@ -31,9 +31,7 @@ from .model import (
     Lmp,
     Nlmp,
     ValidationReport,
-    diamond,
     hit_preimage,
-    is_non_probabilistic,
     lmp_validate,
     nlmp_validate,
 )
@@ -47,8 +45,6 @@ from .bisim import (
     is_traditional_bisim,
     largest_state,
     largest_traditional,
-    np_state_check,
-    np_traditional_check,
     smallest_stable_sigma,
 )
 from .logic import (
@@ -67,7 +63,6 @@ from .logic import (
     StateFormula,
     Top,
     distinguish,
-    eval_measure,
     eval_state,
     formula_to_text,
     logical_equivalence,
@@ -81,4 +76,8 @@ from .parser import (
 )
 from .cli import corpus_dir
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+from types import ModuleType as _Module
+
+# The public names bound above; the submodules, which the imports bind
+# too, are not among them.
+__all__ = sorted(n for n, v in globals().items() if not (n.startswith("_") or isinstance(v, _Module)))

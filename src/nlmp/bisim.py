@@ -47,7 +47,7 @@ from .measurable import (
     sigma_of_relation,
 )
 from .measures import Measure, profile, trace_classes
-from .model import Nlmp, Row, diamond, hit_preimage, is_non_probabilistic, nlmp_validate
+from .model import Nlmp, Row, hit_preimage, nlmp_validate
 
 Partition = tuple[StateSet, ...]
 
@@ -79,16 +79,6 @@ class EventWitness:
     label: str
     xi: tuple[Measure, ...]
     preimage: StateSet
-
-
-@dataclass(frozen=True)
-class DiamondWitness:
-    """A measurable target set reachable from one related state only."""
-
-    s: str
-    t: str
-    label: str
-    q: StateSet
 
 
 @dataclass(frozen=True)
@@ -430,49 +420,3 @@ def compare_bisims(m: Nlmp) -> ComparisonReport:
         all_equal=True,
         sigma_is_powerset=m.sigma.is_powerset,
     )
-
-
-def np_traditional_check(m: Nlmp, r: Relation) -> CheckResult:
-    """Point-mass specialization of the traditional check: a target u of
-    s must be matched by a target v of t that no r-closed measurable set
-    separates from u."""
-    if not is_non_probabilistic(m):
-        raise PreconditionError("np_traditional_check needs a non-probabilistic model")
-    _require_symmetric(r)
-    sig_r = sigma_of_relation(m.sigma, r)
-
-    def block_of(mu: Measure) -> StateSet:
-        return sig_r.atom_of(next(iter(mu.dirac_atom)))
-
-    for s, t in _ordered_pairs(r):
-        for a in m.labels:
-            target_blocks = {block_of(nu) for nu in m.row(t, a)}
-            for mu in m.row(s, a):
-                if block_of(mu) not in target_blocks:
-                    return CheckResult(False, TraditionalWitness(s, t, a, mu))
-    return CheckResult(True)
-
-
-def np_state_check(m: Nlmp, r: Relation) -> CheckResult:
-    """Reachability specialization of the state check: related states
-    must reach exactly the same r-closed measurable sets.
-
-    Only the atoms of the r-closed sub-sigma-algebra are tried, smallest
-    first.  A point mass reaches a union of atoms iff it reaches one of
-    them, so a set reached from s but not from t contains an atom
-    reached from s but not from t.  That atom comes no later in the
-    (size, sorted states) order, so the first failing set over all
-    r-closed measurable sets is an atom and the witness is the same.
-    """
-    if not is_non_probabilistic(m):
-        raise PreconditionError("np_state_check needs a non-probabilistic model")
-    _require_symmetric(r)
-    sig_r = sigma_of_relation(m.sigma, r)
-    pairs = _ordered_pairs(r)
-    for q in sorted(sig_r.atoms, key=lambda q: (len(q), sorted(q))):
-        for a in m.labels:
-            reach = diamond(m, a, q)
-            for s, t in pairs:
-                if (s in reach) != (t in reach):
-                    return CheckResult(False, DiamondWitness(s, t, a, q))
-    return CheckResult(True)

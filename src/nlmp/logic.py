@@ -298,16 +298,6 @@ def eval_state(m: Nlmp, phi: StateFormula) -> StateSet:
     return _evaluate(m, phi, StateFormula, {})
 
 
-def eval_measure(m: Nlmp, psi: MeasureFormula) -> frozenset[Measure]:
-    """The set of pool measures satisfying psi.
-
-    Negation complements within the pool: only the trace of the
-    denoted measure set on the model's finitely many transition
-    measures is ever needed.
-    """
-    return _evaluate(m, psi, MeasureFormula, {})
-
-
 def _evaluate(m: Nlmp, f: StateFormula | MeasureFormula, level: type, memo: _Memo) -> frozenset:
     """The denotation of f, a formula of the given level; memo holds the
     denotations of the nodes already evaluated on m and receives the new

@@ -115,9 +115,6 @@ class SigmaAlgebra:
     def is_powerset(self) -> bool:
         return self._is_powerset
 
-    def atom_of(self, s: str) -> StateSet:
-        return self.atoms[self.atom_index(s)]
-
     def atom_index(self, s: str) -> int:
         try:
             return self._atom_index[s]
@@ -131,9 +128,6 @@ class SigmaAlgebra:
             return True
         # Only the atoms q meets can straddle it.
         return all(self.atoms[i] <= q for i in {self._atom_index[s] for s in q})
-
-    def __le__(self, other: "SigmaAlgebra") -> bool:
-        return sigma_is_sub(self, other)
 
 
 @dataclass(frozen=True)
@@ -149,18 +143,6 @@ class Relation:
                 raise DomainError(f"relation pair ({s!r}, {t!r}) leaves the universe")
 
     @classmethod
-    def from_pairs(cls, universe: Universe, pairs: Iterable[Pair]) -> "Relation":
-        return cls(universe, frozenset(pairs))
-
-    @classmethod
-    def identity(cls, universe: Universe) -> "Relation":
-        return cls(universe, frozenset((s, s) for s in universe))
-
-    @classmethod
-    def total(cls, universe: Universe) -> "Relation":
-        return cls(universe, frozenset((s, t) for s in universe for t in universe))
-
-    @classmethod
     def from_partition(cls, universe: Universe, blocks: Iterable[Iterable[str]]) -> "Relation":
         """The equivalence relation whose classes are the given blocks."""
         pairs = set()
@@ -174,31 +156,6 @@ class Relation:
     @property
     def is_symmetric(self) -> bool:
         return all((t, s) in self.pairs for s, t in self.pairs)
-
-    @property
-    def is_reflexive(self) -> bool:
-        return all((s, s) in self.pairs for s in self.universe)
-
-    @property
-    def is_equivalence(self) -> bool:
-        if not (self.is_reflexive and self.is_symmetric):
-            return False
-        # With reflexivity and symmetry, transitivity is equivalent to the
-        # pairs being exactly the union of squares of the greedy blocks.
-        blocks = self._greedy_blocks()
-        square = frozenset((s, t) for b in blocks for s in b for t in b)
-        return square == self.pairs
-
-    def _greedy_blocks(self) -> list[set[str]]:
-        blocks: list[set[str]] = []
-        for s in self.universe:
-            for b in blocks:
-                if (s, next(iter(b))) in self.pairs:
-                    b.add(s)
-                    break
-            else:
-                blocks.append({s})
-        return blocks
 
     def __contains__(self, pair: Pair) -> bool:
         return pair in self.pairs

@@ -4,12 +4,11 @@ A measure is stored as integers: one positive denominator and the
 numerators of its support, the atoms of non-zero weight by index, with
 the numerators' gcd divided out so that equal measures store equal
 ints.  Every constructor goes through one integer validator; hashing
-and equality compare ints, values and profiles add ints and build one
-Fraction per result entry, and the Fraction views `support` and
-`weights` are built on demand.  A
-measure's behavior on a sub-sigma-algebra is captured by its profile
-there (the vector of values on the coarser atoms); two measures agree
-on every set of the sub-sigma-algebra iff their profiles are equal.
+and equality compare ints, and values and profiles add ints and build
+one Fraction per result entry.  A measure's behavior on a
+sub-sigma-algebra is captured by its profile there (the vector of
+values on the coarser atoms); two measures agree on every set of the
+sub-sigma-algebra iff their profiles are equal.
 The measurable sets of measures used elsewhere in the package are
 never materialized: only their trace on a model's finite pool matters,
 and that trace is always a union of profile classes.
@@ -27,7 +26,6 @@ from .measurable import SigmaAlgebra, StateSet, sigma_is_sub
 ZERO = Fraction(0)
 
 Profile = tuple[Fraction, ...]
-Support = tuple[tuple[int, Fraction], ...]
 Numerators = tuple[tuple[int, int], ...]
 
 
@@ -150,21 +148,6 @@ class Measure:
         # the unpickling process.
         return (Measure._of, (self.sigma, self.den, self.nums))
 
-    @property
-    def support(self) -> Support:
-        """The pairs ``(atom index, weight)`` of the atoms of non-zero
-        weight, in atom order."""
-        den = self.den
-        return tuple((i, Fraction(n, den)) for i, n in self.nums)
-
-    @property
-    def weights(self) -> tuple[Fraction, ...]:
-        """The dense view: one weight per atom of sigma."""
-        dense = [ZERO] * len(self.sigma.atoms)
-        for i, w in self.support:
-            dense[i] = w
-        return tuple(dense)
-
     @classmethod
     def from_atom_weights(cls, sigma: SigmaAlgebra, by_atom: Mapping[StateSet, Fraction]) -> "Measure":
         by_index = {}
@@ -199,12 +182,6 @@ class Measure:
             raise DomainError(f"set {sorted(q)} is not measurable")
         atoms = self.sigma.atoms
         return Fraction(sum(n for i, n in self.nums if atoms[i] <= q), self.den)
-
-    @property
-    def dirac_atom(self) -> StateSet | None:
-        """The single atom carrying weight 1, if any: a point mass has
-        exactly one atom of non-zero weight."""
-        return self.sigma.atoms[self.nums[0][0]] if len(self.nums) == 1 else None
 
     @property
     def is_dirac(self) -> bool:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DomainError, PreconditionError
+from .errors import DomainError
 from .measurable import SigmaAlgebra, StateSet, Universe
 from .measures import Measure, trace_classes
 
@@ -271,12 +271,6 @@ def lmp_validate(l: Lmp) -> ValidationReport:
     return ValidationReport(tuple(findings))
 
 
-def is_non_probabilistic(m: Nlmp) -> bool:
-    """True iff every transition measure is a point mass (weight 1 on a
-    single atom)."""
-    return all(mu.is_dirac for mu in m.pool)
-
-
 def hit_preimage(m: Nlmp, a: str, xi: Iterable[Measure]) -> StateSet:
     """States whose transition set under a intersects xi."""
     if a not in m.labels:
@@ -286,20 +280,3 @@ def hit_preimage(m: Nlmp, a: str, xi: Iterable[Measure]) -> StateSet:
         raise DomainError("xi contains a measure outside the model's pool")
     holders = m.holders[a]
     return frozenset().union(*(holders.get(mu, ()) for mu in xi))
-
-
-def diamond(m: Nlmp, a: str, q: Iterable[str]) -> StateSet:
-    """States with some point-mass transition under a into q.
-
-    Only defined on non-probabilistic models, where each transition
-    measure is a point mass on an atom; the measure hits q exactly when
-    that atom meets q.
-    """
-    if not is_non_probabilistic(m):
-        raise PreconditionError("diamond is only defined on non-probabilistic models")
-    if a not in m.labels:
-        raise DomainError(f"unknown label {a!r}")
-    q = m.universe.check_subset(q)
-    return frozenset().union(
-        *(states for mu, states in m.holders[a].items() if mu.dirac_atom & q)
-    )

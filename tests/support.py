@@ -41,8 +41,8 @@ from nlmp import (
     sigma_of_relation,
     trace_classes,
 )
-from nlmp.bisim import DiamondWitness
-from nlmp.logic import BOUNDS
+from nlmp.bisim import TraditionalWitness
+from nlmp.logic import BOUNDS, MeasureFormula, _evaluate
 from nlmp.measures import _shown
 from nlmp.model import Finding
 from nlmp.parser import _measure_text, _parse_rational
@@ -338,9 +338,34 @@ def is_r_closed(r: Relation, q) -> bool:
     return image(r, q) <= q
 
 
+def from_pairs(universe: Universe, pairs) -> Relation:
+    return Relation(universe, frozenset(pairs))
+
+
+def identity_relation(universe: Universe) -> Relation:
+    return Relation(universe, frozenset((s, s) for s in universe))
+
+
+def total_relation(universe: Universe) -> Relation:
+    return Relation(universe, frozenset((s, t) for s in universe for t in universe))
+
+
+def ordered_pairs(r: Relation) -> list[tuple[str, str]]:
+    """r's pairs in universe order."""
+    index = r.universe.index
+    return sorted(r.pairs, key=lambda p: (index(p[0]), index(p[1])))
+
+
 def compose(r1: Relation, r2: Relation) -> Relation:
     pairs = frozenset((s, v) for s, t in r1.pairs for u, v in r2.pairs if t == u)
     return Relation(r1.universe, pairs)
+
+
+def is_equivalence(r: Relation) -> bool:
+    """Reflexive, symmetric, and transitive: r composed with itself
+    stays inside r."""
+    reflexive = all((s, s) in r.pairs for s in r.universe)
+    return reflexive and r.is_symmetric and compose(r, r).pairs <= r.pairs
 
 
 def union(r1: Relation, r2: Relation) -> Relation:
@@ -350,7 +375,7 @@ def union(r1: Relation, r2: Relation) -> Relation:
 def classes(r: Relation) -> tuple[frozenset[str], ...]:
     """Equivalence classes ordered by their first state; requires an
     equivalence."""
-    if not r.is_equivalence:
+    if not is_equivalence(r):
         raise PreconditionError("classes() requires an equivalence relation")
     index = r.universe.index
     return tuple(sorted({image(r, {s}) for s in r.universe}, key=lambda c: min(map(index, c))))
@@ -514,13 +539,80 @@ def lmp_validate_direct(l: Lmp) -> list[tuple[frozenset[str], Finding]]:
     return out
 
 
+# ---------------------------------------------------------------------------
+# The paper's characterizations on non-probabilistic models, where every
+# transition measure is a point mass: oracles for is_traditional_bisim
+# and is_state_bisim
+
+
+@dataclass(frozen=True)
+class DiamondWitness:
+    """A measurable target set reachable from one related state only."""
+
+    s: str
+    t: str
+    label: str
+    q: frozenset[str]
+
+
+def point_masses_only(m: Nlmp) -> bool:
+    """True iff every transition measure is a point mass: the model is
+    non-probabilistic."""
+    return all(mu.is_dirac for mu in m.pool)
+
+
+def point_mass_closed_sigma(m: Nlmp, r: Relation) -> SigmaAlgebra:
+    """The r-closed sub-sigma-algebra, for the checks defined only on
+    non-probabilistic models."""
+    if not point_masses_only(m):
+        raise PreconditionError("the point-mass checks need a non-probabilistic model")
+    return sigma_of_relation(m.sigma, r)
+
+
+def np_traditional_check(m: Nlmp, r: Relation) -> CheckResult:
+    """Point-mass specialization of the traditional check: a target u of
+    s must be matched by a target v of t that no r-closed measurable set
+    separates from u."""
+    sig_r = point_mass_closed_sigma(m, r)
+
+    def block_of(mu: Measure) -> frozenset[str]:
+        return atom_of(sig_r, min(scan_dirac_atom(mu)))
+
+    for s, t in ordered_pairs(r):
+        for a in m.labels:
+            target_blocks = {block_of(nu) for nu in m.row(t, a)}
+            for mu in m.row(s, a):
+                if block_of(mu) not in target_blocks:
+                    return CheckResult(False, TraditionalWitness(s, t, a, mu))
+    return CheckResult(True)
+
+
+def np_state_check(m: Nlmp, r: Relation) -> CheckResult:
+    """Reachability specialization of the state check: related states
+    must reach exactly the same r-closed measurable sets.
+
+    Only the atoms of the r-closed sub-sigma-algebra are tried, smallest
+    first.  A point mass reaches a union of atoms iff it reaches one of
+    them, so a set reached from s but not from t contains an atom
+    reached from s but not from t.  That atom comes no later in the
+    (size, sorted states) order, so the first failing set over all
+    r-closed measurable sets is an atom and the witness is the same.
+    """
+    return _first_unmatched_reach(m, r, point_mass_closed_sigma(m, r).atoms)
+
+
 def np_state_direct(m: Nlmp, r: Relation) -> CheckResult:
     """np_state_check by literal quantification over every r-closed
-    measurable set, smallest first (ties by sorted states)."""
-    sig_r = sigma_of_relation(m.sigma, r)
-    index = m.universe.index
-    pairs = sorted(r.pairs, key=lambda p: (index(p[0]), index(p[1])))
-    for q in sorted(measurable_sets(sig_r), key=lambda q: (len(q), sorted(q))):
+    measurable set."""
+    return _first_unmatched_reach(m, r, measurable_sets(point_mass_closed_sigma(m, r)))
+
+
+def _first_unmatched_reach(m: Nlmp, r: Relation, sets) -> CheckResult:
+    """The first of the sets, smallest first (ties by sorted states), that
+    one state of a pair of r reaches under some label and the other does
+    not."""
+    pairs = ordered_pairs(r)
+    for q in sorted(sets, key=lambda q: (len(q), sorted(q))):
         for a in m.labels:
             reach = scan_diamond(m, a, q)
             for s, t in pairs:
@@ -654,6 +746,11 @@ def tuple_index(universe: Universe, s: str) -> int:
         raise DomainError(f"unknown state {s!r}") from None
 
 
+def atom_of(sigma: SigmaAlgebra, s: str) -> frozenset[str]:
+    """The atom of sigma holding s."""
+    return sigma.atoms[sigma.atom_index(s)]
+
+
 def scan_atom_index(sigma: SigmaAlgebra, s: str) -> int:
     """SigmaAlgebra.atom_index as a scan of the atoms."""
     for i, a in enumerate(sigma.atoms):
@@ -669,12 +766,26 @@ def quadratic_sigma_is_sub(lam: SigmaAlgebra, sigma: SigmaAlgebra) -> bool:
     return all(any(a <= b for b in lam.atoms) for a in sigma.atoms)
 
 
+def support(mu: Measure) -> tuple[tuple[int, Fraction], ...]:
+    """The pairs (atom index, weight) of the atoms of non-zero weight, in
+    atom order."""
+    return tuple((i, F(n, mu.den)) for i, n in mu.nums)
+
+
+def weights(mu: Measure) -> tuple[Fraction, ...]:
+    """The dense view: one weight per atom of mu's sigma-algebra."""
+    dense = [F(0)] * len(mu.sigma.atoms)
+    for i, w in support(mu):
+        dense[i] = w
+    return tuple(dense)
+
+
 def dense_profile(mu: Measure, lam: SigmaAlgebra) -> tuple[Fraction, ...]:
     """profile as one sum per lam atom over every atom of mu's sigma-algebra."""
     if not quadratic_sigma_is_sub(lam, mu.sigma):
         raise PreconditionError("profile requires a sub-sigma-algebra of the measure's")
     return tuple(
-        sum((w for a, w in zip(mu.sigma.atoms, mu.weights) if a <= b), F(0))
+        sum((w for a, w in zip(mu.sigma.atoms, weights(mu)) if a <= b), F(0))
         for b in lam.atoms
     )
 
@@ -713,8 +824,9 @@ def scan_hit_preimage(m: Nlmp, a: str, xi) -> frozenset[str]:
 
 
 def scan_diamond(m: Nlmp, a: str, q) -> frozenset[str]:
-    """diamond as a scan of every state's row under a for a point mass
-    whose atom meets q."""
+    """The states with a point-mass transition under a into q, by a scan
+    of every state's row under a for a point mass whose atom meets q.
+    Defined on non-probabilistic models only."""
     if not all(scan_dirac_atom(mu) is not None for mu in scan_pool(m)):
         raise PreconditionError("diamond is only defined on non-probabilistic models")
     if a not in m.labels:
@@ -724,8 +836,9 @@ def scan_diamond(m: Nlmp, a: str, q) -> frozenset[str]:
 
 
 def scan_dirac_atom(mu: Measure):
-    """Measure.dirac_atom as a scan of every dense weight for a 1."""
-    for a, w in zip(mu.sigma.atoms, mu.weights):
+    """The atom of weight 1 of a point mass, None for any other measure,
+    by a scan of every dense weight."""
+    for a, w in zip(mu.sigma.atoms, weights(mu)):
         if w == 1:
             return a
     return None
@@ -769,7 +882,7 @@ def dense_value(mu: Measure, q) -> Fraction:
     q = mu.sigma.universe.check_subset(q)
     if not all_atoms_is_measurable(mu.sigma, q):
         raise DomainError(f"set {sorted(q)} is not measurable")
-    return sum((w for a, w in zip(mu.sigma.atoms, mu.weights) if a <= q), F(0))
+    return sum((w for a, w in zip(mu.sigma.atoms, weights(mu)) if a <= q), F(0))
 
 
 def _tree_assert_measurable(m: Nlmp, q) -> None:
@@ -806,6 +919,12 @@ def tree_eval_state(m: Nlmp, phi) -> frozenset[str]:
         _tree_assert_measurable(m, result)
         return result
     raise TypeError(f"not a state formula: {phi!r}")
+
+
+def eval_measure(m: Nlmp, psi) -> frozenset[Measure]:
+    """The library's evaluator at the measure level: the set of pool
+    measures satisfying psi, negation complementing within the pool."""
+    return _evaluate(m, psi, MeasureFormula, {})
 
 
 def tree_eval_measure(m: Nlmp, psi) -> frozenset[Measure]:

@@ -27,8 +27,6 @@ from nlmp import (
     lmp_validate,
     logical_equivalence,
     nlmp_validate,
-    np_state_check,
-    np_traditional_check,
     relation_of_sigma,
     satisfies,
     sigma_is_sub,
@@ -40,6 +38,8 @@ from support import (
     all_equivalences,
     all_set_partitions,
     lmp_bisimilarity,
+    np_state_check,
+    np_traditional_check,
     rand_lmp,
     rand_symmetric_relation,
     rand_valid_nlmp,

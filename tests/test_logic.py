@@ -29,7 +29,6 @@ from nlmp import (
     compare_bisims,
     dirac,
     distinguish,
-    eval_measure,
     eval_state,
     formula_to_text,
     largest_traditional,
@@ -39,6 +38,7 @@ from nlmp import (
     trace_classes,
 )
 from support import (
+    eval_measure,
     expand_greater,
     expand_multi,
     lmp_bisimilarity,

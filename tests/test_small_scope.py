@@ -10,10 +10,13 @@ Valid and invalid models are both in it.
 
 Each model must round-trip through its text, and validation must agree
 with the oracles.  On a valid model, each bisimilarity must be the
-extreme candidate its independent checker accepts, and `distinguish`
-must answer every ordered pair of a powerset model: None iff the two
-states are bisimilar, else a formula that the tree evaluator says holds
-at exactly one of them and whose text parses back to it.
+extreme candidate its independent checker accepts; when every measure
+of the model is a point mass, so must the traditional bisimilarity be
+for each of the paper's point-mass characterizations,
+`np_traditional_check` and `np_state_check`.  `distinguish` must answer
+every ordered pair of a powerset model: None iff the two states are
+bisimilar, else a formula that the tree evaluator says holds at exactly
+one of them and whose text parses back to it.
 
 On a smaller scope, each model must also give the same verdicts, up to
 the renaming, when its states are renamed and listed in another order,
@@ -21,9 +24,9 @@ its labels are listed in reverse and its trans lines are shuffled:
 validation's findings, the three fixpoints, and which pairs
 `distinguish` finds bisimilar.
 
-`check_scope` returns the number of models it checked, so a larger
-scope can be run by calling it, as CI does with 4 states and rows of
-one measure.
+`check_scope` returns the number of models it checked and prints how
+many of them have point masses only, so a larger scope can be run by
+calling it, as CI does with 4 states and rows of one measure.
 """
 
 import random
@@ -55,6 +58,9 @@ from support import (
     all_equivalences,
     all_set_partitions,
     class_findings,
+    np_state_check,
+    np_traditional_check,
+    point_masses_only,
     row_constant_on_atoms,
     subalgebras,
     tree_eval_state,
@@ -87,13 +93,15 @@ def models(n_states: int, n_labels: int, max_row: int):
             yield Nlmp(sigma, labels, dict(zip(keys, choice))), equivalences, subs
 
 
-def check_model(m: Nlmp, equivalences, subs) -> None:
+def check_model(m: Nlmp, equivalences, subs) -> bool:
+    """Check one model; True iff it is valid and has point masses only,
+    so that the point-mass characterizations were checked too."""
     assert parse_model(serialize_model(m)) == m
     report = nlmp_validate(m)
     assert report.findings == class_findings(m)
     assert report.valid == row_constant_on_atoms(m)
     if not report.valid:
-        return
+        return False
     bisims = compare_bisims(m)
     # The bisimilarity holds every pair of any bisimulation, so it is
     # the first equivalence the checker accepts, largest first; the
@@ -101,11 +109,15 @@ def check_model(m: Nlmp, equivalences, subs) -> None:
     assert bisims.traditional.relation == next(r for r in equivalences if is_traditional_bisim(m, r))
     assert bisims.state.relation == next(r for r in equivalences if is_state_bisim(m, r))
     assert bisims.event.lam == next(lam for lam in subs if is_event_bisim(m, lam))
+    point_masses = point_masses_only(m)
+    if point_masses:
+        assert bisims.traditional.relation == next(r for r in equivalences if np_traditional_check(m, r))
+        assert bisims.traditional.relation == next(r for r in equivalences if np_state_check(m, r))
     lam = bisims.traditional.lam
     if not m.sigma.is_powerset:
         with pytest.raises(UnsupportedModelError):
             distinguish(m, m.states[0], m.states[0])
-        return
+        return point_masses
     for s in m.states:
         for t in m.states:
             phi = distinguish(m, s, t)
@@ -116,15 +128,17 @@ def check_model(m: Nlmp, equivalences, subs) -> None:
                 assert (s in ext) != (t in ext), (s, t)
                 text = formula_to_text(phi)
                 assert formula_to_text(parse_state_formula(text)) == text
+    return point_masses
 
 
 def check_scope(max_states: int, n_labels: int, max_row: int) -> int:
     """Check every model of the scope; the number of models checked."""
-    count = 0
+    count = point_masses = 0
     for n_states in range(1, max_states + 1):
         for m, equivalences, subs in models(n_states, n_labels, max_row):
-            check_model(m, equivalences, subs)
+            point_masses += check_model(m, equivalences, subs)
             count += 1
+    print(f"{point_masses} of the {count} models are valid with point masses only")
     return count
 
 
