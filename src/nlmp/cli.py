@@ -8,9 +8,9 @@ equivalent, 6 unsupported configuration.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .bisim import (
@@ -73,23 +73,29 @@ def _finding_json(f: Finding) -> dict:
     return out
 
 
-def _bisim_json(m: Nlmp, rep: BisimReport) -> dict:
+def _bisim_json(rep: BisimReport, blocks: list[list[str]]) -> dict:
+    # `blocks` is the report's partition, sorted; an event report's
+    # sigma is its lam, so its atoms are the same blocks.
     out = {
         "kind": rep.kind,
-        "partition": _sorted_sets(m, rep.partition),
+        "partition": blocks,
         "iterations": len(rep.trace),
     }
     if rep.sigma is not None:
-        out["sigma_atoms"] = _sorted_sets(m, rep.sigma.atoms)
+        out["sigma_atoms"] = blocks
     return out
 
 
 def _load(path: str) -> Nlmp:
+    # The file is read as bytes: `parse_model` splits lines with
+    # `str.splitlines`, which reads "\r\n" and "\r" as text-mode newline
+    # translation would.
+    data = Path(path).read_bytes()
     try:
         # A leading byte order mark is dropped after decoding: the
         # utf-8-sig codec would also drop a truncated one and count the
         # bytes of an invalid sequence from after the mark.
-        text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
+        text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ModelSyntaxError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     return parse_model(text)
@@ -106,12 +112,15 @@ def _bisim(m: Nlmp, args) -> tuple[dict, int]:
             "state": largest_state,
             "event": smallest_stable_sigma,
         }[args.kind]
-        return _bisim_json(m, fixpoint(m)), EXIT_OK
+        rep = fixpoint(m)
+        return _bisim_json(rep, _sorted_sets(m, rep.partition)), EXIT_OK
     comparison = compare_bisims(m)
+    # The three reports share one lam, so its blocks are sorted once.
+    blocks = _sorted_sets(m, comparison.event.partition)
     result = {
-        "traditional": _bisim_json(m, comparison.traditional),
-        "state": _bisim_json(m, comparison.state),
-        "event": _bisim_json(m, comparison.event),
+        "traditional": _bisim_json(comparison.traditional, blocks),
+        "state": _bisim_json(comparison.state, blocks),
+        "event": _bisim_json(comparison.event, blocks),
         "chain_holds": comparison.chain_holds,
         "traditional_eq_state": comparison.traditional_eq_state,
         "state_eq_event": comparison.state_eq_event,
@@ -188,8 +197,49 @@ def _run(args) -> int:
         "result": result,
         "timing_ms": round((time.perf_counter() - started) * 1000, 3),
     }
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(_render(report))
     return code
+
+
+def _render(value, newline: str = "\n") -> str:
+    """The text of ``json.dumps(value, indent=2, sort_keys=True)``, for
+    the types a report holds: dicts with string keys, lists, strings,
+    ints, finite floats, booleans and None.  Any other type, a tuple
+    included, raises TypeError.
+
+    With ``indent`` set, `json.dumps` runs the standard library's
+    pure-Python encoder; this writes the same bytes through the C string
+    quoter `json.dumps` itself uses, and joins a list of strings, such
+    as a block of states, in one call.
+    """
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        try:
+            items = list(map(_quote, value))
+        except TypeError:  # not a list of strings
+            items = [_render(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = [_quote(k) + ": " + _render(v, inner) for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def build_parser() -> argparse.ArgumentParser:

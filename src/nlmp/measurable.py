@@ -65,7 +65,12 @@ class Universe:
         return q
 
     def sort(self, q: Iterable[str]) -> list[str]:
-        return sorted(q, key=self.index)
+        # Keyed by the dict's own lookup, which runs in C; a state
+        # outside the universe raises what `index` raises.
+        try:
+            return sorted(q, key=self._index.__getitem__)
+        except KeyError as exc:
+            raise DomainError(f"unknown state {exc.args[0]!r}") from None
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,11 @@
 import itertools
 import json
+import os
+import random
 import shutil
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 
@@ -13,7 +18,7 @@ from nlmp import (
     parse_state_formula,
     satisfies,
 )
-from nlmp.cli import main
+from nlmp.cli import _render, main
 from support import two_bounds_model
 from test_golden import GOLDEN, run_case
 
@@ -132,6 +137,24 @@ class TestValidateCommand:
         }
 
 
+def written_forms() -> dict[str, str]:
+    """One corpus model written with LF, CRLF, lone CR and BOM+CRLF line
+    ends, and with each character that `str.splitlines` breaks a line
+    at, as "\n", placed inside a comment, inside a trans line and at the
+    end of a line."""
+    text = (corpus_dir() / "two_bounds_needed.nlmp").read_text(encoding="utf-8")
+    crlf = text.replace("\n", "\r\n")
+    forms = {"lf": text, "crlf": crlf, "cr": text.replace("\n", "\r"), "bom_crlf": "\ufeff" + crlf}
+    for i, c in enumerate(("\x0c", "\x1c", "\x85", "\u2028")):
+        forms[f"comment_{i}"] = text.replace("# Nondeterministic model", f"# Nondeterministic{c} model")
+        forms[f"trans_{i}"] = crlf.replace("trans s a -> x", f"trans s a{c} -> x")
+        forms[f"line_end_{i}"] = text.replace("trans s a -> x\n", f"trans s a -> x{c}\n")
+    return forms
+
+
+WRITTEN_FORMS = written_forms()
+
+
 class TestInputBoundary:
     @pytest.mark.parametrize(
         "tail", [["validate"], ["bisim"], ["check", "T"], ["distinguish", "s", "t"]]
@@ -169,6 +192,28 @@ class TestInputBoundary:
         code, report, err = run(capsys, "validate", str(bad))
         assert (code, report) == (1, None)
         assert err == f"error: {bad} is not UTF-8 text: {message}\n"
+
+    @pytest.mark.parametrize("form", sorted(WRITTEN_FORMS))
+    @pytest.mark.parametrize("tail", [["validate"], ["bisim"], ["check", "<a>[T]>0"]])
+    def test_line_endings_read_as_text_mode_reads_them(self, tmp_path, capsys, form, tail):
+        # The file as written, and the text a text-mode read gives (which
+        # translates "\r\n" and "\r" to "\n"), without the byte order mark,
+        # written as LF bytes: both give the same exit code, stderr and
+        # report.
+        written = tmp_path / "written.nlmp"
+        written.write_bytes(WRITTEN_FORMS[form].encode("utf-8"))
+        translated = tmp_path / "translated.nlmp"
+        translated.write_bytes(written.read_text(encoding="utf-8").removeprefix("\ufeff").encode("utf-8"))
+        code, report, err = run(capsys, tail[0], str(written), *tail[1:])
+        expected_code, expected, expected_err = run(capsys, tail[0], str(translated), *tail[1:])
+        assert (code, err) == (expected_code, expected_err.replace(str(translated), str(written)))
+        if form in ("lf", "crlf", "cr", "bom_crlf") or form.startswith("line_end"):
+            assert code == 0
+        if form.startswith(("comment", "trans")):
+            assert code == 1 and err.startswith("error: ") and "line" in err
+        if report is not None:
+            del report["args"], report["timing_ms"], expected["args"], expected["timing_ms"]
+        assert report == expected
 
     def test_400_deep_formula_is_answered(self, capsys):
         formula = "T"
@@ -585,3 +630,67 @@ class TestDeterminism:
             json.loads(text)  # stays well-formed
             outputs.append((code, stripped))
         assert outputs[0] == outputs[1]
+
+
+class TestRender:
+    """The report renderer writes the bytes of
+    ``json.dumps(value, indent=2, sort_keys=True)``."""
+
+    @staticmethod
+    def dumps(value) -> str:
+        return json.dumps(value, indent=2, sort_keys=True)
+
+    def test_golden_reports(self):
+        golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        for case in golden.values():
+            report = dict(case["report"], timing_ms=12.345)
+            assert _render(report) == self.dumps(report)
+
+    # Quotes, backslashes, control characters, the solidus, non-ASCII,
+    # a line separator and an astral character.
+    CHARS = '"\\\x00\x01\x08\t\n\x0c\r\x1f\x7f/ aZ\xe9\u2028\u4e2d\U0001f600'
+    SCALARS = (True, False, None, 0, 1, -1, 10**30, -(2**70), 0.0, -0.0, 1e-07, 1e16, 0.1, 2.5, 12.345)
+
+    def tree(self, rng: random.Random, depth: int):
+        roll = rng.random()
+        if depth == 0 or roll < 0.4:
+            if rng.random() < 0.5:
+                return "".join(rng.choice(self.CHARS) for _ in range(rng.randrange(6)))
+            return rng.choice(self.SCALARS + (rng.uniform(-1e6, 1e6), rng.randrange(-(10**20), 10**20)))
+        n = rng.randrange(5)
+        if roll < 0.7:
+            return [self.tree(rng, depth - 1) for _ in range(n)]
+        return {"".join(rng.choice(self.CHARS) for _ in range(rng.randrange(4))): self.tree(rng, depth - 1) for _ in range(n)}
+
+    def test_random_trees(self):
+        rng = random.Random(4242)
+        for _ in range(2000):
+            value = self.tree(rng, 4)
+            assert _render(value) == self.dumps(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [[], {}, [[]], {"a": {}}, [True, 1, 1.0, False, 0], ["x", ["y"], "z"], ["a", 1], {"k": ["s", "t"]}],
+        ids=repr,
+    )
+    def test_edge_values(self, value):
+        assert _render(value) == self.dumps(value)
+
+    @pytest.mark.parametrize("value", [(1, 2), {"a"}, Fraction(1, 2), {"k": [("s",)]}], ids=repr)
+    def test_other_types_raise(self, value):
+        with pytest.raises(TypeError):
+            _render(value)
+
+
+def test_python_dash_m_nlmp_runs():
+    # The package's parent directory, `src` in a checkout.
+    src = corpus_dir().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "nlmp", "validate", corpus("two_bounds_needed.nlmp")],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["result"] == {"valid": True, "findings": []}

@@ -9,8 +9,9 @@ still reports its findings because every command validates first.
 That is partitions, iteration counts, sigma atoms, findings, formula
 text and extensions, i.e. everything a report holds except
 `timing_ms`.  Only commands that print a report are pinned.  The report
-is rendered with `json.dumps(..., sort_keys=True)`, so the parsed
-dictionary pins its bytes.
+is rendered as `json.dumps(..., indent=2, sort_keys=True)` renders it
+(`tests/test_cli.py` `TestRender` holds the renderer to that), so the
+parsed dictionary pins its bytes.
 
 The golden file was recorded before the fixpoints shared one
 refinement kernel.  Regenerate it only for an intended output change:

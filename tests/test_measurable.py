@@ -72,6 +72,11 @@ class TestRefusals:
             Universe(())
         assert str(exc.value) == "universe must be non-empty"
 
+    def test_sort_outside_the_universe(self):
+        with pytest.raises(DomainError) as exc:
+            u("s", "t", "x").sort(["t", "y", "s"])
+        assert str(exc.value) == "unknown state 'y'"
+
     def test_lmp_with_a_missing_kernel(self):
         sig = SigmaAlgebra.powerset(u("s", "t"))
         kernels = {("s", "a"): dirac(sig, "t"), ("t", "b"): dirac(sig, "s")}
