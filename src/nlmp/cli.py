@@ -87,15 +87,11 @@ def _bisim_json(rep: BisimReport, blocks: list[list[str]]) -> dict:
 
 
 def _load(path: str) -> Nlmp:
-    # The file is read as bytes: `parse_model` splits lines with
-    # `str.splitlines`, which reads "\r\n" and "\r" as text-mode newline
-    # translation would.
-    data = Path(path).read_bytes()
     try:
         # A leading byte order mark is dropped after decoding: the
         # utf-8-sig codec would also drop a truncated one and count the
         # bytes of an invalid sequence from after the mark.
-        text = data.decode("utf-8").removeprefix("\ufeff")
+        text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ModelSyntaxError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     return parse_model(text)
@@ -299,7 +295,3 @@ def main(argv=None) -> int:
         # so a violated precondition here is a bug, like a failed check.
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -68,11 +68,9 @@ class Nlmp:
 
     The rows are held once, in ``_rows[s]``: one row per label, in label
     order, for every state (states with no transitions share one tuple
-    of empty rows).  The pool is built at construction; ``holders`` on
-    its first read, since only `hit_preimage` and the evaluator read it.
-    The rows never change, so neither the pool, the holders nor the
-    caches kept on the model go stale: the validation report, and the
-    refinement slot that `nlmp.bisim` owns.
+    of empty rows).  The rows never change, so neither the pool, the
+    holders nor the caches kept on the model go stale: the validation
+    report, and the refinement slot that `nlmp.bisim` owns.
     """
 
     kind = "nlmp"  # the model file's header
@@ -107,38 +105,25 @@ class Nlmp:
                 r[i] = row
         # One pass in canonical (state, label) order, which freezes each
         # state's rows and gives the states with no rows their entry: the
-        # pool holds the distinct measures in first-seen order.
+        # pool holds the distinct measures in first-seen order, and
+        # holders[a][mu] the states whose a-row holds mu (a row holds a
+        # measure once, so each state is listed once).
         rows: dict[str, tuple[Row, ...]] = {}
         pool: dict[Measure, None] = {}
+        holders: dict[str, dict[Measure, list[str]]] = {a: {} for a in self.labels}
         for s in sigma.universe.states:
             r = filled.get(s)
             rows[s] = r = no_rows if r is None else tuple(r)
-            for row in r:
+            for a, row in zip(self.labels, r):
                 for mu in row:
                     pool[mu] = None
+                    holders[a].setdefault(mu, []).append(s)
         self._rows = rows
         self.pool = tuple(pool)
         self.pool_set = frozenset(pool)
-        self._holders: dict[str, dict[Measure, frozenset[str]]] | None = None
+        self.holders = {a: {mu: frozenset(h) for mu, h in by_mu.items()} for a, by_mu in holders.items()}
         self._validation: ValidationReport | None = None
         self._refinement = None  # nlmp.bisim.refinement_rounds
-
-    @property
-    def holders(self) -> dict[str, dict[Measure, frozenset[str]]]:
-        """``holders[a][mu]``: the states whose a-row holds mu, for each
-        measure of some row under a.  Built on first read, in one pass
-        over the row table in canonical (state, label) order, and kept
-        on the model."""
-        if self._holders is None:
-            # A row holds a measure once, so each state is listed once.
-            lists: dict[str, dict[Measure, list[str]]] = {a: {} for a in self.labels}
-            by_label = tuple(lists.values())
-            for s, r in self._rows.items():
-                for by_mu, row in zip(by_label, r):
-                    for mu in row:
-                        by_mu.setdefault(mu, []).append(s)
-            self._holders = {a: {mu: frozenset(h) for mu, h in by_mu.items()} for a, by_mu in lists.items()}
-        return self._holders
 
     @property
     def universe(self) -> Universe:
