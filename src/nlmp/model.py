@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError
 from .measurable import SigmaAlgebra, StateSet, Universe
-from .measures import Measure, trace_classes
+from .measures import ZERO, Measure, trace_classes
 
 Row = tuple[Measure, ...]
 
@@ -251,19 +251,35 @@ def lmp_validate(l: Lmp) -> ValidationReport:
     map of every atom is constant on atoms so is the map of every
     union.  The findings are the single-atom ones of the check over all
     measurable sets, in the same order (label, atom, value).
+
+    The non-zero levels are read off the kernels' supports: each
+    distinct kernel of a label is measured once on each atom of its
+    support, and its holders join that atom's level at that value.  So
+    the cost follows the supports, at most one `Measure.value` call per
+    (label, distinct kernel, support atom), not one per (label, atom,
+    state).  The level at 0 is the complement of the union of the
+    non-zero levels, so it is measurable iff that union is; it is built
+    only when it is a finding.  An atom in no support has the universe
+    as its one level, which is measurable.
     """
+    sigma = l.sigma
     findings: list[Finding] = []
     for a in l.labels:
-        kernels = [(s, l.kernel(s, a)) for s in l.states]
-        for q in l.sigma.atoms:
-            by_value: dict = {}
-            for s, mu in kernels:
-                by_value.setdefault(mu.value(q), set()).add(s)
-            for v, level in sorted(by_value.items()):
-                if not l.sigma.is_measurable(level):
+        # levels[i][v]: the states whose a-kernel gives atom i the value v > 0.
+        levels: dict[int, dict] = {}
+        for mu, held in l.holders[a].items():
+            for i, _ in mu.nums:
+                levels.setdefault(i, {}).setdefault(mu.value(sigma.atoms[i]), set()).update(held)
+        for i in sorted(levels):
+            positive = set().union(*levels[i].values())
+            by_value = sorted(levels[i].items())
+            if not sigma.is_measurable(positive):
+                by_value.insert(0, (ZERO, frozenset(l.states).difference(positive)))
+            for v, level in by_value:
+                if not sigma.is_measurable(level):
                     findings.append(
                         Finding(
-                            f"kernel value map on {sorted(q)} has a non-measurable level set at {v}",
+                            f"kernel value map on {sorted(sigma.atoms[i])} has a non-measurable level set at {v}",
                             label=a,
                             witness_set=frozenset(level),
                         )

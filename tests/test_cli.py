@@ -36,6 +36,27 @@ trans x a -> x
 trans y a -> y
 """
 
+# Two labels over four atoms.  Under a, r and s split {r s} on {u} and
+# {v}; under b, every state weighs {p q}, at 1 or 1/2, so that atom has
+# no level at 0.
+INVALID_TWO_LABEL_LMP = """lmp
+states p q r s u v
+labels a b
+sigma gen {p q} {r s} {u} {v}
+trans p a r:1/2 u:1/2
+trans q a s:1/2 u:1/2
+trans r a -> u
+trans s a -> v
+trans u a p:1/3 q:1/3 v:1/3
+trans v a p:1/3 v:2/3
+trans p b -> p
+trans q b -> q
+trans r b -> p
+trans s b p:1/2 v:1/2
+trans u b q:1/2 v:1/2
+trans v b -> p
+"""
+
 # Four planted classes sN_0/sN_1 of bisimilar copies (perfbench synth
 # seed 61, model lump28).  Bisimilarity merges classes 0, 1 and 3, but
 # merging classes 1 and 3 alone is not a bisimulation.
@@ -112,9 +133,12 @@ class TestValidateCommand:
         assert code == 1
         assert err
 
-    def test_invalid_lmp_reports_one_finding_per_atom_and_level(self, tmp_path, capsys):
+    @staticmethod
+    def assert_lmp_findings(tmp_path, capsys, text, expected):
+        """validate exits 2 on the lmp text and reports exactly the
+        findings (label, atom, value, level set)."""
         path = tmp_path / "invalid.nlmp"
-        path.write_text(INVALID_LMP)
+        path.write_text(text)
         code, report, err = run(capsys, "validate", str(path))
         assert code == 2
         assert err == ""
@@ -123,18 +147,35 @@ class TestValidateCommand:
             "findings": [
                 {
                     "severity": "error",
-                    "label": "a",
-                    "message": f"kernel value map on ['{q}'] has a non-measurable level set at {v}",
+                    "label": a,
+                    "message": f"kernel value map on {q} has a non-measurable level set at {v}",
                     "witness_set": level,
                 }
-                for q, v, level in [
-                    ("x", 0, ["t", "y"]),
-                    ("x", 1, ["s", "x"]),
-                    ("y", 0, ["s", "x"]),
-                    ("y", 1, ["t", "y"]),
-                ]
+                for a, q, v, level in expected
             ],
         }
+
+    def test_invalid_lmp_reports_one_finding_per_atom_and_level(self, tmp_path, capsys):
+        expected = [
+            ("a", ["x"], "0", ["t", "y"]),
+            ("a", ["x"], "1", ["s", "x"]),
+            ("a", ["y"], "0", ["s", "x"]),
+            ("a", ["y"], "1", ["t", "y"]),
+        ]
+        self.assert_lmp_findings(tmp_path, capsys, INVALID_LMP, expected)
+
+    def test_invalid_two_label_lmp_orders_its_findings_by_label_atom_and_value(self, tmp_path, capsys):
+        expected = [
+            ("a", ["u"], "0", ["s", "u", "v"]),
+            ("a", ["u"], "1", ["r"]),
+            ("a", ["v"], "0", ["p", "q", "r"]),
+            ("a", ["v"], "1", ["s"]),
+            ("b", ["p", "q"], "1/2", ["s", "u"]),
+            ("b", ["p", "q"], "1", ["p", "q", "r", "v"]),
+            ("b", ["v"], "0", ["p", "q", "r", "v"]),
+            ("b", ["v"], "1/2", ["s", "u"]),
+        ]
+        self.assert_lmp_findings(tmp_path, capsys, INVALID_TWO_LABEL_LMP, expected)
 
 
 def written_forms() -> dict[str, str]:

@@ -144,7 +144,7 @@ class TestLmpEmbed:
 class TestLmpValidateAtoms:
     def test_findings_are_the_single_atom_findings_of_every_set(self):
         rng = random.Random(305)
-        invalid_seen = 0
+        invalid_seen = at_zero = at_non_zero = 0
         for i in range(200):
             l = rand_lmp(rng, max_states=6, coarse=i % 3 != 0, per_state=i % 2 == 0)
             direct = lmp_validate_direct(l)
@@ -152,9 +152,58 @@ class TestLmpValidateAtoms:
             assert list(report.findings) == [f for q, f in direct if q in l.sigma.atoms]
             assert report.valid == (not direct)
             invalid_seen += not report.valid
+            zero = sum(f.message.endswith(" at 0") for f in report.findings)
+            at_zero += zero
+            at_non_zero += len(report.findings) - zero
         assert invalid_seen > 30
+        # Both level paths: the level at 0, built from the complement of
+        # the non-zero levels, and the levels read off the supports.
+        assert at_zero > 30 and at_non_zero > 30
 
-    def test_one_value_per_label_atom_and_state(self, monkeypatch):
+    @staticmethod
+    def coarse_lmp(atoms, kernels) -> Lmp:
+        """An lmp over the sigma-algebra of the given atoms, one label a,
+        with kernels given as {state: {target state: weight}}."""
+        u = Universe(tuple(s for atom in atoms for s in atom))
+        sig = SigmaAlgebra(u, tuple(map(frozenset, atoms)))
+        return Lmp(sig, ("a",), {(s, "a"): Measure.from_state_weights(sig, w) for s, w in kernels.items()})
+
+    def single_atom_findings(self, l: Lmp) -> list:
+        findings = list(lmp_validate(l).findings)
+        assert findings == [f for q, f in lmp_validate_direct(l) if q in l.sigma.atoms]
+        return findings
+
+    def test_atom_that_every_state_weighs_has_no_zero_level(self):
+        # Every kernel has mass on {x, y}, at two values that split it.
+        l = self.coarse_lmp(
+            [("x", "y"), ("z",)],
+            {"x": {"x": F(1, 2), "z": F(1, 2)}, "y": {"y": 1}, "z": {"x": F(1, 2), "z": F(1, 2)}},
+        )
+        messages = [(f.message, f.witness_set) for f in self.single_atom_findings(l)]
+        assert messages == [
+            ("kernel value map on ['x', 'y'] has a non-measurable level set at 1/2", {"x", "z"}),
+            ("kernel value map on ['x', 'y'] has a non-measurable level set at 1", {"y"}),
+            ("kernel value map on ['z'] has a non-measurable level set at 0", {"y"}),
+            ("kernel value map on ['z'] has a non-measurable level set at 1/2", {"x", "z"}),
+        ]
+
+    def test_kernel_spread_over_a_whole_coarse_atom(self):
+        # p and q hold one kernel, spread over all of {p, q}; so does s,
+        # whose atom-mate r steps to {r, s} instead.
+        spread = {"p": F(1, 2), "q": F(1, 2)}
+        kernels = {"p": spread, "q": spread, "r": {"r": 1}, "s": spread}
+        l = self.coarse_lmp([("p", "q"), ("r", "s")], kernels)
+        messages = [(f.message, f.witness_set) for f in self.single_atom_findings(l)]
+        assert messages == [
+            ("kernel value map on ['p', 'q'] has a non-measurable level set at 0", {"r"}),
+            ("kernel value map on ['p', 'q'] has a non-measurable level set at 1", {"p", "q", "s"}),
+            ("kernel value map on ['r', 's'] has a non-measurable level set at 0", {"p", "q", "s"}),
+            ("kernel value map on ['r', 's'] has a non-measurable level set at 1", {"r"}),
+        ]
+        kernels["s"] = {"s": 1}
+        assert self.single_atom_findings(self.coarse_lmp([("p", "q"), ("r", "s")], kernels)) == []
+
+    def test_one_value_per_label_distinct_kernel_and_support_atom(self, monkeypatch):
         rng = random.Random(306)
         u = Universe(tuple(f"s{i}" for i in range(12)))
         sig = SigmaAlgebra.powerset(u)
@@ -164,7 +213,8 @@ class TestLmpValidateAtoms:
         real = Measure.value
         monkeypatch.setattr(Measure, "value", lambda mu, q: calls.append(q) or real(mu, q))
         assert lmp_validate(l).valid
-        assert len(calls) == len(labels) * len(sig.atoms) * len(u)
+        assert len(calls) == sum(len(mu.nums) for a in labels for mu in l.holders[a])
+        assert len(calls) < len(labels) * len(sig.atoms) * len(u)
 
 
 class TestNonProbabilistic:

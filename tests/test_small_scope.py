@@ -24,9 +24,14 @@ its labels are listed in reverse and its trans lines are shuffled:
 validation's findings, the three fixpoints, and which pairs
 `distinguish` finds bisimilar.
 
+Each model whose rows are all one measure is also checked as an `Lmp`:
+`lmp_validate` must report the single-atom findings of the check over
+every measurable set, and the verdict of `nlmp_validate`.
+
 `check_scope` returns the number of models it checked and prints how
-many of them have point masses only, so a larger scope can be run by
-calling it, as CI does with 4 states and rows of one measure.
+many of them have point masses only and how many were checked as `Lmp`
+models, so a larger scope can be run by calling it, as CI does with 4
+states and rows of one measure.
 """
 
 import random
@@ -38,6 +43,7 @@ from itertools import combinations, product
 import pytest
 
 from nlmp import (
+    Lmp,
     Measure,
     Nlmp,
     SigmaAlgebra,
@@ -49,6 +55,7 @@ from nlmp import (
     is_event_bisim,
     is_state_bisim,
     is_traditional_bisim,
+    lmp_validate,
     nlmp_validate,
     parse_model,
     parse_state_formula,
@@ -58,6 +65,7 @@ from support import (
     all_equivalences,
     all_set_partitions,
     class_findings,
+    lmp_validate_direct,
     np_state_check,
     np_traditional_check,
     point_masses_only,
@@ -131,14 +139,28 @@ def check_model(m: Nlmp, equivalences, subs) -> bool:
     return point_masses
 
 
+def check_lmp(m: Nlmp) -> bool:
+    """Check m as an `Lmp` when each of its rows is one measure; True
+    iff it was checked."""
+    if not all(len(m.row(s, a)) == 1 for s in m.states for a in m.labels):
+        return False
+    l = Lmp(m.sigma, m.labels, {(s, a): m.row(s, a)[0] for s in m.states for a in m.labels})
+    report = lmp_validate(l)
+    assert list(report.findings) == [f for q, f in lmp_validate_direct(l) if q in l.sigma.atoms]
+    assert report.valid == nlmp_validate(m).valid
+    return True
+
+
 def check_scope(max_states: int, n_labels: int, max_row: int) -> int:
     """Check every model of the scope; the number of models checked."""
-    count = point_masses = 0
+    count = point_masses = lmps = 0
     for n_states in range(1, max_states + 1):
         for m, equivalences, subs in models(n_states, n_labels, max_row):
             point_masses += check_model(m, equivalences, subs)
+            lmps += check_lmp(m)
             count += 1
     print(f"{point_masses} of the {count} models are valid with point masses only")
+    print(f"{lmps} of the {count} models were also checked as lmp models")
     return count
 
 
