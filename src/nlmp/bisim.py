@@ -47,7 +47,7 @@ from .measurable import (
     sigma_of_relation,
 )
 from .measures import Measure, profile, trace_classes
-from .model import Nlmp, Row, hit_preimage, nlmp_validate
+from .model import Nlmp, Row, _unstable, _validation_of
 
 Partition = tuple[StateSet, ...]
 
@@ -131,13 +131,8 @@ class ComparisonReport:
     sigma_is_powerset: bool
 
 
-def _require_symmetric(r: Relation) -> None:
-    if not r.is_symmetric:
-        raise PreconditionError("bisimulation candidates must be symmetric")
-
-
 def _require_valid(m: Nlmp) -> None:
-    if not nlmp_validate(m).valid:
+    if not _validation_of(m).valid:
         raise PreconditionError("model fails measurability validation")
 
 
@@ -151,9 +146,9 @@ def is_traditional_bisim(m: Nlmp, r: Relation) -> CheckResult:
 
     For every related (s, t) and label, every measure leaving s must
     agree with some measure leaving t on all r-closed measurable sets,
-    and symmetrically (covered because r itself is symmetric).
+    and symmetrically (covered because r itself is symmetric;
+    `sigma_of_relation` raises PreconditionError on an asymmetric r).
     """
-    _require_symmetric(r)
     sig_r = sigma_of_relation(m.sigma, r)
     prof = {mu: profile(mu, sig_r) for mu in m.pool}
     for s, t in _ordered_pairs(r):
@@ -173,7 +168,6 @@ def is_state_bisim(m: Nlmp, r: Relation) -> CheckResult:
     intersects; the unions of those classes are exactly the measure
     sets to quantify over.
     """
-    _require_symmetric(r)
     sig_r = sigma_of_relation(m.sigma, r)
     classes = trace_classes(m.pool, sig_r)
     class_sets = [frozenset(c) for c in classes]
@@ -192,20 +186,16 @@ def is_state_bisim(m: Nlmp, r: Relation) -> CheckResult:
 
 
 def is_event_bisim(m: Nlmp, lam: SigmaAlgebra) -> CheckResult:
-    """Stability of a sub-sigma-algebra under hit preimages.
-
-    Quantification over all unions of the pool's lam-profile classes
-    reduces to the single classes: the preimage of a union is the union
-    of the preimages, and lam is closed under union.
+    """Stability of a sub-sigma-algebra under hit preimages: (S, lam, T)
+    must still be a model, the test `nlmp_validate` makes over the
+    model's own sigma-algebra.  The witness is the first unstable
+    (label, lam-profile class, hit preimage) of `_unstable`, which
+    decides every union of classes by the single classes.
     """
     if not sigma_is_sub(lam, m.sigma):
         raise PreconditionError("candidate must be a sub-sigma-algebra of the model's")
-    classes = trace_classes(m.pool, lam)
-    for a in m.labels:
-        for cls in classes:
-            pre = hit_preimage(m, a, cls)
-            if not lam.is_measurable(pre):
-                return CheckResult(False, EventWitness(a, cls, pre))
+    for found in _unstable(m, lam):
+        return CheckResult(False, EventWitness(*found))
     return CheckResult(True)
 
 

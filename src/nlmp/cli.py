@@ -28,7 +28,7 @@ from .errors import (
     UnsupportedModelError,
 )
 from .logic import _separate, eval_state, formula_labels, formula_to_text
-from .model import Finding, Lmp, Nlmp, lmp_validate, nlmp_validate
+from .model import Finding, Nlmp, _validation_of
 from .parser import _measure_text, parse_model, parse_state_formula, serialize_model
 
 # hashlib loads OpenSSL (several MiB of resident memory) just for the
@@ -171,7 +171,7 @@ def _run(args) -> int:
     model, and print the one JSON report."""
     started = time.perf_counter()
     m = _load(args.path)
-    validation = lmp_validate(m) if isinstance(m, Lmp) else nlmp_validate(m)
+    validation = _validation_of(m)
     if args.body is None or not validation.valid:
         result = {
             "valid": validation.valid,

@@ -331,13 +331,8 @@ def _denote(m: Nlmp, f: StateFormula | MeasureFormula, memo: _Memo) -> frozenset
     elif isinstance(f, DiamondMulti):
         tests = [_bound_test(m, c, memo[id(c.phi)][1]) for c in f.constraints]
         # Each distinct measure of the label's rows is tested once.
-        result = frozenset().union(
-            *(
-                states
-                for mu, states in m.holders[f.label].items()
-                if all(_holds(mu, test) for test in tests)
-            )
-        )
+        passing = [mu for mu in m.holders[f.label] if all(_holds(mu, test) for test in tests)]
+        result = hit_preimage(m, f.label, passing)
     else:
         raise TypeError(f"not a formula: {type(f).__name__}")
     _assert_measurable(m, result)

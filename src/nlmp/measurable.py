@@ -165,9 +165,6 @@ class Relation:
     def __contains__(self, pair: Pair) -> bool:
         return pair in self.pairs
 
-    def __le__(self, other: "Relation") -> bool:
-        return self.pairs <= other.pairs
-
 
 def sigma_generate(universe: Universe, generators: Iterable[Iterable[str]]) -> SigmaAlgebra:
     """Smallest sigma-algebra containing every generator set.

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from math import lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DomainError
 from .measurable import SigmaAlgebra, StateSet, Universe
@@ -70,7 +70,8 @@ class Nlmp:
     order, for every state (states with no transitions share one tuple
     of empty rows).  The rows never change, so neither the pool, the
     holders nor the caches kept on the model go stale: the validation
-    report, and the refinement slot that `nlmp.bisim` owns.
+    report of its kind (`_validation_of`), and the refinement slot that
+    `nlmp.bisim` owns.
     """
 
     kind = "nlmp"  # the model file's header
@@ -205,39 +206,37 @@ def nlmp_validate(m: Nlmp) -> ValidationReport:
     needs no check: `Measure` rejects weights that do not sum to 1 and
     `Nlmp` rejects measures over another sigma-algebra.)
 
-    Measurability quantifies over unions of profile classes of the pool
-    (the traces of the measurable sets of measures); since the hit
-    preimage of a union is the union of the hit preimages and measurable
-    sets are closed under union, checking the single classes decides all
-    unions.  Each failing class is reported with its preimage as the
-    witness.  On the powerset sigma-algebra every state set is
-    measurable, so no class can fail and none is walked; a coarser
-    model walks every class.  The report is computed once per model
-    object and kept on it.
+    The findings are `_unstable(m, m.sigma)`: each profile class of the
+    pool whose hit preimage is not measurable, reported with that
+    preimage as the witness.  On the powerset sigma-algebra every state
+    set is measurable, so no class can fail and none is walked; a
+    coarser model walks every class.  `is_event_bisim` is the same test
+    over a candidate sub-sigma-algebra.
     """
-    if m._validation is None:
-        m._validation = _nlmp_findings(m)
-    return m._validation
-
-
-def _nlmp_findings(m: Nlmp) -> ValidationReport:
     if m.sigma.is_powerset:
         return ValidationReport()
-    findings: list[Finding] = []
-    classes = trace_classes(m.pool, m.sigma)
+    message = "hit preimage of a measurable set of measures is not measurable"
+    return ValidationReport(
+        tuple(Finding(message, label=a, xi=cls, witness_set=pre) for a, cls, pre in _unstable(m, m.sigma))
+    )
+
+
+def _unstable(m: Nlmp, lam: SigmaAlgebra) -> Iterator[tuple[str, tuple[Measure, ...], StateSet]]:
+    """Each (label, lam-profile class of the pool, hit preimage) whose
+    preimage is not lam-measurable, by label and then class.
+
+    Measurability into lam quantifies over unions of the pool's
+    lam-profile classes (the traces of the lam-measurable sets of
+    measures); the hit preimage of a union is the union of the hit
+    preimages and lam is closed under union, so checking the single
+    classes decides all unions.
+    """
+    classes = trace_classes(m.pool, lam)
     for a in m.labels:
         for cls in classes:
             pre = hit_preimage(m, a, cls)
-            if not m.sigma.is_measurable(pre):
-                findings.append(
-                    Finding(
-                        "hit preimage of a measurable set of measures is not measurable",
-                        label=a,
-                        xi=cls,
-                        witness_set=pre,
-                    )
-                )
-    return ValidationReport(tuple(findings))
+            if not lam.is_measurable(pre):
+                yield a, cls, pre
 
 
 def lmp_validate(l: Lmp) -> ValidationReport:
@@ -285,6 +284,15 @@ def lmp_validate(l: Lmp) -> ValidationReport:
                         )
                     )
     return ValidationReport(tuple(findings))
+
+
+def _validation_of(m: Nlmp) -> ValidationReport:
+    """The model's validation report, from the validator of its kind:
+    `lmp_validate` for an `Lmp`, `nlmp_validate` otherwise.  It is
+    computed once per model object and kept on it."""
+    if m._validation is None:
+        m._validation = lmp_validate(m) if isinstance(m, Lmp) else nlmp_validate(m)
+    return m._validation
 
 
 def hit_preimage(m: Nlmp, a: str, xi: Iterable[Measure]) -> StateSet:

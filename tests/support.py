@@ -729,10 +729,6 @@ def row_constant_on_atoms(m: Nlmp) -> bool:
     return True
 
 
-def relation_pairs_subset(r1: Relation, r2: Relation) -> bool:
-    return r1.pairs <= r2.pairs
-
-
 # ---------------------------------------------------------------------------
 # Straightforward versions of the indexed lookups (reference for the
 # dict indices and one-pass sums in the library)

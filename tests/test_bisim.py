@@ -7,6 +7,7 @@ from itertools import islice
 import pytest
 
 import nlmp.bisim
+import nlmp.model
 import support
 from nlmp import (
     DiamondMulti,
@@ -422,7 +423,12 @@ class TestRefinement:
         monkeypatch.setattr(nlmp.bisim, "sigma_is_sub", counting_sub)
         monkeypatch.setattr(nlmp.bisim, "profile", forbidden)
         monkeypatch.setattr(nlmp.bisim, "trace_classes", forbidden)
-        monkeypatch.setattr(nlmp.bisim, "hit_preimage", forbidden)
+        # the measurability walk, which hit preimages of profile classes
+        # are computed in, runs once per model, in its validation
+        for m in models:
+            nlmp.model._validation_of(m)
+        monkeypatch.setattr(nlmp.bisim, "_unstable", forbidden)
+        monkeypatch.setattr(nlmp.model, "_unstable", forbidden)
         for i, m in enumerate(models):
             calls.clear()
             # a partial read first: the rounds it reads are computed once

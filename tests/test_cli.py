@@ -36,6 +36,18 @@ trans x a -> x
 trans y a -> y
 """
 
+# A valid lmp file over a coarse sigma-algebra: s and t share an atom
+# and their kernels, so every state set the kernels' values split is
+# measurable.
+COARSE_LMP = """lmp
+states s t x
+labels a
+sigma gen {s t} {x}
+trans s a -> x
+trans t a -> x
+trans x a -> x
+"""
+
 # Two labels over four atoms.  Under a, r and s split {r s} on {u} and
 # {v}; under b, every state weighs {p q}, at 1 or 1/2, so that atom has
 # no level at 0.
@@ -409,19 +421,43 @@ class TestBisimCommand:
         assert code == 0
         assert report["result"]["partition"] == [["p", "q", "r"]]
 
+    @staticmethod
+    def count_validators(monkeypatch) -> dict[str, int]:
+        """Count the calls of each validator made through `nlmp.model`."""
+        import nlmp.model
+
+        calls = {"lmp_validate": 0, "nlmp_validate": 0}
+        for name in calls:
+            real = getattr(nlmp.model, name)
+
+            def counting(m, name=name, real=real):
+                calls[name] += 1
+                return real(m)
+
+            monkeypatch.setattr(nlmp.model, name, counting)
+        return calls
+
     @pytest.mark.parametrize(
         "name", ["two_bounds_needed.nlmp", "coarse_valid.nlmp", "np_reach_unequal.nlmp"]
     )
     def test_all_kinds_validate_the_model_once(self, capsys, monkeypatch, name):
-        import nlmp.model
-
-        calls = []
-        real = nlmp.model._nlmp_findings
-        monkeypatch.setattr(nlmp.model, "_nlmp_findings", lambda m: calls.append(m) or real(m))
+        calls = self.count_validators(monkeypatch)
         code, _, _ = run(capsys, "bisim", corpus(name), "--kind", "all")
         assert code == 0
-        # the command and the three fixpoints share one validation body
-        assert len(calls) == 1
+        # the command and the three fixpoints share one validation report
+        assert calls == {"lmp_validate": 0, "nlmp_validate": 1}
+
+    @pytest.mark.parametrize("text", [COARSE_LMP, None], ids=["coarse", "lmp_example"])
+    def test_lmp_file_runs_only_the_lmp_validator(self, tmp_path, capsys, monkeypatch, text):
+        path = corpus("lmp_example.nlmp")
+        if text is not None:
+            path = tmp_path / "coarse.nlmp"
+            path.write_text(text, encoding="utf-8")
+        calls = self.count_validators(monkeypatch)
+        code, report, _ = run(capsys, "bisim", str(path), "--kind", "all")
+        assert code == 0 and report["result"]["all_equal"]
+        # the fixpoints read the command's report; no command runs both validators
+        assert calls == {"lmp_validate": 1, "nlmp_validate": 0}
 
     def test_lmp_file_partitions_are_total(self, capsys):
         # every state carries a full kernel for every label, so the
