@@ -35,6 +35,8 @@ one split, and synthesizes nothing for a bisimilar pair.
 from __future__ import annotations
 
 import operator
+import threading
+import weakref
 from bisect import insort
 from dataclasses import dataclass
 from functools import cache
@@ -45,7 +47,7 @@ from typing import Callable, ClassVar, Iterator
 from .errors import DomainError, InternalCheckError, UnsupportedModelError
 from .bisim import Blocks, _require_valid, largest_traditional, refinement_rounds, smallest_stable_sigma
 from .measurable import SigmaAlgebra, StateSet
-from .measures import Measure, ZERO, _rational_text
+from .measures import Measure, ZERO, _rational_text, _shown
 from .model import Nlmp, hit_preimage
 
 # A pair of sub-blocks of one split block, each in universe order.
@@ -55,31 +57,50 @@ Split = tuple[tuple[str, ...], tuple[str, ...]]
 # ---------------------------------------------------------------------------
 # Abstract syntax
 
+# Every live formula node, keyed by its class and its fields.  A node is
+# built once: constructing one equal to a live node returns that node,
+# so equal formulas are one object, == and hash are identity's and never
+# walk a formula, and a formula is a DAG however it was built.  The
+# table holds its nodes weakly, and its lookup is taken under a lock so
+# that two threads building one formula get one node.
+_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_NODES_LOCK = threading.Lock()
 
-class StateFormula:
+
+class _HashConsed(type):
+    def __call__(cls, *args, **kwargs):
+        # The dataclass __init__ checks and normalizes the fields first.
+        node = super().__call__(*args, **kwargs)
+        with _NODES_LOCK:
+            return _NODES.setdefault((cls, *vars(node).values()), node)
+
+
+class _Node(metaclass=_HashConsed):
+    def __reduce__(self):
+        # Rebuilt through the table: pickle and copy return the live node.
+        return type(self), tuple(vars(self).values())
+
+
+class StateFormula(_Node):
     """Base class; denotes a set of states."""
 
-    __slots__ = ()
 
-
-class MeasureFormula:
+class MeasureFormula(_Node):
     """Base class; denotes a set of measures (a pool subset)."""
 
-    __slots__ = ()
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Top(StateFormula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class And(StateFormula):
     left: StateFormula
     right: StateFormula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Diamond(StateFormula):
     label: str
     body: MeasureFormula
@@ -90,7 +111,7 @@ class Diamond(StateFormula):
 COMPARE = {">=": operator.ge, ">": operator.gt, "<": operator.lt, "<=": operator.le}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiamondMulti(StateFormula):
     """All listed bounds, each a GreaterThan or a LessThan, must hold
     for a single transition measure."""
@@ -106,17 +127,17 @@ class DiamondMulti(StateFormula):
                 raise DomainError(f"constraint operator must be > or <, got {getattr(c, 'op', c)!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MOr(MeasureFormula):
     items: tuple[MeasureFormula, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MNot(MeasureFormula):
     item: MeasureFormula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Bound(MeasureFormula):
     """The measures whose value on phi's extension compares to q by op.
 
@@ -130,7 +151,7 @@ class Bound(MeasureFormula):
     def __post_init__(self):
         q = Fraction(self.q)
         if not 0 <= q <= 1:
-            raise DomainError(f"threshold {q} outside [0, 1]")
+            raise DomainError(f"threshold {_shown(q)} outside [0, 1]")
         object.__setattr__(self, "q", q)
 
 
@@ -240,11 +261,10 @@ def _subformulas(f: StateFormula | MeasureFormula) -> tuple[tuple, type]:
     return (), StateFormula
 
 
-# A formula is a DAG: synthesized formulas share their subformulas.  A
-# memo maps id(node) to (node, value) for one walk, or for several over
-# one model, so each distinct node is visited once; holding the node
-# keeps its id from being reused while the memo lives.
-_Memo = dict[int, tuple[object, object]]
+# A formula is a DAG: equal subformulas are one node.  A memo maps each
+# node to its value for one walk, or for several over one model, so each
+# distinct node is visited once.
+_Memo = dict[_Node, object]
 
 
 def _walk(root, level: type, memo: _Memo, leave: Callable, enter: Callable | None = None) -> None:
@@ -253,7 +273,7 @@ def _walk(root, level: type, memo: _Memo, leave: Callable, enter: Callable | Non
 
     Each node not yet in memo is entered (``enter(node)``, when given),
     its subformulas are walked left to right, and then
-    ``memo[id(node)] = (node, leave(node))``: leave reads the values of
+    ``memo[node] = leave(node)``: leave reads the values of
     the subformulas from memo.  Every node must be an instance of the
     level its parent's slot asks for, level itself for root; a node in
     the wrong place raises TypeError when it is reached.
@@ -262,10 +282,10 @@ def _walk(root, level: type, memo: _Memo, leave: Callable, enter: Callable | Non
     while stack:
         f, want = stack.pop()
         if want is None:
-            memo[id(f)] = (f, leave(f))
+            memo[f] = leave(f)
         elif not isinstance(f, want):
             raise TypeError(f"not a {want.__name__}: {type(f).__name__}")
-        elif id(f) not in memo:
+        elif f not in memo:
             if enter is not None:
                 enter(f)
             subs, sub_level = _subformulas(f)
@@ -279,7 +299,7 @@ def formula_labels(f: StateFormula | MeasureFormula) -> frozenset[str]:
     memo: _Memo = {}
     level = MeasureFormula if isinstance(f, MeasureFormula) else StateFormula
     _walk(f, level, memo, lambda g: None)
-    return frozenset(g.label for g, _ in memo.values() if isinstance(g, (Diamond, DiamondMulti)))
+    return frozenset(g.label for g in memo if isinstance(g, (Diamond, DiamondMulti)))
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +330,7 @@ def _evaluate(m: Nlmp, f: StateFormula | MeasureFormula, level: type, memo: _Mem
             raise DomainError(f"unknown label {g.label!r}")
 
     _walk(f, level, memo, lambda g: _denote(m, g, memo), enter)
-    return memo[id(f)][1]
+    return memo[f]
 
 
 def _denote(m: Nlmp, f: StateFormula | MeasureFormula, memo: _Memo) -> frozenset:
@@ -318,18 +338,18 @@ def _denote(m: Nlmp, f: StateFormula | MeasureFormula, memo: _Memo) -> frozenset
     if isinstance(f, Top):
         return frozenset(m.states)
     if isinstance(f, And):
-        return memo[id(f.left)][1] & memo[id(f.right)][1]
+        return memo[f.left] & memo[f.right]
     if isinstance(f, MOr):
-        return frozenset().union(*(memo[id(g)][1] for g in f.items))
+        return frozenset().union(*(memo[g] for g in f.items))
     if isinstance(f, MNot):
-        return m.pool_set - memo[id(f.item)][1]
+        return m.pool_set - memo[f.item]
     if isinstance(f, Bound):
-        test = _bound_test(m, f, memo[id(f.phi)][1])
+        test = _bound_test(m, f, memo[f.phi])
         return frozenset(mu for mu in m.pool if _holds(mu, test))
     if isinstance(f, Diamond):
-        result = hit_preimage(m, f.label, memo[id(f.body)][1])
+        result = hit_preimage(m, f.label, memo[f.body])
     elif isinstance(f, DiamondMulti):
-        tests = [_bound_test(m, c, memo[id(c.phi)][1]) for c in f.constraints]
+        tests = [_bound_test(m, c, memo[c.phi]) for c in f.constraints]
         # Each distinct measure of the label's rows is tested once.
         passing = [mu for mu in m.holders[f.label] if all(_holds(mu, test) for test in tests)]
         result = hit_preimage(m, f.label, passing)
@@ -432,7 +452,7 @@ def logical_equivalence(m: Nlmp, fragment: str = "Lf") -> EquivalenceReport:
     rep = largest_traditional(m)
     formulas = dict(_lf_splits(m))
     # Verify against a memo of its own, not the one synthesis filled:
-    # splits share interned formulas, so each distinct node is evaluated
+    # splits share their subformulas, so each distinct node is evaluated
     # once however many splits it explains.
     memo: _Memo = {}
     for split, psi in formulas.items():
@@ -529,7 +549,6 @@ def _lf_splits(m: Nlmp) -> Iterator[tuple[Split, StateFormula]]:
     states.  C(B) is named by the conjunction of the generators that
     shrink the intersection, taken in that same order.
     """
-    top = Top()
     everything = frozenset(m.states)
 
     @cache
@@ -538,19 +557,15 @@ def _lf_splits(m: Nlmp) -> Iterator[tuple[Split, StateFormula]]:
 
     # The generators but the universe, in separator order, and `conj`:
     # () -> Top, (e,) -> the first formula recorded with extension e, a
-    # longer tuple -> its And.  `conj` pins every constraint formula, so
-    # `interned` (equal DiamondMultis are one object) keys them by id.
+    # longer tuple -> its And.
     gens: list[StateSet] = []
-    conj: dict[tuple[StateSet, ...], StateFormula] = {(): top}
-    interned: dict[tuple, DiamondMulti] = {}
+    conj: dict[tuple[StateSet, ...], StateFormula] = {(): Top()}
     # One evaluation memo for all synthesized formulas.
     memo: _Memo = {}
 
     def synthesize(opponents: tuple[Measure, ...], label: str, mu: Measure) -> StateFormula:
         # mu is a measure under label that is unmatched in the row opponents.
-        bounds: dict[tuple, StateFormula] = {}  # (op, q, id(phi)) -> phi
-        if not opponents:
-            bounds[(">", ZERO, id(top))] = top
+        bounds = [] if opponents else [GreaterThan(Top(), ZERO)]
         for nu in opponents:
             for ext in ordered:
                 a_val, b_val = mu.value(ext), nu.value(ext)
@@ -558,15 +573,10 @@ def _lf_splits(m: Nlmp) -> Iterator[tuple[Split, StateFormula]]:
                     break
             else:
                 raise InternalCheckError("no candidate separates two distinct measures")
-            phi = conj[candidates[ext]]
-            op = ">" if a_val > b_val else "<"
-            q = (a_val + b_val) / 2
-            bounds[(op, q, id(phi))] = phi
-        key = (label, tuple(bounds))
-        if key not in interned:
-            items = tuple(BOUNDS[op](phi, q) for (op, q, _), phi in bounds.items())
-            interned[key] = DiamondMulti(label, items)
-        return interned[key]
+            side = GreaterThan if a_val > b_val else LessThan
+            bounds.append(side(conj[candidates[ext]], (a_val + b_val) / 2))
+        # Equal bounds are one node; the first of each is kept, in order.
+        return DiamondMulti(label, tuple(dict.fromkeys(bounds)))
 
     for lam, key, splits in refinement_rounds(m):
         # Each C(B) with the generators that shrink it; B is in g iff x is.

@@ -1,6 +1,10 @@
+import copy
+import gc
+import pickle
 import random
 import re
 import sys
+import threading
 import time
 from fractions import Fraction as F
 from itertools import combinations
@@ -60,7 +64,7 @@ from support import (
     uniform_rows_model,
 )
 from nlmp.bisim import refinement, refinement_rounds
-from nlmp.logic import BOUNDS, formula_labels
+from nlmp.logic import BOUNDS, _NODES, formula_labels
 
 PHI_X = Diamond("b", AtLeast(Top(), F(1)))
 TWO_BOUNDS = DiamondMulti(
@@ -396,9 +400,13 @@ class TestBounds:
         ]
 
     def test_threshold_outside_unit_interval_rejected(self):
+        # A threshold too long to print is named, not printed.
+        huge = F(10**5000 + 1, 3)
         for cls in self.KINDS:
             with pytest.raises(DomainError):
                 cls(Top(), F(3, 2))
+            with pytest.raises(DomainError, match="^threshold a rational too long to print outside"):
+                cls(Top(), huge)
 
     def test_multi_bound_modality_takes_strict_bounds_only(self):
         for cls in (AtLeast, AtMost):
@@ -408,6 +416,49 @@ class TestBounds:
                 DiamondMulti("a", (GreaterThan(Top(), F(1, 2)), cls(Top(), 1)))
         with pytest.raises(DomainError, match="at least one constraint"):
             DiamondMulti("a", ())
+
+
+class TestHashConsing:
+    """Equal formulas are one object, however and wherever they were built."""
+
+    def test_pickle_and_copy_return_the_node(self):
+        mixed = MNot(MOr((AtMost(PHI_X, F(1, 3)), GreaterThan(And(Top(), PHI_X), F(0)))))
+        for f in (Top(), PHI_X, TWO_BOUNDS, mixed):
+            assert pickle.loads(pickle.dumps(f)) is f
+            assert copy.copy(f) is f
+            assert copy.deepcopy(f) is f
+
+    def test_threads_build_one_node_per_formula(self):
+        def build(out):
+            out.extend(Diamond("a", AtLeast(And(PHI_X, Top()), F(i, 3000))) for i in range(3000))
+
+        results = [[] for _ in range(4)]
+        threads = [threading.Thread(target=build, args=(out,)) for out in results]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [len(out) for out in results] == [3000] * 4
+        for built in zip(*results):
+            assert all(f is built[0] for f in built)
+
+    def test_dropping_a_deep_formula_frees_its_nodes(self, default_recursion_limit):
+        # A weakref callback that raised would be an unraisable exception,
+        # which the suite's warning filter turns into a failure.
+        gc.collect()
+        before = len(_NODES)
+        phi = Top()
+        for _ in range(100_000):
+            phi = Diamond("b", GreaterThan(phi, F(0)))
+        assert len(_NODES) == before + 200_000
+        del phi
+        assert len(_NODES) == before
 
 
 class TestLogicalEquivalence:
@@ -732,6 +783,7 @@ class TestDistinguish:
                     else:
                         separated += 1
                         assert formula_to_text(psi) == formula_to_text(expected)
+                        assert psi is expected
         assert separated > 100
 
     def test_modal_depth_is_the_separation_round_plus_one(self):

@@ -436,14 +436,16 @@ class TestFormulaParsing:
         ],
     )
     def test_ten_thousand_levels_parse(self, default_recursion_limit, wrap, build):
-        # Deep formulas are compared by their text: the dataclasses'
-        # `==` and `hash` recurse.
         deep, phi = "T", Top()
         for _ in range(10_000):
             deep, phi = wrap.format(deep), build(phi)
         text = formula_to_text(phi)
         assert formula_to_text(parse_state_formula(deep)) == text
         assert formula_to_text(parse_state_formula(text)) == text
+        # Equal formulas are one object: neither `==` nor `hash` walks them.
+        assert parse_state_formula(deep) is phi
+        assert parse_state_formula(text) is parse_state_formula(text)
+        assert parse_state_formula(deep) == phi and hash(parse_state_formula(text)) == hash(phi)
         m = parse_model(read_corpus("uniform_rows.nlmp"))
         assert check_answer("uniform_rows.nlmp", deep) == (text, m.universe.sort(eval_state(m, phi)))
 
@@ -475,6 +477,18 @@ class TestFormulaParsing:
         assert formula_to_text(parse_state_formula(nested)) == nested
         assert check_answer("uniform_rows.nlmp", deep) == (deep, ["p", "q", "r"])
         assert check_answer("uniform_rows.nlmp", nested) == (nested, ["p", "q", "r"])
+
+    def test_repeated_subformula_is_one_node_evaluated_once(self, monkeypatch):
+        import nlmp.logic
+
+        text = "<a> [<b> [T]>0]>0 & <a> [<b> [T]>0]>0"
+        phi = parse_state_formula(text)
+        assert phi.left is phi.right
+        calls = []
+        real = nlmp.logic.hit_preimage
+        monkeypatch.setattr(nlmp.logic, "hit_preimage", lambda m, a, xi: calls.append(a) or real(m, a, xi))
+        assert check_answer("two_bounds_needed.nlmp", text)[0] == text
+        assert calls == ["b", "a"]
 
     def test_threshold_range_enforced(self):
         with pytest.raises(DomainError):
