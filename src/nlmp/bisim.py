@@ -23,8 +23,9 @@ fixpoint's sigma-algebra, so a report keeps that sigma-algebra: its
 atoms are the blocks and its atom index maps each state to its block;
 the pair set is built only when ``relation`` is read.  A round
 compares profiles by small-int ids, one pass over each pool measure's
-support; the dense `profile` and `trace_classes` serve the independent
-checkers and validation.
+support.  The independent checkers compare the integer keys of
+`profile` and group by them through `trace_classes`, so a checker costs
+about its pairs times their rows.
 Determinism everywhere comes from canonical state, label, and atom
 ordering.
 """
@@ -166,15 +167,15 @@ def is_state_bisim(m: Nlmp, r: Relation) -> CheckResult:
     Compares, per label, the sets of pool profile classes (over the
     r-closed sub-sigma-algebra) that each state's transition set
     intersects; the unions of those classes are exactly the measure
-    sets to quantify over.
+    sets to quantify over.  Each row measure's class is looked up, so a
+    pair costs its rows, not the number of classes.
     """
     sig_r = sigma_of_relation(m.sigma, r)
     classes = trace_classes(m.pool, sig_r)
-    class_sets = [frozenset(c) for c in classes]
+    class_of = {mu: i for i, c in enumerate(classes) for mu in c}
 
     def hit_indices(s: str, a: str) -> frozenset[int]:
-        row = m.row(s, a)
-        return frozenset(i for i, c in enumerate(class_sets) if not c.isdisjoint(row))
+        return frozenset([class_of[mu] for mu in m.row(s, a)])
 
     for s, t in _ordered_pairs(r):
         for a in m.labels:

@@ -13,13 +13,7 @@ import time
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
-from .bisim import (
-    BisimReport,
-    compare_bisims,
-    largest_state,
-    largest_traditional,
-    smallest_stable_sigma,
-)
+from .bisim import BisimReport, compare_bisims
 from .errors import (
     DomainError,
     InternalCheckError,
@@ -102,14 +96,6 @@ def _load(path: str) -> Nlmp:
 
 
 def _bisim(m: Nlmp, args) -> tuple[dict, int]:
-    if args.kind != "all":
-        fixpoint = {
-            "traditional": largest_traditional,
-            "state": largest_state,
-            "event": smallest_stable_sigma,
-        }[args.kind]
-        rep = fixpoint(m)
-        return _bisim_json(rep, _sorted_sets(m, rep.partition)), EXIT_OK
     comparison = compare_bisims(m)
     # The three reports share one lam, so its blocks are sorted once.
     blocks = _sorted_sets(m, comparison.event.partition)
@@ -123,7 +109,7 @@ def _bisim(m: Nlmp, args) -> tuple[dict, int]:
         "all_equal": comparison.all_equal,
         "sigma_is_powerset": comparison.sigma_is_powerset,
     }
-    return result, EXIT_OK
+    return (result if args.kind == "all" else result[args.kind]), EXIT_OK
 
 
 def _check(m: Nlmp, args) -> tuple[dict, int]:

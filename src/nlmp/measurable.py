@@ -60,8 +60,7 @@ class Universe:
     def check_subset(self, q: Iterable[str]) -> StateSet:
         q = frozenset(q)
         if not q <= self._state_set:
-            s = next(s for s in q if s not in self._index)
-            raise DomainError(f"state {s!r} is not in the universe")
+            raise DomainError(f"state {min(q - self._state_set)!r} is not in the universe")
         return q
 
     def sort(self, q: Iterable[str]) -> list[str]:

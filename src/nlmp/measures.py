@@ -4,11 +4,12 @@ A measure is stored as integers: one positive denominator and the
 numerators of its support, the atoms of non-zero weight by index, with
 the numerators' gcd divided out so that equal measures store equal
 ints.  Every constructor goes through one integer validator; hashing
-and equality compare ints, and values and profiles add ints and build
-one Fraction per result entry.  A measure's behavior on a
-sub-sigma-algebra is captured by its profile there (the vector of
-values on the coarser atoms); two measures agree on every set of the
-sub-sigma-algebra iff their profiles are equal.
+and equality compare ints, and a value adds ints and builds one
+Fraction.  A measure's behavior on a sub-sigma-algebra is captured by
+its profile there, an integer key in the form of ``nums``: the coarser
+atoms that hold some of its mass, each with its reduced numerator; two
+measures agree on every set of the sub-sigma-algebra iff their
+profiles are equal.
 The measurable sets of measures used elsewhere in the package are
 never materialized: only their trace on a model's finite pool matters,
 and that trace is always a union of profile classes.
@@ -25,7 +26,7 @@ from .measurable import SigmaAlgebra, StateSet, sigma_is_sub
 
 ZERO = Fraction(0)
 
-Profile = tuple[Fraction, ...]
+Profile = tuple[tuple[int, int], ...]
 Numerators = tuple[tuple[int, int], ...]
 
 
@@ -194,10 +195,15 @@ def dirac(sigma: SigmaAlgebra, s: str) -> Measure:
 
 
 def profile(mu: Measure, lam: SigmaAlgebra) -> Profile:
-    """mu's values on lam's atoms, in canonical atom order.
+    """mu's profile over lam: the pairs ``(lam atom index, numerator)``
+    of the lam atoms that hold some of mu's mass, in atom order, with
+    the numerators divided by their gcd.  The weight on lam atom ``j``
+    is its numerator over the numerators' sum; the reduced numerators
+    sum to the reduced denominator, so two measures have equal profiles
+    over lam iff they agree on every lam-measurable set.  The cost
+    follows mu's support, not the number of lam's atoms.
 
-    Requires lam to be a sub-sigma-algebra of mu's.  Two measures have
-    equal profiles over lam iff they agree on every lam-measurable set.
+    Requires lam to be a sub-sigma-algebra of mu's.
     """
     if not sigma_is_sub(lam, mu.sigma):
         raise PreconditionError("profile requires a sub-sigma-algebra of the measure's")
@@ -207,27 +213,20 @@ def profile(mu: Measure, lam: SigmaAlgebra) -> Profile:
     for i, n in mu.nums:
         j = index[next(iter(atoms[i]))]
         totals[j] = totals.get(j, 0) + n
-    dense = [ZERO] * len(lam.atoms)
-    for j, n in totals.items():
-        dense[j] = Fraction(n, mu.den)
-    return tuple(dense)
+    g = gcd(*totals.values())
+    return tuple(sorted([(j, n // g) for j, n in totals.items()]))
 
 
 def trace_classes(pool: Sequence[Measure], lam: SigmaAlgebra) -> tuple[tuple[Measure, ...], ...]:
-    """Partition of the pool by equal profile over lam.
+    """Partition of the pool by equal profile over lam, each class in
+    pool order and the classes in the order of their first measure.
 
     The unions of these classes are exactly the traces on the pool of
     the measurable sets of measures generated by lam (see the design
     notes in the README); everything that quantifies over such sets can
-    therefore quantify over unions of classes instead.  A class is keyed
-    by its profile's non-zero entries, the lam atoms that hold some of
-    the measure's support, so the key costs time in the support.
+    therefore quantify over unions of classes instead.
     """
-    groups: dict[tuple, list[Measure]] = {}
-    index = lam._atom_index
+    groups: dict[Profile, list[Measure]] = {}
     for mu in pool:
-        values = profile(mu, lam)
-        atoms = mu.sigma.atoms
-        blocks = sorted({index[next(iter(atoms[i]))] for i, _ in mu.nums})
-        groups.setdefault(tuple((j, values[j]) for j in blocks), []).append(mu)
+        groups.setdefault(profile(mu, lam), []).append(mu)
     return tuple(tuple(g) for g in groups.values())

@@ -11,7 +11,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from nlmp import (
     And,
@@ -473,8 +473,9 @@ def event_bisim_direct(m: Nlmp, lam: SigmaAlgebra) -> bool:
 
 
 def profile_signature(m: Nlmp, lam: SigmaAlgebra):
-    """Per label, the set of dense lam-profiles of a state's row: the
-    traditional signature keyed by profile tuples rather than ids."""
+    """Per label, the set of lam-profile keys of a state's row: the
+    traditional signature keyed by `profile` rather than by interned
+    ids."""
     profiles = {mu: profile(mu, lam) for mu in scan_pool(m)}
     return lambda s: tuple(frozenset(profiles[mu] for mu in m.row(s, a)) for a in m.labels)
 
@@ -784,6 +785,26 @@ def dense_profile(mu: Measure, lam: SigmaAlgebra) -> tuple[Fraction, ...]:
         sum((w for a, w in zip(mu.sigma.atoms, weights(mu)) if a <= b), F(0))
         for b in lam.atoms
     )
+
+
+def profile_values(key, lam: SigmaAlgebra) -> tuple[Fraction, ...]:
+    """A profile key expanded into one value per lam atom: atom ``j``
+    gets its numerator over the numerators' sum, an absent atom 0."""
+    total = sum(n for _, n in key)
+    dense = [F(0)] * len(lam.atoms)
+    for j, n in key:
+        dense[j] = F(n, total)
+    return tuple(dense)
+
+
+def profile_key(values) -> tuple[tuple[int, int], ...]:
+    """The key `profile` gives a dense profile: the non-zero entries'
+    indices with their numerators over the common denominator, divided
+    by the numerators' gcd."""
+    den = lcm(*[v.denominator for v in values])
+    nums = [(j, v.numerator * (den // v.denominator)) for j, v in enumerate(values) if v]
+    g = gcd(*[n for _, n in nums])
+    return tuple((j, n // g) for j, n in nums)
 
 
 def dense_trace_classes(pool, lam: SigmaAlgebra) -> tuple[tuple[Measure, ...], ...]:

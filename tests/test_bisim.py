@@ -29,7 +29,6 @@ from nlmp import (
     logical_equivalence,
     nlmp_validate,
     parse_model,
-    profile,
     relation_of_sigma,
     sigma_is_sub,
     sigma_of_relation,
@@ -38,6 +37,7 @@ from nlmp import (
 from support import (
     all_equivalences,
     compose,
+    dense_profile,
     event_bisim_direct,
     event_signature,
     from_pairs,
@@ -417,7 +417,7 @@ class TestRefinement:
             return real_sub(lam, sigma)
 
         def forbidden(*args):
-            raise AssertionError("a fixpoint recomputed dense profiles, profile classes or hit preimages")
+            raise AssertionError("a fixpoint recomputed profiles, profile classes or hit preimages")
 
         monkeypatch.setattr(nlmp.bisim, "traditional_signature", counting)
         monkeypatch.setattr(nlmp.bisim, "sigma_is_sub", counting_sub)
@@ -491,7 +491,7 @@ class TestRefinement:
             for lam, key, _ in nlmp.bisim.refinement(m):
                 assert set(key.profiles) == set(m.pool)
                 assert all(type(k) is int for k in key.profiles.values())
-                dense = {mu: profile(mu, lam) for mu in m.pool}
+                dense = {mu: dense_profile(mu, lam) for mu in m.pool}
                 for mu in m.pool:
                     for nu in m.pool:
                         assert (key.profiles[mu] == key.profiles[nu]) == (dense[mu] == dense[nu])

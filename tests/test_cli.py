@@ -708,6 +708,24 @@ class TestDeterminism:
             outputs.append((code, stripped))
         assert outputs[0] == outputs[1]
 
+    def test_unknown_generator_states_name_one_state_under_every_hash_seed(self, tmp_path):
+        # Several unknown states in one generator: the message must not
+        # depend on the iteration order of a set of strings.
+        model = tmp_path / "unknown.nlmp"
+        model.write_text("states s t\nlabels a\nsigma gen {s zz yy ww vv}\n", encoding="utf-8")
+        src = corpus_dir().parent.parent
+        results = set()
+        for seed in range(1, 7):
+            proc = subprocess.run(
+                [sys.executable, "-m", "nlmp", "validate", str(model)],
+                capture_output=True,
+                text=True,
+                env=dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=str(seed)),
+                timeout=60,
+            )
+            results.add((proc.returncode, proc.stdout, proc.stderr))
+        assert results == {(1, "", "error: state 'vv' is not in the universe at line 3\n")}
+
 
 class TestRender:
     """The report renderer writes the bytes of

@@ -32,6 +32,8 @@ from support import (
     measurable_sets,
     measure_eval,
     measures_related,
+    profile_key,
+    profile_values,
     rand_coarsening,
     rand_measure,
     rand_partition,
@@ -167,16 +169,32 @@ class TestBounds:
 class TestProfile:
     def test_powerset_profile_lists_atom_weights(self, xyz):
         mu = Measure.from_state_weights(xyz, {"x": F(1, 2), "y": F(1, 2)})
-        assert profile(mu, xyz) == (F(1, 2), F(1, 2), F(0))
+        assert profile(mu, xyz) == ((0, 1), (1, 1))
+        assert profile_values(profile(mu, xyz), xyz) == dense_profile(mu, xyz) == (F(1, 2), F(1, 2), F(0))
 
     def test_trivial_profile_is_total_mass(self, xyz):
         mu = Measure.from_state_weights(xyz, {"x": F(1, 3), "y": F(2, 3)})
-        assert profile(mu, SigmaAlgebra.trivial(xyz.universe)) == (F(1),)
+        trivial = SigmaAlgebra.trivial(xyz.universe)
+        assert profile(mu, trivial) == ((0, 1),)
+        assert profile_values(profile(mu, trivial), trivial) == dense_profile(mu, trivial) == (F(1),)
 
     def test_coarse_profile_sums_atoms(self, xyz):
         mu = Measure.from_state_weights(xyz, {"x": F(1, 2), "y": F(1, 4), "z": F(1, 4)})
         lam = SigmaAlgebra(xyz.universe, (frozenset({"x"}), frozenset({"y", "z"})))
-        assert profile(mu, lam) == (F(1, 2), F(1, 2))
+        assert profile(mu, lam) == ((0, 1), (1, 1))
+        assert profile_values(profile(mu, lam), lam) == dense_profile(mu, lam) == (F(1, 2), F(1, 2))
+
+    def test_unequal_weights_keep_their_reduced_numerators(self, xyz):
+        mu = Measure.from_state_weights(xyz, {"x": F(1, 6), "y": F(1, 3), "z": F(1, 2)})
+        lam = SigmaAlgebra(xyz.universe, (frozenset({"x", "y"}), frozenset({"z"})))
+        assert profile(mu, xyz) == ((0, 1), (1, 2), (2, 3))
+        assert profile(mu, lam) == ((0, 1), (1, 1))
+        assert profile_values(profile(mu, xyz), xyz) == dense_profile(mu, xyz)
+
+    def test_point_mass_on_many_atoms_has_a_one_pair_profile(self):
+        # The key follows the support, not the number of lam's atoms.
+        sig = SigmaAlgebra.powerset(Universe(tuple(f"s{i}" for i in range(10_000))))
+        assert profile(dirac(sig, "s7777"), sig) == ((7_777, 1),)
 
     def test_requires_subalgebra(self, xyz):
         mu = dirac(xyz, "x")
@@ -192,8 +210,9 @@ class TestProfile:
                 universe, tuple(frozenset(b) for b in rand_partition(rng, list(universe)))
             )
             mu = rand_measure(rng, sig)
-            vec = profile(mu, sig)
-            assert vec == weights(mu)
+            assert profile(mu, sig) == mu.nums == profile_key(weights(mu))
+            vec = profile_values(profile(mu, sig), sig)
+            assert vec == weights(mu) == dense_profile(mu, sig)
             assert sum(vec) == 1
             assert all(0 <= v <= 1 for v in vec)
 
@@ -215,7 +234,8 @@ class TestProfile:
                         with pytest.raises(PreconditionError):
                             profile(mu, lam)
                     else:
-                        assert profile(mu, lam) == expected
+                        assert profile(mu, lam) == profile_key(expected)
+                        assert profile_values(profile(mu, lam), lam) == expected
 
     def test_equal_profiles_iff_equal_on_every_measurable_set(self):
         # brute force over every measurable set of the sub-sigma-algebra
@@ -531,7 +551,8 @@ class TestSparseForm:
                     assert nu == mu and hash(nu) == hash(mu)
                     assert support(nu) == support(mu) and weights(nu) == weights(mu)
                     assert (scan_dirac_atom(nu), nu.is_dirac) == (scan_dirac_atom(mu), mu.is_dirac)
-                    assert profile(nu, lam) == dense_profile(mu, lam)
+                    assert profile(nu, lam) == profile_key(dense_profile(mu, lam))
+                    assert profile_values(profile(nu, lam), lam) == dense_profile(mu, lam)
                     for q in measurable_sets(sig):
                         assert nu.value(q) == measure_eval(mu, q) == dense_value(mu, q)
                 built.append(rng.choice(forms))
@@ -581,7 +602,8 @@ class TestSparseForm:
                 assert mu == forms[0] and mu.sigma == sig
                 assert weights(mu) == dense
                 assert support(mu) == tuple((k, w) for k, w in enumerate(dense) if w)
-                assert profile(mu, lam) == dense_profile(mu, lam)
+                assert profile(mu, lam) == profile_key(dense_profile(mu, lam))
+                assert profile_values(profile(mu, lam), lam) == dense_profile(mu, lam)
                 for q in measurable_sets(sig):
                     assert mu.value(q) == dense_value(mu, q) == measure_eval(mu, q)
 
