@@ -58,27 +58,52 @@ Split = tuple[tuple[str, ...], tuple[str, ...]]
 # Abstract syntax
 
 # Every live formula node, keyed by its class and its fields.  A node is
-# built once: constructing one equal to a live node returns that node,
-# so equal formulas are one object, == and hash are identity's and never
-# walk a formula, and a formula is a DAG however it was built.  The
-# table holds its nodes weakly, and its lookup is taken under a lock so
-# that two threads building one formula get one node.
+# built once: its constructor looks the key up first and builds a node
+# only when no live node has it, so equal formulas are one object, == and
+# hash are identity's and never walk a formula, and a formula is a DAG
+# however it was built.  The table holds its nodes weakly, and its lookup
+# is taken under a lock so that two threads building one formula get one
+# node.
 _NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 _NODES_LOCK = threading.Lock()
 
 
-class _HashConsed(type):
-    def __call__(cls, *args, **kwargs):
-        # The dataclass __init__ checks and normalizes the fields first.
-        node = super().__call__(*args, **kwargs)
+class _Node:
+    """A formula node: the fields its class names in ``_fields``, in that
+    order, set once when the node is built."""
+
+    _fields: ClassVar[tuple[str, ...]] = ()
+
+    def __new__(cls, *args):
+        key = (cls, *args)
         with _NODES_LOCK:
-            return _NODES.setdefault((cls, *vars(node).values()), node)
+            node = _NODES.get(key)
+            if node is None:
+                if len(args) != len(cls._fields):
+                    raise TypeError(f"{cls.__name__} takes the fields {cls._fields}, got {len(args)}")
+                node = _NODES[key] = object.__new__(cls)
+                node.__dict__.update(zip(cls._fields, args))
+        return node
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
-class _Node(metaclass=_HashConsed):
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return _unfold(self, _repr_pieces)
+
+    # A node is immutable and interned: a copy is the node itself, and
+    # unpickling returns the live node.
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
     def __reduce__(self):
-        # Rebuilt through the table: pickle and copy return the live node.
-        return type(self), tuple(vars(self).values())
+        return _rebuild, (_post_order(self),)
 
 
 class StateFormula(_Node):
@@ -89,21 +114,16 @@ class MeasureFormula(_Node):
     """Base class; denotes a set of measures (a pool subset)."""
 
 
-@dataclass(frozen=True, eq=False)
 class Top(StateFormula):
-    pass
+    """The formula that holds at every state."""
 
 
-@dataclass(frozen=True, eq=False)
 class And(StateFormula):
-    left: StateFormula
-    right: StateFormula
+    _fields = ("left", "right")
 
 
-@dataclass(frozen=True, eq=False)
 class Diamond(StateFormula):
-    label: str
-    body: MeasureFormula
+    _fields = ("label", "body")
 
 
 # The comparison of every probability bound, keyed by its op, which is
@@ -111,48 +131,44 @@ class Diamond(StateFormula):
 COMPARE = {">=": operator.ge, ">": operator.gt, "<": operator.lt, "<=": operator.le}
 
 
-@dataclass(frozen=True, eq=False)
 class DiamondMulti(StateFormula):
     """All listed bounds, each a GreaterThan or a LessThan, must hold
     for a single transition measure."""
 
-    label: str
-    constraints: tuple[Bound, ...]
+    _fields = ("label", "constraints")
 
-    def __post_init__(self):
-        if not self.constraints:
+    def __new__(cls, label: str, constraints: tuple[Bound, ...]):
+        if not constraints:
             raise DomainError("multi-constraint diamond needs at least one constraint")
-        for c in self.constraints:
+        for c in constraints:
             if not isinstance(c, (GreaterThan, LessThan)):
                 raise DomainError(f"constraint operator must be > or <, got {getattr(c, 'op', c)!r}")
+        return super().__new__(cls, label, constraints)
 
 
-@dataclass(frozen=True, eq=False)
 class MOr(MeasureFormula):
-    items: tuple[MeasureFormula, ...]
+    _fields = ("items",)
 
 
-@dataclass(frozen=True, eq=False)
 class MNot(MeasureFormula):
-    item: MeasureFormula
+    _fields = ("item",)
 
 
-@dataclass(frozen=True, eq=False)
 class Bound(MeasureFormula):
     """The measures whose value on phi's extension compares to q by op.
 
     Construct one of the four subclasses, which set op; bounds of
     different subclasses are never equal."""
 
-    phi: StateFormula
-    q: Fraction
+    _fields = ("phi", "q")
     op: ClassVar[str]
 
-    def __post_init__(self):
-        q = Fraction(self.q)
-        if not 0 <= q <= 1:
+    def __new__(cls, phi: StateFormula, q: Fraction):
+        if type(q) is not Fraction:
+            q = Fraction(q)
+        if not 0 <= q.numerator <= q.denominator:
             raise DomainError(f"threshold {_shown(q)} outside [0, 1]")
-        object.__setattr__(self, "q", q)
+        return super().__new__(cls, phi, q)
 
 
 class AtLeast(Bound):
@@ -182,6 +198,58 @@ BOUNDS = {cls.op: cls for cls in (AtLeast, GreaterThan, LessThan, AtMost)}
 
 
 # ---------------------------------------------------------------------------
+# The repr and the pickle of a node, neither of them recursive
+
+
+def _repr_pieces(x: _Node | tuple) -> list:
+    """The repr of a node, ``Cls(field=value, ...)``, or of a tuple of
+    nodes, as strings and the nodes and tuples to be written in their
+    places."""
+    if isinstance(x, tuple):
+        head, named, tail = "(", [("", v) for v in x], ",)" if len(x) == 1 else ")"
+    else:
+        head, named, tail = f"{type(x).__qualname__}(", [(f"{k}=", v) for k, v in vars(x).items()], ")"
+    pieces = [head]
+    for i, (name, v) in enumerate(named):
+        pieces += [", " if i else "", name, v if isinstance(v, (_Node, tuple)) else repr(v)]
+    return pieces + [tail]
+
+
+def _post_order(root: _Node) -> list[tuple[type, tuple]]:
+    """The DAG below root in post-order, each distinct node once, as its
+    class and its fields, with each node among the fields, also inside a
+    tuple, replaced by its index in the list."""
+    index: _Memo = {}
+    entries: list[tuple[type, tuple]] = []
+
+    def ref(v):
+        return index[v] if isinstance(v, _Node) else tuple(index[g] for g in v) if isinstance(v, tuple) else v
+
+    def leave(f: _Node) -> int:
+        entries.append((type(f), tuple(ref(v) for v in vars(f).values())))
+        return len(entries) - 1
+
+    _walk(root, _Node, index, leave, subformulas=_field_nodes)
+    return entries
+
+
+def _field_nodes(f: _Node) -> tuple[tuple, type]:
+    """The nodes among f's fields, also inside a tuple, left to right."""
+    values = [g for v in vars(f).values() for g in (v if isinstance(v, tuple) else (v,))]
+    return tuple(g for g in values if isinstance(g, _Node)), _Node
+
+
+def _rebuild(entries: list[tuple[type, tuple]]) -> _Node:
+    """The last node of a `_post_order` list, each built bottom-up
+    through its class's constructor."""
+    nodes: list[_Node] = []
+    for cls, fields in entries:
+        refs = (nodes[v] if type(v) is int else tuple(nodes[i] for i in v) if type(v) is tuple else v for v in fields)
+        nodes.append(cls(*refs))
+    return nodes[-1]
+
+
+# ---------------------------------------------------------------------------
 # Concrete syntax rendering (the parser lives in nlmp.parser)
 
 
@@ -193,16 +261,21 @@ def _threshold_text(q: Fraction) -> str:
 
 
 def formula_to_text(f: StateFormula | MeasureFormula) -> str:
-    """The concrete syntax of f, its DAG written out as a tree.  The text
-    is built from a stack of pieces, not by recursion, so no depth is too
-    deep for it."""
-    out, stack = [], [f]
+    """The concrete syntax of f, its DAG written out as a tree."""
+    return _unfold(f, _pieces)
+
+
+def _unfold(root, pieces: Callable[[object], list]) -> str:
+    """The text of root, built from a stack of pieces, not by recursion,
+    so no depth is too deep for it: ``pieces(x)`` is the text of x as
+    strings and the values to be written in their places."""
+    out, stack = [], [root]
     while stack:
         piece = stack.pop()
         if isinstance(piece, str):
             out.append(piece)
         else:
-            stack += reversed(_pieces(piece))
+            stack += reversed(pieces(piece))
     return "".join(out)
 
 
@@ -267,12 +340,15 @@ def _subformulas(f: StateFormula | MeasureFormula) -> tuple[tuple, type]:
 _Memo = dict[_Node, object]
 
 
-def _walk(root, level: type, memo: _Memo, leave: Callable, enter: Callable | None = None) -> None:
+def _walk(
+    root, level: type, memo: _Memo, leave: Callable, enter: Callable | None = None, subformulas: Callable = _subformulas
+) -> None:
     """Walk the formula DAG below root depth first, with an explicit
     stack in place of recursion, so no depth is too deep for it.
 
     Each node not yet in memo is entered (``enter(node)``, when given),
-    its subformulas are walked left to right, and then
+    its subformulas, with the level they must have, as
+    ``subformulas(node)`` gives them, are walked left to right, and then
     ``memo[node] = leave(node)``: leave reads the values of
     the subformulas from memo.  Every node must be an instance of the
     level its parent's slot asks for, level itself for root; a node in
@@ -288,7 +364,7 @@ def _walk(root, level: type, memo: _Memo, leave: Callable, enter: Callable | Non
         elif f not in memo:
             if enter is not None:
                 enter(f)
-            subs, sub_level = _subformulas(f)
+            subs, sub_level = subformulas(f)
             stack.append((f, None))
             for g in reversed(subs):
                 stack.append((g, sub_level))

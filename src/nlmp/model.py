@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import lcm
+from functools import cmp_to_key
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DomainError
@@ -43,24 +43,32 @@ def _checked_labels(labels: Iterable[str]) -> tuple[str, ...]:
 
 
 def _canonical_row(measures: Iterable[Measure]) -> Row:
-    # Ordered as the dense weight tuples would be: at the first atom
-    # where two measures differ, the one without weight there has its
-    # next support entry at a later atom, hence a smaller -index.  The
-    # weights are compared as numerators over the row's common
-    # denominator.  A row of one measure is neither deduplicated nor
-    # sorted.
+    # Ordered as the dense weight tuples would be (`_row_order`).  A row
+    # of one measure is neither deduplicated nor sorted.
     uniq = tuple(measures)
     if len(uniq) > 1:
         uniq = tuple(dict.fromkeys(uniq))
     if len(uniq) < 2:
         return uniq
-    den = lcm(*[mu.den for mu in uniq])
+    return tuple(sorted(uniq, key=cmp_to_key(_row_order)))
 
-    def key(mu: Measure) -> tuple:
-        scale = den // mu.den
-        return tuple((-i, n * scale) for i, n in mu.nums)
 
-    return tuple(sorted(uniq, key=key))
+def _row_order(mu: Measure, nu: Measure) -> int:
+    # At the first atom where mu and nu differ, the one without weight
+    # there has its next support entry at a later atom, and comes first;
+    # on one atom, the smaller weight comes first.  Two weights compare
+    # as m / mu.den and n / nu.den do, by cross-multiplying, so no row is
+    # put over a common denominator: its cost follows the two measures'
+    # bits, not the row's width.  Neither support is a prefix of the
+    # other's, since the weights of each sum to 1, so only equal measures
+    # compare equal.
+    for (i, m), (j, n) in zip(mu.nums, nu.nums):
+        if i != j:
+            return j - i
+        a, b = m * nu.den, n * mu.den
+        if a != b:
+            return -1 if a < b else 1
+    return 0
 
 
 class Nlmp:

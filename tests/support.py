@@ -128,6 +128,23 @@ def rand_universe(rng: random.Random, max_states: int = 5) -> Universe:
     return Universe(tuple(f"s{i}" for i in range(n)))
 
 
+def wide_huge_rational_text(seed: int, width: int) -> str:
+    """A model file of 12.5 MB whose rows are wide and whose weights are
+    huge rationals: 800 two-point measures, `width` to a row, each line's
+    weights over a denominator of 3900 digits, below the int-string
+    limit of 4300."""
+    rng = random.Random(seed)
+    rows = -(-800 // width)
+    targets = [f"x{i}" for i in range(8)]
+    lines = ["states " + " ".join([f"r{k}" for k in range(rows)] + targets), "labels a", "sigma powerset"]
+    for k in range(800):
+        x, y = rng.sample(targets, 2)
+        den = rng.randrange(10**3899, 10**3900)
+        num = rng.randrange(1, den)
+        lines.append(f"trans r{k // width} a {x}:{num}/{den} {y}:{den - num}/{den}")
+    return "\n".join(lines) + "\n"
+
+
 def rand_partition(rng: random.Random, items: list) -> list[set]:
     """A uniform-ish random partition: each item joins an existing block
     or starts a new one."""
@@ -754,6 +771,17 @@ def scan_atom_index(sigma: SigmaAlgebra, s: str) -> int:
         if s in a:
             return i
     raise DomainError(f"unknown state {s!r}")
+
+
+def common_denominator_row(measures) -> tuple[Measure, ...]:
+    """A transition row as `nlmp.model` ordered it by a sort key: the
+    distinct measures, each key the pairs (-atom index, numerator) with
+    every numerator put over the lcm of the row's denominators."""
+    uniq = tuple(dict.fromkeys(measures))
+    if len(uniq) < 2:
+        return uniq
+    den = lcm(*[mu.den for mu in uniq])
+    return tuple(sorted(uniq, key=lambda mu: tuple((-i, n * (den // mu.den)) for i, n in mu.nums)))
 
 
 def quadratic_sigma_is_sub(lam: SigmaAlgebra, sigma: SigmaAlgebra) -> bool:

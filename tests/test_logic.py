@@ -64,7 +64,7 @@ from support import (
     uniform_rows_model,
 )
 from nlmp.bisim import refinement, refinement_rounds
-from nlmp.logic import BOUNDS, _NODES, formula_labels
+from nlmp.logic import BOUNDS, _NODES, _Node, formula_labels
 
 PHI_X = Diamond("b", AtLeast(Top(), F(1)))
 TWO_BOUNDS = DiamondMulti(
@@ -428,6 +428,76 @@ class TestHashConsing:
             assert copy.copy(f) is f
             assert copy.deepcopy(f) is f
 
+    def test_equal_fields_give_the_live_node(self):
+        assert Top() is Top()
+        assert AtLeast(PHI_X, 1) is AtLeast(PHI_X, F(2, 2))
+        assert DiamondMulti("a", (GreaterThan(Top(), F(1, 2)),)) is DiamondMulti("a", (GreaterThan(Top(), 0.5),))
+
+    def test_a_live_node_is_looked_up_not_built(self):
+        # The constructor allocates a node only when no live node has its
+        # class and fields: rebuilding a live formula of four nodes
+        # allocates none, and one new node on top of it allocates one.
+        phi = Diamond("a", GreaterThan(And(Top(), PHI_X), F(1, 2)))
+        new_node = _Node.__new__.__code__
+        allocations = []
+
+        def profile(frame, event, arg):
+            if event == "c_call" and arg is object.__new__ and frame.f_code is new_node:
+                allocations.append(frame.f_locals["cls"])
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            again = Diamond("a", GreaterThan(And(Top(), PHI_X), F(2, 4)))
+            built = allocations[:]
+            above = Diamond("fresh", phi.body)
+        finally:
+            sys.setprofile(previous)
+        assert again is phi and built == []
+        assert allocations == [Diamond] and above.body is phi.body
+
+    def test_fields_cannot_be_set_or_deleted(self):
+        for f, name in ((PHI_X, "label"), (TWO_BOUNDS, "constraints"), (AtLeast(Top(), 0), "q"), (Top(), "extra")):
+            with pytest.raises(AttributeError):
+                setattr(f, name, None)
+            with pytest.raises(AttributeError):
+                delattr(f, name)
+        assert vars(Diamond("a", AtLeast(Top(), 0))) == {"label": "a", "body": AtLeast(Top(), 0)}
+        assert list(vars(LessThan(Top(), F(1, 3)))) == ["phi", "q"]
+
+    def test_repr_and_str_of_a_deep_formula(self, default_recursion_limit):
+        # The repr is written from a stack, not by recursion: the text of
+        # a chain 10^4 modalities deep, exactly as at a shallow depth.
+        phi = Top()
+        for _ in range(10_000):
+            phi = Diamond("a", GreaterThan(phi, F(0)))
+        text = "Diamond(label='a', body=GreaterThan(phi=" * 10_000 + "Top()" + ", q=Fraction(0, 1)))" * 10_000
+        assert repr(phi) == str(phi) == text
+        assert repr(phi).count("Diamond(") == 10_000
+        multi = DiamondMulti("b", (GreaterThan(phi, F(1, 2)), LessThan(Top(), 1)))
+        inner = "(GreaterThan(phi=" + text + ", q=Fraction(1, 2)), LessThan(phi=Top(), q=Fraction(1, 1)))"
+        assert repr(multi) == "DiamondMulti(label='b', constraints=" + inner + ")"
+        assert repr(MOr((MNot(phi.body),))) == "MOr(items=(MNot(item=" + repr(phi.body) + "),))"
+
+    def test_pickle_and_copy_of_a_deep_formula(self, default_recursion_limit):
+        phi = Top()
+        for i in range(10_000):
+            phi = Diamond("a", GreaterThan(phi, F(i % 3, 3)))
+        mixed = MNot(MOr((LessThan(phi, F(1, 2)), AtLeast(phi, 1))))
+        for f in (phi, mixed, DiamondMulti("b", (GreaterThan(phi, 0), LessThan(phi, 1)))):
+            assert pickle.loads(pickle.dumps(f)) is f
+            assert copy.copy(f) is f
+            assert copy.deepcopy(f) is f
+
+    def test_a_pickle_holds_each_distinct_node_once(self):
+        # 2^500 leaves as a tree, 501 distinct nodes as a DAG.
+        doubled = PHI_X
+        for _ in range(500):
+            doubled = And(doubled, doubled)
+        data = pickle.dumps(doubled)
+        assert pickle.loads(data) is doubled
+        assert len(data) < 20 * 503
+
     def test_threads_build_one_node_per_formula(self):
         def build(out):
             out.extend(Diamond("a", AtLeast(And(PHI_X, Top()), F(i, 3000))) for i in range(3000))
@@ -633,13 +703,13 @@ class TestLogicalEquivalence:
         n = 40
         m = _two_label_chain(n)
         built = []
-        real_init = And.__init__
+        real_new = And.__new__
 
-        def counting_init(self, left, right):
+        def counting_new(cls, left, right):
             built.append(None)
-            real_init(self, left, right)
+            return real_new(cls, left, right)
 
-        monkeypatch.setattr(And, "__init__", counting_init)
+        monkeypatch.setattr(And, "__new__", counting_new)
         report = logical_equivalence(m, "Lf")
         assert len(report.partition) == n
         assert len(built) <= n * n
@@ -810,13 +880,13 @@ class TestDistinguish:
         # whole refinement does.
         m = _two_label_chain(40)
         built = []
-        real_post_init = DiamondMulti.__post_init__
+        real_new = DiamondMulti.__new__
 
-        def counting_post_init(self):
+        def counting_new(cls, label, constraints):
             built.append(None)
-            real_post_init(self)
+            return real_new(cls, label, constraints)
 
-        monkeypatch.setattr(DiamondMulti, "__post_init__", counting_post_init)
+        monkeypatch.setattr(DiamondMulti, "__new__", counting_new)
         assert distinguish(m, "c38", "c39") is not None
         pair = len(built)
         built.clear()

@@ -23,6 +23,7 @@ from support import (
     build_pool,
     class_findings,
     coarse_valid_model,
+    common_denominator_row,
     delta_trace_family,
     lmp_validate_direct,
     measurable_sets,
@@ -32,6 +33,7 @@ from support import (
     rand_lmp,
     rand_measure,
     rand_partition,
+    rand_sigma,
     rand_universe,
     rand_valid_nlmp,
     row_constant_on_atoms,
@@ -324,6 +326,39 @@ class TestHoldersIndex:
             assert report.findings == class_findings(m)
             invalid += not report.valid
         assert point_mass > 200 and invalid > 50 and empty_label > 600
+
+
+class TestRowOrder:
+    """Rows are ordered by comparing two measures at a time, never over
+    the row's common denominator, in the order that denominator gave."""
+
+    @staticmethod
+    def huge_measure(rng: random.Random, sigma: SigmaAlgebra) -> Measure:
+        # Weights over denominators of about 300 digits; some measures
+        # share a denominator, so that equal leading weights occur.
+        support = rng.sample(sigma.universe.states, rng.randint(1, len(sigma.universe.states)))
+        den = 10**300 + rng.randint(0, 2)
+        weights, left = {}, F(1)
+        for s in support[:-1]:
+            w = min(left, F(rng.choice([1, 2, rng.randint(1, 10**299)]), den))
+            weights[s], left = w, left - w
+        weights[support[-1]] = left
+        return Measure.from_state_weights(sigma, {s: w for s, w in weights.items() if w})
+
+    def test_rows_keep_the_common_denominator_order(self):
+        rng = random.Random(2301)
+        huge = 0
+        for trial in range(400):
+            sigma = rand_sigma(rng, rand_universe(rng, 6), coarse=rng.random() < 0.3)
+            if trial % 2:
+                row = [self.huge_measure(rng, sigma) for _ in range(rng.randint(2, 12))]
+                huge += 1
+            else:
+                row = [rand_measure(rng, sigma, max_weight=3) for _ in range(rng.randint(2, 12))]
+            row += rng.sample(row, rng.randint(0, 2))
+            m = Nlmp(sigma, ("a",), {(sigma.universe.states[0], "a"): row})
+            assert m.row(sigma.universe.states[0], "a") == common_denominator_row(row)
+        assert huge == 200
 
 
 class TestDiracSubspace:
