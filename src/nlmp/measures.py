@@ -13,10 +13,16 @@ profiles are equal.
 The measurable sets of measures used elsewhere in the package are
 never materialized: only their trace on a model's finite pool matters,
 and that trace is always a union of profile classes.
+
+Which rationals print is decided in integers, in one place: `_prints`
+reads an integer's bit length against ``sys.get_int_max_str_digits()``,
+past which ``str`` raises ``ValueError``, so no caller prints a number
+to learn whether it prints.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
@@ -30,13 +36,20 @@ Profile = tuple[tuple[int, int], ...]
 Numerators = tuple[tuple[int, int], ...]
 
 
+def _prints(n: int) -> bool:
+    """Whether str(n) stays within sys.get_int_max_str_digits() (0: no
+    limit), that is, |n| < 10**limit, decided without printing n."""
+    # 10**limit has log2(10) = 3.32 bits per digit: below 3.3 bits per
+    # digit n has fewer digits, and past 3.4 more, as a nonzero limit is
+    # at least 640.  Only in between is n compared with 10**limit.
+    limit, bits = sys.get_int_max_str_digits(), n.bit_length()
+    return not limit or 10 * bits < 33 * limit or 10 * bits <= 34 * limit and abs(n) < 10**limit
+
+
 def _rational_text(q: Fraction) -> str | None:
-    # str() refuses integers beyond sys.get_int_max_str_digits(), which
-    # an exact sum of shorter numerals can exceed; None stands for such.
-    try:
-        return str(q)
-    except ValueError:
-        return None
+    # An exact sum of shorter numerals can exceed the limit; None stands
+    # for such a rational.
+    return str(q) if _prints(q.numerator) and _prints(q.denominator) else None
 
 
 def _shown(q: Fraction) -> str:

@@ -35,7 +35,6 @@ that no `>` closes, opens the multi form; anything else, a bracket.
 from __future__ import annotations
 
 import re
-import sys
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Any, Generator
@@ -54,7 +53,7 @@ from .logic import (
     Top,
 )
 from .measurable import SigmaAlgebra, Universe, sigma_generate
-from .measures import Measure, _shown, dirac
+from .measures import Measure, _prints, _shown, dirac
 from .model import LABEL_TOKEN, Lmp, Nlmp, _checked_labels
 
 # ---------------------------------------------------------------------------
@@ -270,16 +269,12 @@ class _TransLoader:
         if total != den:
             raise ModelSyntaxError(f"weights sum to {_shown(Fraction(total, den))}, expected 1", line_no)
         mu = Measure._of(self.sigma, den, sorted(totals.items()))
-        # serialize_model prints each atom's weight.  Its numerator and
-        # denominator have at most as many digits as the line's
-        # denominators together, so only a line longer than the int-string
-        # limit (0: none) can hold one that does not print.
-        limit = sys.get_int_max_str_digits()
-        if limit and sum(map(len, body)) > limit:
-            try:
-                _measure_text(mu)
-            except ValueError:
-                raise ModelSyntaxError("an atom's accumulated weight is too long to print", line_no) from None
+        # serialize_model prints each atom's weight n/den in lowest terms,
+        # whose larger term is den // gcd(n, den): every weight prints if
+        # den does.
+        den = mu.den
+        if not _prints(den) and not all(_prints(den // gcd(n, den)) for _, n in mu.nums):
+            raise ModelSyntaxError("an atom's accumulated weight is too long to print", line_no)
         return mu
 
 
@@ -293,7 +288,8 @@ def _measure_text(mu: Measure) -> str:
     if mu.is_dirac:
         return "-> " + names[mu.nums[0][0]]
     # Past the int-string limit the f-string raises ValueError, as str()
-    # does.  Each weight lies strictly between 0 and 1.
+    # does; the loader refuses such measures (measures._prints).  Each
+    # weight lies strictly between 0 and 1.
     den = mu.den
     parts = []
     for i, n in mu.nums:

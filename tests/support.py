@@ -6,6 +6,7 @@ their generator traces."""
 
 from __future__ import annotations
 
+import contextlib
 import random
 import re
 import sys
@@ -128,21 +129,35 @@ def rand_universe(rng: random.Random, max_states: int = 5) -> Universe:
     return Universe(tuple(f"s{i}" for i in range(n)))
 
 
-def wide_huge_rational_text(seed: int, width: int) -> str:
-    """A model file of 12.5 MB whose rows are wide and whose weights are
-    huge rationals: 800 two-point measures, `width` to a row, each line's
-    weights over a denominator of 3900 digits, below the int-string
-    limit of 4300."""
+def wide_huge_rational_text(seed: int, width: int, measures: int = 800, digits: int = 3900) -> str:
+    """A model file whose rows are wide and whose weights are huge
+    rationals: `measures` two-point measures, `width` to a row, each
+    line's weights over a denominator of `digits` digits.  By default,
+    12.5 MB: 800 measures over denominators of 3900 digits, below the
+    int-string limit of 4300.  The states x0 to x7, the targets, have no
+    transitions."""
     rng = random.Random(seed)
-    rows = -(-800 // width)
+    rows = -(-measures // width)
     targets = [f"x{i}" for i in range(8)]
     lines = ["states " + " ".join([f"r{k}" for k in range(rows)] + targets), "labels a", "sigma powerset"]
-    for k in range(800):
+    for k in range(measures):
         x, y = rng.sample(targets, 2)
-        den = rng.randrange(10**3899, 10**3900)
+        den = rng.randrange(10 ** (digits - 1), 10**digits)
         num = rng.randrange(1, den)
         lines.append(f"trans r{k // width} a {x}:{num}/{den} {y}:{den - num}/{den}")
     return "\n".join(lines) + "\n"
+
+
+@contextlib.contextmanager
+def int_str_limit(limit: int):
+    """sys.set_int_max_str_digits(limit) for the block, the limit before
+    it restored after."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 def rand_partition(rng: random.Random, items: list) -> list[set]:
@@ -1170,10 +1185,10 @@ def oracle_parse_trans(
     if total != den:
         raise ModelSyntaxError(f"weights sum to {_shown(Fraction(total, den))}, expected 1", line_no)
     mu = Measure._of(sigma, den, sorted(totals.items()))
-    limit = sys.get_int_max_str_digits()
-    if limit and sum(map(len, body)) > limit:
-        try:
-            _measure_text(mu)
-        except ValueError:
-            raise ModelSyntaxError("an atom's accumulated weight is too long to print", line_no) from None
+    # The trial print: the serializer's text, or the ValueError that str()
+    # raises past the int-string limit.
+    try:
+        _measure_text(mu)
+    except ValueError:
+        raise ModelSyntaxError("an atom's accumulated weight is too long to print", line_no) from None
     return s, a, mu

@@ -17,9 +17,10 @@ from nlmp import (
     parse_model,
     parse_state_formula,
     satisfies,
+    serialize_model,
 )
 from nlmp.cli import _render, main
-from support import two_bounds_model
+from support import two_bounds_model, wide_huge_rational_text
 from test_golden import GOLDEN, run_case
 
 TWO_BOUNDS_FORMULA = "<a>[ >1/4 <b>[T]>=1 , <3/4 <b>[T]>=1 ]"
@@ -370,6 +371,22 @@ class TestInputBoundary:
             "supported": False,
             "reason": "a threshold of the formula is a rational too long to print",
         }
+
+    @pytest.mark.parametrize("width", [4, 40])
+    def test_wide_rows_of_huge_rationals(self, tmp_path, capsys, width):
+        # 40 two-point measures over 1500-digit denominators, `width` to a
+        # row: every trans line is longer than the int-string limit, and
+        # every weight prints.  The targets x0 to x7 have no transitions.
+        text = wide_huge_rational_text(1, width, measures=40, digits=1500)
+        model = parse_model(text)
+        assert parse_model(serialize_model(model)) == model
+        path = tmp_path / "wide.nlmp"
+        path.write_text(text)
+        for argv, want in [(["validate"], 0), (["bisim", "--kind", "all"], 0), (["distinguish", "x0", "x1"], 5)]:
+            code, report, err = run(capsys, argv[0], str(path), *argv[1:])
+            assert (code, err) == (want, ""), argv
+            if argv == ["validate"]:
+                assert report["result"] == {"findings": [], "valid": True}
 
     @pytest.mark.parametrize(
         "formula,message",

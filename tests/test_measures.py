@@ -21,6 +21,7 @@ from nlmp import (
     sigma_of_relation,
     trace_classes,
 )
+from nlmp.measures import _prints, _rational_text
 from support import (
     BoundSpec,
     all_atoms_is_measurable,
@@ -29,6 +30,7 @@ from support import (
     dense_trace_classes,
     dense_value,
     in_delta_set,
+    int_str_limit,
     measurable_sets,
     measure_eval,
     measures_related,
@@ -511,6 +513,54 @@ class TestConstruction:
             mu.nums = ()
         with pytest.raises(AttributeError):
             mu.den = 2
+
+
+def str_prints(n: int) -> bool:
+    """The oracle of measures._prints: str(n), tried."""
+    try:
+        str(n)
+    except ValueError:
+        return False
+    return True
+
+
+class TestPrintRule:
+    """measures._prints decides in integers whether str() prints an int
+    under the interpreter's int-string limit."""
+
+    def test_the_boundary_at_the_least_limit(self):
+        with int_str_limit(640):
+            for n in (0, 1, 10**640 - 1, 2**2126):
+                assert _prints(n) and _prints(-n)
+            for n in (10**640, 10**640 + 1, 2**2127, 10**700):
+                assert not _prints(n) and not _prints(-n)
+            big = 10**640 - 1
+            assert _rational_text(F(big, 7)) == f"{big}/7"
+            assert _rational_text(F(-big, 7)) == f"-{big}/7"
+            assert _rational_text(F(7, big)) == f"7/{big}"
+            assert _rational_text(F(10**640, 7)) is None
+            assert _rational_text(F(-(10**640), 7)) is None
+            assert _rational_text(F(7, 10**640 + 1)) is None
+
+    def test_every_int_prints_without_a_limit(self):
+        with int_str_limit(0):
+            for n in (10**640, 10**5000, -(10**5000)):
+                assert _prints(n)
+            assert _rational_text(F(1, 10**5000)) == "1/1" + "0" * 5000
+
+    @pytest.mark.parametrize("limit", [640, 1000, 4300])
+    def test_agrees_with_str_across_the_band(self, limit):
+        # The rule compares with 10**limit only from 3.3 to 3.4 bits per
+        # digit; both sides of the band, and the band itself, agree with
+        # str().
+        rng = random.Random(limit)
+        with int_str_limit(limit):
+            cases = [10**limit - 1, 10**limit, 10**limit + 1]
+            for bits in range(32 * limit // 10, 35 * limit // 10, 1 + limit // 640):
+                cases += [2 ** (bits - 1), 2**bits - 1, rng.getrandbits(bits)]
+            for n in cases:
+                assert _prints(n) == str_prints(n), n.bit_length()
+                assert _prints(-n) == str_prints(-n), n.bit_length()
 
 
 def random_state_split(rng: random.Random, mu: Measure) -> dict:

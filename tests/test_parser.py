@@ -34,15 +34,18 @@ from nlmp import (
     parse_state_formula,
     serialize_model,
 )
+import nlmp.parser
 from nlmp.cli import main
 from nlmp.parser import _line_tokens, _TransLoader
 from support import (
+    int_str_limit,
     oracle_line_tokens,
     oracle_parse_trans,
     rand_measure_formula,
     rand_state_formula,
     rand_valid_nlmp,
     two_bounds_model,
+    wide_huge_rational_text,
 )
 from test_logic import default_recursion_limit  # noqa: F401 (a fixture)
 
@@ -176,6 +179,10 @@ _SPLITS = [
 ]
 
 
+# The int-string limit, or the default limit where none is set.
+_LIMIT = sys.get_int_max_str_digits() or 4300
+
+
 def _mutated_model(rng: random.Random) -> tuple[str, list[str], list[str]]:
     """A seeded model text, its lines up to the first trans line, and its
     trans lines, a third of them mutated.  Every other state identifier
@@ -204,7 +211,7 @@ def _mutated_model(rng: random.Random) -> tuple[str, list[str], list[str]]:
 
 
 def _mutate(rng: random.Random, body: list[str], earlier: list[str], states: list[str]) -> list[str]:
-    kind = rng.randrange(11)
+    kind = rng.randrange(13)
     i = rng.randrange(len(body))
     if kind == 0 and earlier:  # a body repeated from an earlier line
         return rng.choice(earlier).split()[3:]
@@ -213,7 +220,7 @@ def _mutate(rng: random.Random, body: list[str], earlier: list[str], states: lis
     elif kind == 2:  # an unknown target
         body[-1] = "zz" if body[0] == "->" else "zz:" + body[i].rpartition(":")[2]
     elif kind == 3 and body[0] != "->":  # a numeral longer than int() reads
-        body[i] = body[i].rpartition(":")[0] + ":" + "1" * (sys.get_int_max_str_digits() or 5000) + "1/2"
+        body[i] = body[i].rpartition(":")[0] + ":" + "1" * _LIMIT + "1/2"
     elif kind == 4 and body[0] != "->":  # a wrong sum
         body[i] = body[i].rpartition(":")[0] + rng.choice([":1/5", ":0", ":7/3"])
     elif kind == 5:  # the -> form, with a target too many or too few
@@ -228,6 +235,19 @@ def _mutate(rng: random.Random, body: list[str], earlier: list[str], states: lis
         body.append(body[i])
     elif kind == 10:  # a state weighted twice, the first item new
         body = [f"{states[-1]}:1/3", f"{states[-1]}:2/3"]
+    elif kind == 11 and body[0] != "->":  # a line longer than the limit whose weights print
+        target, _, w = body[i].rpartition(":")
+        n, _, d = w.partition("/")
+        scale = 10 ** (_LIMIT // 2 + 8)
+        body[i] = f"{target}:{int(n) * scale}/{int(d or 1) * scale}"
+    elif kind == 12 and len(states) >= 4:  # two atoms whose accumulated weights may not print
+        # Over 2P and 2Q, coprime, each of about half the limit's digits:
+        # x and z in one atom weigh (P + Q)/2PQ together, which does not
+        # print; x and u weigh 1/2.
+        p = 10 ** (_LIMIT // 2 + 8)
+        q = p + 1
+        x, u, z, w = rng.sample(states, 4)
+        body = [f"{x}:1/{2 * p}", f"{u}:{p - 1}/{2 * p}", f"{z}:1/{2 * q}", f"{w}:{q - 1}/{2 * q}"]
     return body
 
 
@@ -271,7 +291,7 @@ class TestTransLoader:
                 with pytest.raises(ModelSyntaxError) as exc:
                     parse_model(text)
                 assert (str(exc.value), exc.value.line) == first_error
-        assert {"ok", "->", "expected", "unknown", "duplicate", "numeral", "weights", "point-mass", "zero"} <= seen
+        assert {"ok", "->", "expected", "unknown", "duplicate", "numeral", "weights", "point-mass", "zero", "an"} <= seen
 
     def test_a_repeated_state_is_reported_before_its_weight_is_read(self):
         # x:1/0 is new: its state repeats, so the duplicate is reported,
@@ -285,6 +305,48 @@ class TestTransLoader:
             text = f"states s x\nlabels a\n{first}trans s a x:1/0 x:1/2\n"
             with pytest.raises(ModelSyntaxError, match=f"^zero denominator at line {line_no}$"):
                 parse_model(text)
+
+    def test_lines_past_the_limit_whose_weights_print_are_not_printed(self, monkeypatch):
+        # Which weights print is decided in integers: a file whose trans
+        # lines are longer than the int-string limit, but whose weights
+        # print, is parsed without calling the serializer.
+        printed = []
+        monkeypatch.setattr(nlmp.parser, "_measure_text", printed.append)
+        text = wide_huge_rational_text(1, 4, measures=40, digits=400)
+        with int_str_limit(640):
+            assert min(len(line) for line in text.splitlines() if line.startswith("trans")) > 640
+            model = parse_model(text)
+        assert len(printed) == 0
+        assert len(model.pool) == 40
+
+    @pytest.mark.parametrize(
+        "blocks, prints",
+        [
+            ("{x z} {u} {w} {s}", False),
+            ("{x z} {u w} {s}", False),
+            ("{x u} {z} {w} {s}", True),
+            ("{x} {z} {u} {w} {s}", True),
+        ],
+    )
+    def test_a_weight_prints_iff_its_reduced_denominator_does(self, blocks, prints):
+        # Over 2P and 2Q, coprime, of 331 digits each: the measure's
+        # denominator 2PQ does not print under a limit of 640.  x and z
+        # in one atom weigh (P + Q)/2PQ together, which does not print,
+        # while the numerators of u's and w's own atoms do; x and u weigh
+        # 1/2.
+        p = 10**330
+        q = p + 1
+        body = f"x:1/{2 * p} u:{p - 1}/{2 * p} z:1/{2 * q} w:{q - 1}/{2 * q}"
+        text = f"states s x z u w\nlabels a\nsigma gen {blocks}\ntrans s a {body}\n"
+        header = parse_model(text.rpartition("trans")[0])
+        tokens = oracle_line_tokens(text.splitlines()[3])
+        with int_str_limit(640):
+            got = _outcome(parse_model, text)
+            want = _outcome(oracle_parse_trans, tokens[1:], header.universe, header.sigma, {"a"}, {}, 4)
+        if prints:
+            assert got.row("s", "a") == (want[2],)
+        else:
+            assert got == want == ("an atom's accumulated weight is too long to print at line 4", 4)
 
     def test_a_repeated_body_gives_the_same_measure(self):
         text = "states s t x\nlabels a b\nsigma gen {s t} {x}\ntrans s a t:1/2 x:1/2\ntrans x b t:1/2 x:1/2\ntrans t a s:1/2 x:1/2\n"
